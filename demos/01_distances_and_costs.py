@@ -10,7 +10,6 @@ import numpy as np
 from coreclust import (
     PointSet,
     cost,
-    cost_to_set,
     dist_pow,
     metric_from_points,
     partition_by_nearest,
@@ -35,7 +34,7 @@ print("cluster sizes:", [len(p) for p in parts])
 
 # adding centers can only help
 print("cost to bigger set:",
-      cost_to_set(P, np.concatenate([centers, [[3.0, 4.0]]])))
+      cost(P, np.concatenate([centers, [[3.0, 4.0]]])))
 
 # --- explicit-metric mode ---------------------------------------------------
 

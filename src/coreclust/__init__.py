@@ -11,7 +11,6 @@ from .geometry import (
     Metric,
     PointSet,
     cost,
-    cost_to_set,
     dist_pow,
     metric_from_points,
     nearest_center,
@@ -48,19 +47,15 @@ from .construction import (
     StaticCoreset,
     ThresholdCoreset,
     b_coreset,
-    build_sensitivity_coreset,
-    eval_coreset_cost,
     k_median_coreset,
     metric_b_coreset,
-    power_z_coreset,
-    sensitivity_coreset,
-    sensitivity_weights,
 )
 from .solvers import (
     SolveResult,
     brute_force_k_median,
     constant_factor_metric_kmedian,
     solve_on_coreset,
+    solve_weighted,
     weighted_local_search,
 )
 from .streaming import StreamState, stream_push, stream_query

@@ -23,7 +23,6 @@ import numpy as np
 from .geometry import (
     InputError,
     Metric,
-    PointSet,
     check_power,
     coerce_weighted,
     pairwise_dist,
@@ -78,20 +77,18 @@ class MedianProvider:
     terminal: Callable | None = None
 
 
-def _distinct_rows(metric: Metric, arr: np.ndarray) -> np.ndarray:
+def _distinct_rows(arr: np.ndarray) -> np.ndarray:
+    """Distinct points (rows or ids) in order of first occurrence."""
     if len(arr) == 0:
         return arr
-    if metric.is_euclidean:
-        _, idx = np.unique(arr, axis=0, return_index=True)
-    else:
-        _, idx = np.unique(arr, return_index=True)
+    _, idx = np.unique(arr, axis=0, return_index=True)
     return arr[np.sort(idx)]
 
 
 def _default_terminal(points, weights, metric, rng, beta, z):
     """Residue finisher: the residue itself if it fits in beta, else the best
     single candidate (exhaustive, exact for a single center)."""
-    distinct = _distinct_rows(metric, points)
+    distinct = _distinct_rows(points)
     if len(distinct) <= beta:
         return distinct
     d = pairwise_dist(metric, points, points) ** z
@@ -146,10 +143,7 @@ def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
         rounds.append(Round(indices=alive, amounts=weights[alive].copy(), centers=Y))
         center_blocks.append(Y)
 
-    if metric.is_euclidean:
-        B = _distinct_rows(metric, np.concatenate(center_blocks, axis=0))
-    else:
-        B = _distinct_rows(metric, np.concatenate([np.atleast_1d(b) for b in center_blocks]))
+    B = _distinct_rows(np.concatenate(center_blocks))
     return BicriteriaResult(rounds=rounds, B=B, total_cost=math.nan,
                             beta=provider.beta, alpha=provider.alpha, n=n_total)
 
@@ -183,7 +177,7 @@ def make_metric_provider(k: int, beta: int, z: float = 1.0) -> MedianProvider:
 
     Snapping gives the sample an alpha = 2 certificate at z = 1 (2^z for
     powered distances).  The terminal rule keeps the residue when it fits in
-    beta and otherwise brute-forces the best k-subset of the residue.
+    beta and otherwise solves k-median on the residue's distinct points.
     """
     z = check_power(z)
 
@@ -191,23 +185,15 @@ def make_metric_provider(k: int, beta: int, z: float = 1.0) -> MedianProvider:
         n = len(points)
         t = min(beta, n)
         idx = rng.choice(n, size=t, replace=True, p=weights / weights.sum())
-        return _distinct_rows(metric, points[np.sort(idx)])
+        return _distinct_rows(points[np.sort(idx)])
 
     def terminal(points, weights, metric, rng):
-        distinct = _distinct_rows(metric, points)
+        distinct = _distinct_rows(points)
         if len(distinct) <= beta:
             return distinct
-        from .solvers import (PIPELINE_BRUTE_LIMIT, brute_force_k_median,
-                              weighted_local_search)
-        try:
-            res = brute_force_k_median((points, weights, metric), k,
-                                       candidates=distinct, z=z,
-                                       guard=PIPELINE_BRUTE_LIMIT)
-        except InputError:
-            res = weighted_local_search((points, weights, metric), k,
-                                        candidates=distinct, z=z,
-                                        seed=int(rng.integers(2 ** 63)))
-        return res.centers
+        from .solvers import solve_weighted
+        return solve_weighted((points, weights, metric), k, distinct, z=z,
+                              seed=int(rng.integers(2 ** 63))).centers
 
     return MedianProvider(draw=draw, alpha=snap_alpha(z), beta=beta,
                           terminal=terminal)

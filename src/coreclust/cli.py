@@ -22,7 +22,7 @@ from . import __version__
 from .geometry import InputError, LoadError, PointSet, cost
 from .sampling import check_seed, rng_for
 from .bicriteria import metric_kmedian_bicriteria
-from .construction import k_median_coreset, power_z_coreset
+from .construction import k_median_coreset
 from .solvers import (
     BRUTE_GUARD,
     brute_force_k_median,
@@ -85,6 +85,11 @@ def _query_grid(P: PointSet, k: int, n_queries: int, seed: int,
     return queries
 
 
+def _guarantee_broken(command: str, message: str) -> int:
+    print(f"{command}: --strict: {message}", file=sys.stderr)
+    return EXIT_GUARANTEE
+
+
 def _max_rel_error(P: PointSet, core, queries) -> tuple[float, int]:
     worst, arg = -1.0, -1
     for i, x in enumerate(queries):
@@ -112,12 +117,8 @@ def cmd_build_coreset(args) -> int:
     t2 = time.perf_counter()
     t = args.t or strong_coreset_sample_size(
         n, args.k, args.eps, args.delta, P.metric, dim=P.dim, c=args.c)
-    if args.z > 1:
-        core = power_z_coreset(P, anchors.centers, t, args.eps, args.z,
-                               seed=args.seed)
-    else:
-        core = k_median_coreset(P, anchors.centers, t, args.eps, z=args.z,
-                                seed=args.seed)
+    core = k_median_coreset(P, anchors.centers, t, args.eps, z=args.z,
+                            seed=args.seed)
     core.provenance.update({
         "k": args.k, "delta": args.delta, "c": args.c,
         "input_sha256": cio.file_sha256(args.input),
@@ -142,8 +143,10 @@ def cmd_build_coreset(args) -> int:
                          "total_s": t4 - t0}
     _emit(report, args.out)
     expected = core.provenance.get("inflation", 1.0) * n
-    if args.strict and abs(core.total_weight - expected) > 1e-9 * max(1.0, n):
-        return EXIT_GUARANTEE
+    gap = abs(core.total_weight - expected)
+    if args.strict and gap > 1e-9 * max(1.0, n):
+        return _guarantee_broken("build-coreset", (
+            f"weight_sum misses inflation*n = {expected!r} by {gap:.3g}"))
     return EXIT_OK
 
 
@@ -171,7 +174,9 @@ def cmd_bicriteria(args) -> int:
                          "bicriteria_s": t1 - t0}
     _emit(report, args.out)
     if args.strict and res.n_centers > res.center_bound():
-        return EXIT_GUARANTEE
+        return _guarantee_broken("bicriteria", (
+            f"n_centers {res.n_centers} exceeds center_bound "
+            f"{res.center_bound()} by {res.n_centers - res.center_bound()}"))
     return EXIT_OK
 
 
@@ -239,7 +244,9 @@ def cmd_verify(args) -> int:
     report["timings"] = {"total_s": time.perf_counter() - t0}
     _emit(report, args.out)
     if args.strict and not passed:
-        return EXIT_GUARANTEE
+        return _guarantee_broken("verify", (
+            f"max_relative_error {worst!r} exceeds eps {eps!r} by "
+            f"{worst - eps:.3g} at argmax_query {arg}"))
     return EXIT_OK
 
 
@@ -249,13 +256,16 @@ def cmd_stream(args) -> int:
     state = StreamState(k=args.k, eps_bar=args.eps, seed=args.seed,
                         block_size=args.block_size, z=args.z, c=args.c)
     checkpoints = []
+    width = None
     source = open(args.input) if args.input else sys.stdin
     try:
-        for line in source:
+        for lineno, line in enumerate(source, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = [float(c) for c in line.split(",")]
+            row = cio.parse_row(line.split(","), width,
+                                args.input or "<stdin>", lineno)
+            width = len(row)
             stream_push(state, row)
             if state.points_seen % state.block_size == 0:
                 cp = state.checkpoint()

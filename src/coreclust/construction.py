@@ -28,13 +28,13 @@ import numpy as np
 from .geometry import (
     InputError,
     Metric,
-    PointSet,
+    check_centers,
     check_power,
     coerce_weighted,
     nearest_center,
     pairwise_dist,
 )
-from .sampling import SampleParams, eps_approx_sample_size, rng_for
+from .sampling import rng_for
 
 # The anchor correction inflates cluster masses by (1 + 10 * eps/INFLATION_SCALE).
 # The 10x inflation constant exists only to keep corrections nonnegative; applied
@@ -264,11 +264,6 @@ class ThresholdCoreset:
         return total
 
 
-def eval_coreset_cost(coreset, centers) -> float:
-    """Cost of a static or threshold coreset at a query center set."""
-    return coreset.cost(centers)
-
-
 def _importance_weights(weights: np.ndarray, dzB: np.ndarray):
     """Importance weights m_p = ceil(W d^z / sum w d^z) + 1 and their mass.
 
@@ -298,6 +293,8 @@ def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
     total is exactly inflation * n every run (inflation = 1 + eps/2, recorded
     in the provenance).  When every point sits on an anchor the exact
     compressed coreset (anchors with cluster masses) is returned instead.
+    Anchor distances enter at power z everywhere, so this one builder serves
+    every z >= 1 (power_z_sample_size gives a t for z > 1).
     """
     z = check_power(z)
     if t < 1:
@@ -305,12 +302,10 @@ def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     points, weights, metric = coerce_weighted(P)
-    Bc = np.asarray(B)
-    if len(np.atleast_1d(Bc)) == 0:
-        raise InputError("anchor set B must be nonempty")
+    Bc = check_centers(metric, B)
     idx, dB = nearest_center(metric, points, Bc)
     dzB = dB ** z
-    n_anchors = len(Bc) if not metric.is_euclidean else len(np.atleast_2d(Bc))
+    n_anchors = len(Bc)
     cluster_mass = np.bincount(idx, weights=weights, minlength=n_anchors)
 
     prov = {"seed": seed, "t": t, "eps": eps, "z": z, "anchors": int(n_anchors)}
@@ -331,10 +326,7 @@ def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
     w_anchor = inflation * cluster_mass - np.bincount(
         idx[draws], weights=w_sample, minlength=n_anchors)
 
-    if metric.is_euclidean:
-        pts = np.concatenate([points[draws], np.atleast_2d(Bc)], axis=0)
-    else:
-        pts = np.concatenate([points[draws], np.atleast_1d(Bc)])
+    pts = np.concatenate([points[draws], Bc])
     w = np.concatenate([w_sample, w_anchor])
     prov["inflation"] = inflation
     return StaticCoreset(points=pts, weights=w, metric=metric, z=z, eps=eps,
@@ -356,7 +348,7 @@ def metric_b_coreset(P, B, t: int, eps: float, z: float = 1.0,
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     points, weights, metric = coerce_weighted(P)
-    Bc = np.asarray(B)
+    Bc = check_centers(metric, B)
     idx, dB = nearest_center(metric, points, Bc)
     dzB = dB ** z
     prov = {"seed": seed, "t": t, "eps": eps, "z": z}
@@ -377,12 +369,9 @@ def metric_b_coreset(P, B, t: int, eps: float, z: float = 1.0,
         w_sample = np.sign(weights[s_draws]) * mass.sum() / (m[s_draws] * len(s_draws))
 
     used = np.unique(idx)
-    remap = np.full(
-        len(Bc) if not metric.is_euclidean else len(np.atleast_2d(Bc)), -1,
-        dtype=np.intp)
+    remap = np.full(len(Bc), -1, dtype=np.intp)
     remap[used] = np.arange(len(used))
-    proj_points = (np.atleast_2d(Bc)[used] if metric.is_euclidean
-                   else np.atleast_1d(Bc)[used])
+    proj_points = Bc[used]
     proj_tau, proj_cum = [], []
     for u in used:
         members = np.flatnonzero(idx == u)
@@ -403,93 +392,9 @@ def metric_b_coreset(P, B, t: int, eps: float, z: float = 1.0,
         metric=metric, z=z, eps=eps, provenance=prov)
 
 
-def sensitivity_weights(P, B, z: float = 1.0) -> np.ndarray:
-    """Per-point importance floor realized through anchor distances.
-
-    m_p = ceil(n * dist^z(p,B) / cost(P,B)) + 2; the +2 absorbs the gap
-    between the anchor-based surrogate and the true worst-case ratio.
-    """
-    z = check_power(z)
-    points, weights, metric = coerce_weighted(P)
-    _, dB = nearest_center(metric, points, np.asarray(B))
-    dzB = dB ** z
-    total = float(weights @ dzB)
-    if total <= 0:
-        raise InputError("cost(P, B) is zero; use the exact compressed coreset")
-    W = float(weights.sum())
-    return np.ceil(W * dzB / total - 1e-12).astype(np.int64) + 2
-
-
-def sensitivity_coreset(P, z: float, m, params: SampleParams,
-                        seed: int | None = None, draws=None) -> StaticCoreset:
-    """Importance-sampling coreset from explicit per-point weights m.
-
-    The sample size is the eps-approximation bound evaluated at the effective
-    parameter eps * n / sum(m) (never approximated: sum(m) is computed first);
-    each drawn point gets weight sum(w m)/(m_p |S|).
-    """
-    z = check_power(z)
-    points, weights, metric = coerce_weighted(P)
-    m = np.asarray(m)
-    if not np.issubdtype(m.dtype, np.integer) or np.any(m < 1):
-        raise InputError("sensitivity weights must be positive integers")
-    W = float(weights.sum())
-    mass = weights * m
-    eps_eff = params.eps * W / float(mass.sum())
-    t = eps_approx_sample_size(params.with_eps(min(eps_eff, 0.999999)))
-    if draws is None:
-        if seed is None:
-            raise InputError("seed required for the sampling path")
-        draws = _draw(mass, t, rng_for(seed, 5))
-    draws = np.asarray(draws, dtype=np.intp)
-    w = mass.sum() / (m[draws] * len(draws))
-    return StaticCoreset(points=points[draws], weights=w, metric=metric, z=z,
-                         eps=params.eps,
-                         provenance={"seed": seed, "t": int(len(draws)),
-                                     "eps_effective": eps_eff, "z": z})
-
-
-def build_sensitivity_coreset(P, B, z: float, params: SampleParams,
-                              seed: int) -> StaticCoreset:
-    """Anchor-driven sensitivity coreset with the exact degenerate path."""
-    points, weights, metric = coerce_weighted(P)
-    Bc = np.asarray(B)
-    idx, dB = nearest_center(metric, points, Bc)
-    if float(weights @ (dB ** check_power(z))) <= 0.0:
-        n_anchors = len(Bc) if not metric.is_euclidean else len(np.atleast_2d(Bc))
-        cluster_mass = np.bincount(idx, weights=weights, minlength=n_anchors)
-        return StaticCoreset(points=Bc, weights=cluster_mass, metric=metric,
-                             z=z, eps=params.eps,
-                             provenance={"seed": seed, "degenerate": True})
-    m = sensitivity_weights((points, weights, metric), Bc, z)
-    return sensitivity_coreset((points, weights, metric), z, m, params, seed)
-
-
 def power_z_sample_size(eps: float, z: float, dim: int, k: int,
                         delta: float, c: float = 1.0) -> int:
     """Sample size for powered distances: eps enters as eps^(2z)."""
     z = check_power(z)
     t = (c / eps ** (2 * z)) * (dim + k * math.log(max(k, 2)) + math.log(1 / delta))
     return int(math.ceil(t))
-
-
-def power_z_coreset(P, B, t: int | None, eps: float, z: float,
-                    seed: int | None = None, delta: float = 0.1,
-                    c: float = 1.0, dim: int | None = None) -> StaticCoreset:
-    """Static coreset for powered distances (z > 1).
-
-    Identical structure to the z = 1 construction (anchor distances enter at
-    power z everywhere); when t is omitted it comes from the powered sample
-    bound, where eps is replaced by eps^(2z).
-    """
-    z = check_power(z)
-    if z <= 1.0:
-        raise InputError("power_z_coreset requires z > 1; use k_median_coreset")
-    if t is None:
-        points, weights, metric = coerce_weighted(P)
-        n = max(int(weights.sum()), 2)
-        k = len(np.atleast_2d(np.asarray(B))) if metric.is_euclidean \
-            else len(np.atleast_1d(np.asarray(B)))
-        d = dim if dim is not None else int(math.ceil(k * math.log2(n)))
-        t = power_z_sample_size(eps, z, d, k, delta, c)
-    return k_median_coreset(P, B, t, eps, z=z, seed=seed)

@@ -200,7 +200,7 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _check_centers(metric: Metric, centers) -> np.ndarray:
+def check_centers(metric: Metric, centers) -> np.ndarray:
     c = as_points(metric, centers)
     if len(c) == 0:
         raise InputError("center set must be nonempty")
@@ -211,7 +211,7 @@ def dist_pow(p, centers, z=1.0, metric: Metric | None = None) -> float:
     """Powered distance from one point to its nearest center."""
     metric = metric or Metric()
     z = check_power(z)
-    c = _check_centers(metric, centers)
+    c = check_centers(metric, centers)
     p_arr = as_points(metric, [p] if not metric.is_euclidean else p)
     d = pairwise_dist(metric, p_arr, c)
     return float(d.min() ** z)
@@ -229,20 +229,15 @@ def cost(P: PointSet, centers, z=1.0, weights=None) -> float:
     z = check_power(z)
     if len(P) == 0:
         raise InputError("cost of an empty point set is undefined")
-    c = _check_centers(P.metric, centers)
+    c = check_centers(P.metric, centers)
     w = P.multiplicity.astype(float) if weights is None else np.asarray(weights, float)
     _, d = nearest_center(P.metric, P.points, c)
     return float(w @ (d ** z))
 
 
-def cost_to_set(P: PointSet, Y, z=1.0, weights=None) -> float:
-    """Cost of serving every point by its best element of the center set Y."""
-    return cost(P, Y, z=z, weights=weights)
-
-
 def project(P: PointSet, B) -> PointSet:
     """Snap every point to its nearest center in B (ties: lowest index)."""
-    c = _check_centers(P.metric, B)
+    c = check_centers(P.metric, B)
     idx, _ = nearest_center(P.metric, P.points, c)
     return PointSet(points=c[idx], metric=P.metric,
                     multiplicity=P.multiplicity.copy())
@@ -250,7 +245,7 @@ def project(P: PointSet, B) -> PointSet:
 
 def partition_by_nearest(P: PointSet, B) -> list[np.ndarray]:
     """Point indices grouped by nearest center, one array per center in B."""
-    c = _check_centers(P.metric, B)
+    c = check_centers(P.metric, B)
     idx, _ = nearest_center(P.metric, P.points, c)
     return [np.flatnonzero(idx == j) for j in range(len(c))]
 

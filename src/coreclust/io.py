@@ -22,6 +22,17 @@ from .geometry import LoadError, Metric, PointSet
 from .construction import StaticCoreset, ThresholdCoreset
 
 
+def parse_row(cells, width, path, lineno) -> list[float]:
+    """One point row as floats; a width of None accepts the first row's."""
+    if width is not None and len(cells) != width:
+        raise LoadError(
+            f"{path}: row {lineno} has {len(cells)} columns, expected {width}")
+    try:
+        return [float(c) for c in cells]
+    except ValueError as exc:
+        raise LoadError(f"{path}: row {lineno}: {exc}") from exc
+
+
 def load_points_csv(path) -> np.ndarray:
     rows = []
     width = None
@@ -30,15 +41,8 @@ def load_points_csv(path) -> np.ndarray:
             row = [c for c in row if c.strip() != ""]
             if not row:
                 continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise LoadError(
-                    f"{path}: row {lineno} has {len(row)} columns, expected {width}")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise LoadError(f"{path}: row {lineno}: {exc}") from exc
+            rows.append(parse_row(row, width, path, lineno))
+            width = len(row)
     if not rows:
         raise LoadError(f"{path}: no points found")
     return np.asarray(rows, dtype=float)

@@ -20,6 +20,7 @@ from .geometry import (
     InputError,
     Metric,
     PointSet,
+    check_centers,
     check_power,
     coerce_weighted,
     pairwise_dist,
@@ -86,8 +87,8 @@ def verify_robust_median(P, Y, params: RobustParams, candidates,
     cand = np.asarray(candidates)
     if cand.size == 0:
         raise InputError("candidate list must be nonempty")
-    Yarr = np.asarray(Y)
-    n_y = len(np.atleast_2d(Yarr)) if metric.is_euclidean else len(np.atleast_1d(Yarr))
+    Yarr = check_centers(metric, Y)
+    n_y = len(Yarr)
     if n_y > params.beta:
         raise InputError(f"|Y| = {n_y} exceeds beta = {params.beta}")
     total = float(weights.sum())

@@ -52,9 +52,6 @@ class SampleParams:
         if self.c <= 0:
             raise InputError(f"c must be positive, got {self.c}")
 
-    def with_eps(self, eps: float) -> "SampleParams":
-        return SampleParams(eps=eps, delta=self.delta, dim=self.dim, c=self.c)
-
 
 def eps_approx_sample_size(params: SampleParams) -> int:
     """Draws needed for an eps-approximation: ceil((c/eps^2)(dim + ln(1/delta)))."""

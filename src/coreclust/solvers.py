@@ -17,13 +17,14 @@ import numpy as np
 from .geometry import (
     InputError,
     Metric,
+    check_centers,
     check_power,
     coerce_weighted,
     pairwise_dist,
 )
 from .sampling import rng_for
 from .bicriteria import metric_kmedian_bicriteria
-from .construction import StaticCoreset, k_median_coreset
+from .construction import k_median_coreset
 
 BRUTE_GUARD = 10 ** 6
 
@@ -69,8 +70,8 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
-    cand = np.asarray(candidates)
-    m = len(np.atleast_2d(cand)) if metric.is_euclidean else len(np.atleast_1d(cand))
+    cand = check_centers(metric, candidates)
+    m = len(cand)
     if k < 1 or k > m:
         raise InputError(f"need 1 <= k <= {m} candidates, got k={k}")
     n_combos = math.comb(m, k)
@@ -108,10 +109,8 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
-    cand = np.asarray(candidates)
-    m = len(np.atleast_2d(cand)) if metric.is_euclidean else len(np.atleast_1d(cand))
-    if m == 0:
-        raise InputError("candidate list must be nonempty")
+    cand = check_centers(metric, candidates)
+    m = len(cand)
     k = min(k, m)
     rng = rng_for(seed, 6)
     D = pairwise_dist(metric, points, cand) ** z
@@ -148,6 +147,21 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
                      evals, cur_cost)
 
 
+def solve_weighted(data, k: int, candidates, z: float = 1.0,
+                   seed: int = 0) -> SolveResult:
+    """The inner solver: k centers from the candidates for a weighted input.
+
+    k is clamped to the number of candidates; the search is exact brute force
+    while C(m, k) <= PIPELINE_BRUTE_LIMIT and seeded local search above it.
+    """
+    m = len(candidates)
+    k = min(k, m)
+    if math.comb(m, k) <= PIPELINE_BRUTE_LIMIT:
+        return brute_force_k_median(data, k, candidates=candidates, z=z)
+    return weighted_local_search(data, k, candidates=candidates, z=z,
+                                 seed=seed)
+
+
 def constant_factor_metric_kmedian(P, k: int, eps: float, delta: float,
                                    seed: int, c: float = 1.0,
                                    beta: int | None = None) -> SolveResult:
@@ -165,15 +179,7 @@ def constant_factor_metric_kmedian(P, k: int, eps: float, delta: float,
     masses = np.bincount(idx, weights=weights, minlength=len(bic.B))
     used = np.flatnonzero(masses > 0)
     proj_pts, proj_w = bic.B[used], masses[used]
-
-    m_used = len(used)
-    k_eff = min(k, m_used)
-    if math.comb(m_used, k_eff) <= PIPELINE_BRUTE_LIMIT:
-        inner = brute_force_k_median((proj_pts, proj_w, metric), k_eff,
-                                     candidates=proj_pts)
-    else:
-        inner = weighted_local_search((proj_pts, proj_w, metric), k_eff,
-                                      candidates=proj_pts, seed=seed)
+    inner = solve_weighted((proj_pts, proj_w, metric), k, proj_pts, seed=seed)
     cost = _cost_at(metric, points, weights, inner.centers, 1.0)
     return SolveResult(centers=inner.centers, cost=cost,
                        method="bicriteria_project",
@@ -215,14 +221,8 @@ def solve_on_coreset(P, k: int, eps: float, seed: int, delta: float = 0.1,
     core = k_median_coreset((points, weights, metric), anchors.centers, t,
                             eps, z=z, seed=seed)
 
-    uniq = (np.unique(core.points, axis=0) if metric.is_euclidean
-            else np.unique(core.points))
-    k_eff = min(k, len(uniq))
-    if math.comb(len(uniq), k_eff) <= PIPELINE_BRUTE_LIMIT:
-        inner = brute_force_k_median(core, k_eff, candidates=uniq, z=z)
-    else:
-        inner = weighted_local_search(core, k_eff, candidates=uniq, z=z,
-                                      seed=seed)
+    uniq = np.unique(core.points, axis=0)
+    inner = solve_weighted(core, k, uniq, z=z, seed=seed)
     true_cost = _cost_at(metric, points, weights, inner.centers, z)
     audit = {
         "coreset_cost": core.cost(inner.centers),

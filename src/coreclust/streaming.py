@@ -123,10 +123,7 @@ def stream_push(state: StreamState, p) -> StreamState:
     while level in state.buckets:
         other = state.buckets.pop(level)
         expected_other = state.ledger.pop(level)
-        if state.metric.is_euclidean:
-            merged_pts = np.concatenate([other.points, core.points], axis=0)
-        else:
-            merged_pts = np.concatenate([other.points, core.points])
+        merged_pts = np.concatenate([other.points, core.points])
         merged_w = np.concatenate([other.weights, core.weights])
         level += 1
         core = _reduce(state, merged_pts, merged_w, level=level)

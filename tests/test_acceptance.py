@@ -26,7 +26,6 @@ from coreclust.construction import (
     k_median_coreset,
     metric_b_coreset,
     nonneg_sample_size,
-    power_z_coreset,
     power_z_sample_size,
 )
 from coreclust.geometry import PointSet, cost, metric_from_points
@@ -233,7 +232,7 @@ def _strong_coreset_run(kind, seed, z, eps, n=1000, k=3):
                else int(math.ceil(k * min(P.dim, 1 + math.log(k)))))
         t = power_z_sample_size(eps, z, dim=dim, k=k, delta=0.1,
                                 c=CALIBRATED["sample_c"])
-        core = power_z_coreset(P, anchors.centers, t, eps, z=z, seed=seed)
+        core = k_median_coreset(P, anchors.centers, t, eps, z=z, seed=seed)
     rng = rng_for(seed, 77)
     worst = 0.0
     for _ in range(200):

@@ -11,7 +11,7 @@ from coreclust.bicriteria import (
     metric_kmedian_bicriteria,
     peel_bicriteria,
 )
-from coreclust.geometry import InputError, Metric, PointSet, cost_to_set
+from coreclust.geometry import InputError, Metric, PointSet, cost
 from coreclust.sampling import rng_for
 from coreclust.solvers import brute_force_k_median
 
@@ -90,7 +90,7 @@ class TestBicriteria:
         rng = np.random.default_rng(4)
         P = PointSet(rng.normal(size=(120, 2)))
         res = metric_kmedian_bicriteria(P, k=2, eps=0.3, delta=0.1, seed=9)
-        assert res.total_cost == pytest.approx(cost_to_set(P, res.B), rel=1e-12)
+        assert res.total_cost == pytest.approx(cost(P, res.B), rel=1e-12)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(5)
@@ -139,6 +139,30 @@ class TestMetricKMedian:
         assert set(np.asarray(res.B).tolist()) <= set(range(30))
         opt = brute_force_k_median(P, 2, candidates=P.points).cost
         assert res.total_cost <= (2 + 0.4) * opt + 1e-9
+
+    def test_terminal_local_search_replays(self, monkeypatch):
+        # n = 100 is below the guard 10 / (eps/100) = 1000, so no peeling
+        # round runs; the residue has 100 > beta distinct points and
+        # C(100, 3) > PIPELINE_BRUTE_LIMIT, so the terminal runs local search
+        import coreclust.solvers as solvers
+        calls = []
+        search = solvers.weighted_local_search
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "weighted_local_search", counting)
+        P = PointSet(np.random.default_rng(12).normal(size=(100, 2)))
+        a = metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1, seed=6,
+                                      beta=5)
+        b = metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1, seed=6,
+                                      beta=5)
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert len(a.rounds) == 1
+        assert len(a.B) <= 3
+        assert np.array_equal(a.B, b.B)
+        assert a.total_cost == b.total_cost
 
 
 class TestGenericProvider:

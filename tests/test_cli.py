@@ -124,6 +124,33 @@ class TestExitCodes:
         assert not target.exists()
 
 
+class TestStrictReasons:
+    def test_verify_names_max_relative_error(self, tmp_path, data_file,
+                                             capsys):
+        core_path = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(data_file), "--k", "2",
+                     "--eps", "0.3", "--seed", "7",
+                     "--coreset-out", str(core_path)]) == 0
+        capsys.readouterr()
+        code = main(["verify", "--coreset", str(core_path), "--input",
+                     str(data_file), "--seed", "7", "--queries", "40",
+                     "--eps", "0.001", "--strict"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert not json.loads(captured.out)["results"]["pass"]
+        assert "max_relative_error" in captured.err
+        assert "argmax_query" in captured.err
+
+    def test_bicriteria_names_center_bound(self, tmp_path, data_file, capsys):
+        # beta = 1 caps the bound at ceil(log2 60) = 6 centers, below k = 10
+        code = main(["bicriteria", "--input", str(data_file), "--k", "10",
+                     "--beta", "1", "--eps", "0.3", "--seed", "2", "--strict",
+                     "--out", str(tmp_path / "bic.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "n_centers 10" in err and "center_bound 6" in err
+
+
 class TestSolve:
     @pytest.mark.parametrize("method", ["brute", "local", "constant-factor",
                                         "coreset"])
@@ -178,6 +205,19 @@ class TestStream:
         assert rep["results"]["final"]["points_seen"] == 256
         assert len(rep["results"]["checkpoints"]) == 4
         assert rep["results"]["query_cost"] > 0
+
+    @pytest.mark.parametrize("payload, block_size, message", [
+        ("1,2\nx,3\n", "64", "row 2: could not convert string to float"),
+        ("1,2\n3\n4,5\n6,7\n", "3", "row 2 has 1 columns, expected 2"),
+    ])
+    def test_bad_stdin_line_is_load_error(self, monkeypatch, capsys, payload,
+                                          block_size, message):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code = main(["stream", "--k", "2", "--eps", "0.4", "--block-size",
+                     block_size, "--seed", "3"])
+        assert code == 2
+        assert f"<stdin>: {message}" in capsys.readouterr().err
 
 
 class TestBench:

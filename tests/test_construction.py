@@ -4,20 +4,15 @@ import pytest
 from coreclust.construction import (
     FunctionFamily,
     b_coreset,
-    build_sensitivity_coreset,
-    eval_coreset_cost,
     identity_approximation,
     k_median_coreset,
     metric_b_coreset,
     metric_function_family,
     nonneg_sample_size,
-    power_z_coreset,
-    sensitivity_coreset,
-    sensitivity_weights,
     weighted_family_sampler,
 )
 from coreclust.geometry import InputError, PointSet, cost, pairwise_dist
-from coreclust.sampling import SampleParams, rng_for
+from coreclust.sampling import rng_for
 
 
 def pts1d(values):
@@ -146,63 +141,6 @@ class TestGenericBCoreset:
             assert lhs <= bound + 1e-9
 
 
-class TestSensitivity:
-    def test_single_point(self):
-        P = pts1d([4.0])
-        core = sensitivity_coreset(P, 1.0, np.array([1]),
-                                   SampleParams(0.5, 0.5, 1), seed=0,
-                                   draws=np.array([0]))
-        assert core.points.ravel().tolist() == [4.0]
-        assert core.weights.tolist() == [1.0]
-
-    def test_equal_weights_full_sample_exact(self):
-        vals = np.arange(6.0)
-        P = pts1d(vals)
-        m = np.full(6, 2, dtype=int)
-        core = sensitivity_coreset(P, 1.0, m, SampleParams(0.3, 0.1, 2),
-                                   seed=0, draws=np.arange(6))
-        assert np.allclose(core.weights, 1.0)
-        for x in (0.3, 2.0, 11.0):
-            assert core.cost(np.array([[x]])) == pytest.approx(
-                cost(P, np.array([[x]])), rel=1e-12)
-
-    def test_weights_formula(self):
-        P = pts1d([0, 1, 10])
-        m = sensitivity_weights(P, np.array([[0.0]]))
-        # dists (0, 1, 10), total 11: ceil(3 d / 11) + 2
-        assert m.tolist() == [2, 3, 5]
-
-    def test_degenerate_returns_anchor_counts(self):
-        P = pts1d([0, 0, 1])
-        core = build_sensitivity_coreset(P, np.array([[0.0], [1.0]]), 1.0,
-                                         SampleParams(0.3, 0.1, 2), seed=1)
-        assert core.provenance.get("degenerate")
-        assert core.weights.tolist() == [2.0, 1.0]
-        for x in (0.5, 3.0):
-            assert core.cost(np.array([[x]])) == pytest.approx(
-                cost(P, np.array([[x]])))
-
-    def test_statistical_quality(self):
-        rng = np.random.default_rng(2)
-        pts = rng.normal(size=(400, 2)) + rng.choice(
-            np.array([[0, 0], [8, 0], [0, 8.0]]), size=400)
-        P = PointSet(pts)
-        from coreclust.solvers import constant_factor_metric_kmedian
-        B = constant_factor_metric_kmedian(P, 3, 0.2, 0.1, seed=0).centers
-        ok = 0
-        for seed in range(10):
-            core = build_sensitivity_coreset(P, B, 1.0,
-                                             SampleParams(0.2, 0.1, 6), seed)
-            worst = 0.0
-            qrng = rng_for(seed, 99)
-            for _ in range(60):
-                x = pts[qrng.choice(400, 3, replace=False)]
-                truec = cost(P, x)
-                worst = max(worst, abs(truec - core.cost(x)) / truec)
-            ok += worst <= 0.2
-        assert ok >= 9
-
-
 class TestMetricThresholdCoreset:
     def test_importance_weights_all_equal(self):
         P = pts1d([0, 2, 4])
@@ -268,6 +206,12 @@ class TestKMedianCoreset:
             expected = core.provenance["inflation"] * n
             assert core.total_weight == pytest.approx(expected, rel=1e-12)
 
+    def test_empty_anchor_set_rejected(self):
+        P = pts1d([0, 1, 2])
+        for build in (k_median_coreset, metric_b_coreset):
+            with pytest.raises(InputError):
+                build(P, np.empty((0, 1)), t=3, eps=0.2, seed=0)
+
     def test_anchor_correction_arithmetic(self):
         # cluster of mass 4, inflation factor f: w(b) = f*4 - sampled weight
         pts = np.array([[0.0], [0.1], [-0.1], [0.2], [50.0]])
@@ -304,7 +248,7 @@ class TestKMedianCoreset:
             B = pts[rng.choice(15, 2, replace=False)]
             core = k_median_coreset(P, B, t=10, eps=0.3, seed=trial)
             x = pts[rng.choice(15, 2, replace=False)]
-            assert eval_coreset_cost(core, x) == pytest.approx(
+            assert core.cost(x) == pytest.approx(
                 slow_static_cost(core, x), rel=1e-11)
 
     def test_signed_input_weight_sum(self):
@@ -325,11 +269,6 @@ class TestKMedianCoreset:
 
 
 class TestPowerZ:
-    def test_rejects_z_one(self):
-        P = pts1d([0, 1])
-        with pytest.raises(InputError):
-            power_z_coreset(P, P.points, 5, 0.2, z=1.0, seed=0)
-
     def test_tight_cluster_threshold_route_near_exact(self):
         # far queries leave every sampled threshold inactive; the projected
         # copies sit almost on the data, so the powered cost is near exact

@@ -7,7 +7,6 @@ from coreclust.geometry import (
     Metric,
     PointSet,
     cost,
-    cost_to_set,
     dist_pow,
     metric_from_points,
     partition_by_nearest,
@@ -77,21 +76,17 @@ class TestCost:
 class TestCostToSet:
     def test_all_points_are_centers(self):
         P = pts1d([0, 4, 10])
-        assert cost_to_set(P, P.points) == 0.0
-
-    def test_degenerates_to_cost(self):
-        P = pts1d([0, 4, 10])
-        assert cost_to_set(P, c1d([4])) == cost(P, c1d([4]))
+        assert cost(P, P.points) == 0.0
 
     def test_three_points(self):
-        assert cost_to_set(pts1d([0, 4, 10]), c1d([0, 10])) == 4.0
+        assert cost(pts1d([0, 4, 10]), c1d([0, 10])) == 4.0
 
     def test_monotone_in_centers(self):
         rng = np.random.default_rng(0)
         P = PointSet(rng.normal(size=(40, 3)))
         Y = rng.normal(size=(4, 3))
         bigger = np.concatenate([Y, rng.normal(size=(2, 3))])
-        assert cost_to_set(P, bigger) <= cost_to_set(P, Y)
+        assert cost(P, bigger) <= cost(P, Y)
 
 
 class TestProject:

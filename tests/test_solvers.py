@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from coreclust.geometry import InputError, PointSet, cost
 from coreclust.io import gaussian_mixture
 from coreclust.solvers import (
+    PIPELINE_BRUTE_LIMIT,
     brute_force_k_median,
     constant_factor_metric_kmedian,
     solve_on_coreset,
+    solve_weighted,
     weighted_local_search,
 )
 
@@ -90,6 +94,25 @@ class TestLocalSearch:
         b = weighted_local_search(P, 3, candidates=pts, seed=7)
         assert np.array_equal(a.centers, b.centers)
         assert a.cost == b.cost
+
+
+class TestSolveWeighted:
+    def test_brute_up_to_limit_local_search_above(self):
+        assert math.comb(50, 3) <= PIPELINE_BRUTE_LIMIT < math.comb(51, 3)
+        pts = np.random.default_rng(11).normal(size=(51, 2))
+        P = PointSet(pts)
+        at = solve_weighted(P, 3, pts[:50], seed=2)
+        above = solve_weighted(P, 3, pts, seed=2)
+        assert at.method == "brute"
+        assert at.evaluations == math.comb(50, 3)
+        assert above.method == "local_search"
+
+    def test_clamps_k_to_candidates(self):
+        P = pts1d([0, 1, 10])
+        res = solve_weighted(P, 5, P.points[:2])
+        assert res.method == "brute"
+        assert res.centers.ravel().tolist() == [0.0, 1.0]
+        assert res.cost == 9.0
 
 
 class TestConstantFactor:
