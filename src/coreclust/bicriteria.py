@@ -25,6 +25,8 @@ from .geometry import (
     Metric,
     check_power,
     coerce_weighted,
+    cost,
+    nearest_center,
     pairwise_dist,
     take_smallest,
 )
@@ -124,7 +126,7 @@ def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
         best = None
         for _ in range(i):   # amplification: keep the best of i draws
             Y = provider.draw(sub_pts, sub_w, metric, rng)
-            dY = pairwise_dist(metric, sub_pts, Y).min(axis=1) ** z
+            _, dY = nearest_center(metric, sub_pts, Y, z)
             taken = take_smallest(dY, sub_w, trim)
             c = float(taken @ dY)
             if best is None or c < best[0]:
@@ -160,8 +162,7 @@ def bicriteria(P, eps: float, provider: MedianProvider, seed: int,
     points, weights, metric = coerce_weighted(P)
     rng = rng_for(seed, 1)
     res = peel_bicriteria(points, weights, metric, eps / 100.0, provider, rng, z)
-    d = pairwise_dist(metric, points, res.B).min(axis=1) ** check_power(z)
-    res.total_cost = float(weights @ d)
+    res.total_cost = cost((points, weights, metric), res.B, z)
     res.seed = seed
     res.meta.update({"eps": eps, "z": z})
     return res

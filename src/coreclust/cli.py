@@ -227,8 +227,7 @@ def cmd_verify(args) -> int:
         print("verify: eps not recorded in coreset; pass --eps", file=sys.stderr)
         return EXIT_VALIDATION
     if args.query_file:
-        qpts = cio.load_points(args.query_file)
-        queries = [np.asarray(qpts)]
+        queries = [cio.load_points(args.query_file)]
     else:
         queries = _query_grid(P, int(k), args.queries, args.seed)
     worst, arg = _max_rel_error(P, core, queries)

@@ -31,8 +31,8 @@ from .geometry import (
     check_centers,
     check_power,
     coerce_weighted,
+    cost,
     nearest_center,
-    pairwise_dist,
 )
 from .sampling import rng_for
 
@@ -167,8 +167,7 @@ def metric_function_family(P, B, eps: float, z: float = 1.0) -> FunctionFamily:
     if np.any(weights != 1.0):
         raise InputError("function families require unit-multiplicity inputs")
     Bc = np.asarray(B)
-    idx, dB = nearest_center(metric, points, Bc)
-    dzB = dB ** z
+    idx, dzB = nearest_center(metric, points, Bc, z)
     total = float(dzB.sum())
     if total <= 0:
         raise InputError("degenerate family: every point lies on a center of B")
@@ -176,18 +175,10 @@ def metric_function_family(P, B, eps: float, z: float = 1.0) -> FunctionFamily:
     tau = scale * dzB / eps ** z
     m = np.ceil(len(points) * dzB / total - 1e-12).astype(np.int64) + 1
     proj_pts = Bc[idx]
-
-    def evaluate(x):
-        return pairwise_dist(metric, points, x).min(axis=1) ** z
-
-    def paired(x):
-        return pairwise_dist(metric, proj_pts, x).min(axis=1) ** z
-
-    def threshold(_x):
-        return tau
-
-    return FunctionFamily(size=len(points), evaluate=evaluate, paired=paired,
-                          threshold=threshold, m=m)
+    return FunctionFamily(
+        size=len(points), m=m, threshold=lambda _x: tau,
+        evaluate=lambda x: nearest_center(metric, points, x, z)[1],
+        paired=lambda x: nearest_center(metric, proj_pts, x, z)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +209,7 @@ class StaticCoreset:
         return float(self.weights.sum())
 
     def cost(self, centers) -> float:
-        d = pairwise_dist(self.metric, self.points, centers).min(axis=1)
-        return float(self.weights @ (d ** self.z))
+        return cost(self, centers, self.z)
 
 
 @dataclass
@@ -248,20 +238,31 @@ class ThresholdCoreset:
         return len(self.sampled_points) + sum(len(t) for t in self.proj_tau)
 
     def cost(self, centers) -> float:
-        dzc = pairwise_dist(self.metric, self.proj_points, centers).min(axis=1) \
-            ** self.z
+        _, dzc = nearest_center(self.metric, self.proj_points, centers, self.z)
         total = 0.0
         if len(self.sampled_points):
             active = dzc[self.sampled_center] <= self.sampled_tau
             if np.any(active):
-                ds = pairwise_dist(self.metric, self.sampled_points[active],
-                                   centers).min(axis=1) ** self.z
+                _, ds = nearest_center(self.metric, self.sampled_points[active],
+                                       centers, self.z)
                 total += float(self.sampled_weights[active] @ ds)
         for j in range(len(self.proj_points)):
             # copies with tau strictly below dist^z(p', x) are active
             pos = np.searchsorted(self.proj_tau[j], dzc[j], side="left")
             total += float(dzc[j] * self.proj_cum_mass[j][pos])
         return total
+
+
+def _nearest_anchor(P, B, t: int, eps: float, z: float):
+    """Checked builder input: (points, weights, metric, anchors, idx, d^z)."""
+    if t < 1:
+        raise InputError("sample size t must be >= 1")
+    if not 0 < eps < 1:
+        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    points, weights, metric = coerce_weighted(P)
+    Bc = check_centers(metric, B)
+    idx, dzB = nearest_center(metric, points, Bc, z)
+    return points, weights, metric, Bc, idx, dzB
 
 
 def _importance_weights(weights: np.ndarray, dzB: np.ndarray):
@@ -279,8 +280,17 @@ def _importance_weights(weights: np.ndarray, dzB: np.ndarray):
     return m, mass, total
 
 
-def _draw(mass: np.ndarray, t: int, rng) -> np.ndarray:
-    return rng.choice(len(mass), size=t, replace=True, p=mass / mass.sum())
+def _importance_sample(weights, dzB, t: int, seed, draws, stream: int):
+    """t seeded importance draws (unless draws are given) and their weights
+    sum(mass) / (m_p t), signed like the drawn input weights."""
+    m, mass, _ = _importance_weights(weights, dzB)
+    if draws is None:
+        if seed is None:
+            raise InputError("seed required for the sampling path")
+        draws = rng_for(seed, stream).choice(len(mass), size=t, replace=True,
+                                             p=mass / mass.sum())
+    draws = np.asarray(draws, dtype=np.intp)
+    return draws, np.sign(weights[draws]) * mass.sum() / (m[draws] * len(draws))
 
 
 def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
@@ -297,14 +307,7 @@ def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
     every z >= 1 (power_z_sample_size gives a t for z > 1).
     """
     z = check_power(z)
-    if t < 1:
-        raise InputError("sample size t must be >= 1")
-    if not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-    points, weights, metric = coerce_weighted(P)
-    Bc = check_centers(metric, B)
-    idx, dB = nearest_center(metric, points, Bc)
-    dzB = dB ** z
+    points, weights, metric, Bc, idx, dzB = _nearest_anchor(P, B, t, eps, z)
     n_anchors = len(Bc)
     cluster_mass = np.bincount(idx, weights=weights, minlength=n_anchors)
 
@@ -314,13 +317,7 @@ def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
         return StaticCoreset(points=Bc, weights=cluster_mass, metric=metric,
                              z=z, eps=eps, provenance=prov)
 
-    m, mass, _ = _importance_weights(weights, dzB)
-    if draws is None:
-        if seed is None:
-            raise InputError("seed required for the sampling path")
-        draws = _draw(mass, t, rng_for(seed, 3))
-    draws = np.asarray(draws, dtype=np.intp)
-    w_sample = np.sign(weights[draws]) * mass.sum() / (m[draws] * len(draws))
+    draws, w_sample = _importance_sample(weights, dzB, t, seed, draws, 3)
 
     inflation = 1.0 + 10.0 * (eps / INFLATION_SCALE)
     w_anchor = inflation * cluster_mass - np.bincount(
@@ -343,50 +340,33 @@ def metric_b_coreset(P, B, t: int, eps: float, z: float = 1.0,
     copy at distance zero contributes nothing either way).
     """
     z = check_power(z)
-    if t < 1:
-        raise InputError("sample size t must be >= 1")
-    if not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-    points, weights, metric = coerce_weighted(P)
-    Bc = check_centers(metric, B)
-    idx, dB = nearest_center(metric, points, Bc)
-    dzB = dB ** z
+    points, weights, metric, Bc, idx, dzB = _nearest_anchor(P, B, t, eps, z)
     prov = {"seed": seed, "t": t, "eps": eps, "z": z}
 
     degenerate = float(np.abs(weights) @ dzB) <= 0.0
     tau = np.zeros(len(points)) if degenerate else dzB / eps ** z
     if degenerate:
         prov["degenerate"] = True
-        s_draws = np.empty(0, dtype=np.intp)
-        w_sample = np.empty(0)
+        s_draws, w_sample = np.empty(0, dtype=np.intp), np.empty(0)
     else:
-        m, mass, _ = _importance_weights(weights, dzB)
-        if draws is None:
-            if seed is None:
-                raise InputError("seed required for the sampling path")
-            draws = _draw(mass, t, rng_for(seed, 4))
-        s_draws = np.asarray(draws, dtype=np.intp)
-        w_sample = np.sign(weights[s_draws]) * mass.sum() / (m[s_draws] * len(s_draws))
+        s_draws, w_sample = _importance_sample(weights, dzB, t, seed, draws, 4)
 
     used = np.unique(idx)
     remap = np.full(len(Bc), -1, dtype=np.intp)
     remap[used] = np.arange(len(used))
-    proj_points = Bc[used]
     proj_tau, proj_cum = [], []
     for u in used:
         members = np.flatnonzero(idx == u)
         order = np.argsort(tau[members], kind="stable")
-        taus = tau[members][order]
-        masses = weights[members][order]
-        proj_tau.append(taus)
-        proj_cum.append(np.concatenate([[0.0], np.cumsum(masses)]))
+        proj_tau.append(tau[members][order])
+        proj_cum.append(np.concatenate([[0.0], np.cumsum(weights[members][order])]))
 
     return ThresholdCoreset(
         sampled_points=points[s_draws],
         sampled_weights=np.asarray(w_sample, dtype=float),
         sampled_tau=tau[s_draws],
         sampled_center=remap[idx[s_draws]],
-        proj_points=proj_points,
+        proj_points=Bc[used],
         proj_tau=proj_tau,
         proj_cum_mass=proj_cum,
         metric=metric, z=z, eps=eps, provenance=prov)

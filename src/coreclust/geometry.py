@@ -22,6 +22,11 @@ REL_TOL = 1e-9
 EUCLIDEAN = "euclidean"
 MATRIX = "explicit-matrix"
 
+# Working set of a kernel call beyond its outputs, in float64 entries; rows
+# whose width m*d is at most EXACT_MAX_WIDTH get the exact difference form.
+CHUNK_CELLS = 1 << 20
+EXACT_MAX_WIDTH = 4096
+
 
 class InputError(ValueError):
     """Invalid argument combination (empty center set, bad parameter range, ...)."""
@@ -183,7 +188,12 @@ def coerce_weighted(obj):
 
 
 def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
-    """Base (unpowered) distances, shape (n_points, n_centers)."""
+    """Base (unpowered) distances, shape (n_points, n_centers).
+
+    The exact difference form up to row width m*d = EXACT_MAX_WIDTH, the
+    dot-product expansion (no (m, d) temporary per row, but it cancels digits)
+    above it; an entry depends only on its point, its center and m*d.
+    """
     if not metric.is_euclidean:
         return metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
     P = np.atleast_2d(np.asarray(points, dtype=float))
@@ -191,13 +201,31 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
     if P.shape[1] != C.shape[1]:
         raise InputError(
             f"dimension mismatch: points are {P.shape[1]}-D, centers {C.shape[1]}-D")
-    if P.shape[0] * C.shape[0] * P.shape[1] <= 16_000_000:
-        # exact difference form; the dot expansion below cancels digits
-        diff = P[:, None, :] - C[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2))
-    sq = (P * P).sum(axis=1)[:, None] + (C * C).sum(axis=1)[None, :] - 2.0 * (P @ C.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+    width = C.shape[0] * C.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if width > EXACT_MAX_WIDTH:
+            # einsum sums every dot product in the same order, wherever its
+            # row and column fall; BLAS's order depends on the block shape
+            dot2 = np.einsum("ik,kj->ij", P, np.ascontiguousarray(C.T))
+            dot2 *= 2.0
+            pp = (P * P).sum(axis=1)
+            sq = pp[:, None] + (C * C).sum(axis=1)[None, :]
+            sq -= dot2
+            # near a center the expansion is rounding noise, even below 0 (a
+            # point's distance to itself would not be 0): redo those exactly
+            near = np.flatnonzero(sq <= pp[:, None] * 2.0 ** -20)
+            step = max(1, CHUNK_CELLS // P.shape[1])
+            for s in range(0, len(near), step):
+                i, j = np.divmod(near[s:s + step], len(C))
+                diff = P[i] - C[j]
+                np.put(sq, near[s:s + step], (diff * diff).sum(axis=1))
+            return np.sqrt(sq, out=sq)
+        out = np.empty((len(P), len(C)))
+        rows = max(1, CHUNK_CELLS // max(1, width))
+        for s in range(0, len(P), rows):
+            diff = P[s:s + rows, None, :] - C[None, :, :]
+            np.sqrt((diff * diff).sum(axis=2), out=out[s:s + rows])
+        return out
 
 
 def check_centers(metric: Metric, centers) -> np.ndarray:
@@ -210,29 +238,40 @@ def check_centers(metric: Metric, centers) -> np.ndarray:
 def dist_pow(p, centers, z=1.0, metric: Metric | None = None) -> float:
     """Powered distance from one point to its nearest center."""
     metric = metric or Metric()
+    p_arr = as_points(metric, [p] if not metric.is_euclidean else p)
+    return float(nearest_center(metric, p_arr, centers, z)[1][0])
+
+
+def nearest_center(metric: Metric, points, centers, z=1.0):
+    """Nearest center of every point and its powered distance: (idx, d**z).
+
+    Ties go to the lowest center index.  Rows go through pairwise_dist in
+    blocks of about CHUNK_CELLS distances; a d**z that overflows raises.
+    """
     z = check_power(z)
     c = check_centers(metric, centers)
-    p_arr = as_points(metric, [p] if not metric.is_euclidean else p)
-    d = pairwise_dist(metric, p_arr, c)
-    return float(d.min() ** z)
+    points = np.atleast_2d(points) if metric.is_euclidean else np.asarray(points)
+    idx, dz = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+    rows = max(1, CHUNK_CELLS // len(c))
+    for s in range(0, len(points), rows):
+        d = pairwise_dist(metric, points[s:s + rows], c)
+        i = d.argmin(axis=1)
+        idx[s:s + rows] = i
+        with np.errstate(over="ignore"):
+            dz[s:s + rows] = d[np.arange(len(d)), i] ** z
+    if not np.all(np.isfinite(dz)):
+        raise InputError("distance to the nearest center overflows float64; "
+                         "rescale the coordinates")
+    return idx, dz
 
 
-def nearest_center(metric: Metric, points, centers):
-    """Index of the nearest center for every point (ties: lowest index)."""
-    d = pairwise_dist(metric, points, centers)
-    idx = d.argmin(axis=1)
-    return idx, d[np.arange(len(d)), idx]
-
-
-def cost(P: PointSet, centers, z=1.0, weights=None) -> float:
-    """Sum over points of the powered distance to the nearest center."""
-    z = check_power(z)
-    if len(P) == 0:
+def cost(data, centers, z=1.0) -> float:
+    """Weighted sum of d**z to the nearest center over a PointSet, a coreset
+    or a (points, weights, metric) tuple."""
+    points, weights, metric = coerce_weighted(data)
+    if len(points) == 0:
         raise InputError("cost of an empty point set is undefined")
-    c = check_centers(P.metric, centers)
-    w = P.multiplicity.astype(float) if weights is None else np.asarray(weights, float)
-    _, d = nearest_center(P.metric, P.points, c)
-    return float(w @ (d ** z))
+    return float(weights @ nearest_center(metric, points, centers, z)[1])
 
 
 def project(P: PointSet, B) -> PointSet:

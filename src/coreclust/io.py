@@ -24,52 +24,46 @@ from .construction import StaticCoreset, ThresholdCoreset
 
 def parse_row(cells, width, path, lineno) -> list[float]:
     """One point row as floats; a width of None accepts the first row's."""
-    if width is not None and len(cells) != width:
-        raise LoadError(
-            f"{path}: row {lineno} has {len(cells)} columns, expected {width}")
     try:
-        return [float(c) for c in cells]
-    except ValueError as exc:
+        row = [float(c) for c in cells]
+    except (TypeError, ValueError) as exc:
         raise LoadError(f"{path}: row {lineno}: {exc}") from exc
+    if width is not None and len(row) != width:
+        raise LoadError(
+            f"{path}: row {lineno} has {len(row)} columns, expected {width}")
+    return row
 
 
-def load_points_csv(path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            row = [c for c in row if c.strip() != ""]
-            if not row:
-                continue
-            rows.append(parse_row(row, width, path, lineno))
-            width = len(row)
+def _as_points(path, rows) -> np.ndarray:
     if not rows:
         raise LoadError(f"{path}: no points found")
     return np.asarray(rows, dtype=float)
+
+
+def load_points_csv(path) -> np.ndarray:
+    """CSV points; only blank rows are skipped, so an empty cell is an error."""
+    rows = []
+    with open(path, newline="") as fh:
+        for lineno, cells in enumerate(csv.reader(fh), start=1):
+            if "".join(cells).strip():
+                rows.append(parse_row(cells, len(rows[0]) if rows else None,
+                                      path, lineno))
+    return _as_points(path, rows)
 
 
 def load_points_jsonl(path) -> np.ndarray:
     rows = []
-    width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                coords = [float(c) for c in obj["coords"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                cells = json.loads(line)["coords"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise LoadError(f"{path}: line {lineno}: {exc}") from exc
-            if width is None:
-                width = len(coords)
-            elif len(coords) != width:
-                raise LoadError(
-                    f"{path}: line {lineno} has {len(coords)} coords, expected {width}")
-            rows.append(coords)
-    if not rows:
-        raise LoadError(f"{path}: no points found")
-    return np.asarray(rows, dtype=float)
+            rows.append(parse_row(cells, len(rows[0]) if rows else None,
+                                  path, lineno))
+    return _as_points(path, rows)
 
 
 def load_points(path) -> np.ndarray:

@@ -23,8 +23,8 @@ from .geometry import (
     check_centers,
     check_power,
     coerce_weighted,
+    nearest_center,
     pairwise_dist,
-    take_smallest,
     trimmed_cost,
 )
 from .sampling import SampleParams, VerificationReport, rng_for
@@ -84,9 +84,7 @@ def verify_robust_median(P, Y, params: RobustParams, candidates,
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(P)
-    cand = np.asarray(candidates)
-    if cand.size == 0:
-        raise InputError("candidate list must be nonempty")
+    cand = check_centers(metric, candidates)
     Yarr = check_centers(metric, Y)
     n_y = len(Yarr)
     if n_y > params.beta:
@@ -95,7 +93,7 @@ def verify_robust_median(P, Y, params: RobustParams, candidates,
     g_count = _trim_count((1.0 - params.eps) * params.gamma, total)
     if g_count <= 0:
         raise InputError("trim size ceil((1-eps)*gamma*n) is zero")
-    dY = pairwise_dist(metric, points, Yarr).min(axis=1) ** z
+    _, dY = nearest_center(metric, points, Yarr, z)
     cost_g = trimmed_cost(dY, weights, g_count)
     opt = float(candidate_trimmed_costs(metric, points, weights, cand,
                                         params.gamma, z).min())
@@ -126,9 +124,7 @@ def exhaustive_robust_median(S, params: RobustParams, candidates,
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(S)
-    cand_arr = np.asarray(candidates)
-    if cand_arr.size == 0:
-        raise InputError("candidate list must be nonempty")
+    cand_arr = check_centers(metric, candidates)
     total = float(weights.sum())
     count = _trim_count((1.0 - params.eps) * params.gamma, total)
     if count <= 0:

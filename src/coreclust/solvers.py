@@ -20,6 +20,8 @@ from .geometry import (
     check_centers,
     check_power,
     coerce_weighted,
+    cost,
+    nearest_center,
     pairwise_dist,
 )
 from .sampling import rng_for
@@ -46,14 +48,9 @@ class SolveResult:
                 "evaluations": self.evaluations}
 
 
-def _cost_at(metric: Metric, points, weights, centers, z: float) -> float:
-    d = pairwise_dist(metric, points, centers).min(axis=1)
-    return float(weights @ (d ** z))
-
-
 def _finalize(metric, points, weights, centers, z, method, evals,
               booked_cost) -> SolveResult:
-    actual = _cost_at(metric, points, weights, centers, z)
+    actual = cost((points, weights, metric), centers, z)
     if abs(actual - booked_cost) > 1e-9 * max(1.0, abs(actual)):
         raise RuntimeError(
             f"solver bookkeeping drifted: booked {booked_cost}, actual {actual}")
@@ -92,6 +89,9 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
         j = int(costs.argmin())
         if costs[j] < best_cost:
             best_cost, best_combo = float(costs[j]), batch[j]
+    if best_combo is None:
+        raise InputError("no k-subset of the candidates has a finite cost; "
+                         "distances overflow float64")
     centers = cand[list(best_combo)]
     return _finalize(metric, points, weights, centers, z, "brute", evals,
                      best_cost)
@@ -175,13 +175,13 @@ def constant_factor_metric_kmedian(P, k: int, eps: float, delta: float,
     points, weights, metric = coerce_weighted(P)
     bic = metric_kmedian_bicriteria((points, weights, metric), k, eps, delta,
                                     seed, z=1.0, c=c, beta=beta)
-    idx = pairwise_dist(metric, points, bic.B).argmin(axis=1)
+    idx, _ = nearest_center(metric, points, bic.B)
     masses = np.bincount(idx, weights=weights, minlength=len(bic.B))
     used = np.flatnonzero(masses > 0)
     proj_pts, proj_w = bic.B[used], masses[used]
     inner = solve_weighted((proj_pts, proj_w, metric), k, proj_pts, seed=seed)
-    cost = _cost_at(metric, points, weights, inner.centers, 1.0)
-    return SolveResult(centers=inner.centers, cost=cost,
+    return SolveResult(centers=inner.centers,
+                       cost=cost((points, weights, metric), inner.centers),
                        method="bicriteria_project",
                        evaluations=inner.evaluations)
 
@@ -223,7 +223,7 @@ def solve_on_coreset(P, k: int, eps: float, seed: int, delta: float = 0.1,
 
     uniq = np.unique(core.points, axis=0)
     inner = solve_weighted(core, k, uniq, z=z, seed=seed)
-    true_cost = _cost_at(metric, points, weights, inner.centers, z)
+    true_cost = cost((points, weights, metric), inner.centers, z)
     audit = {
         "coreset_cost": core.cost(inner.centers),
         "true_cost": true_cost,

@@ -14,12 +14,11 @@ block_size, so storage is block_size * (levels + 1) points.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InputError, Metric, check_power, pairwise_dist
+from .geometry import InputError, Metric, as_points, check_power, nearest_center
 from .sampling import SampleParams, eps_approx_sample_size, rng_for
 from .construction import StaticCoreset, k_median_coreset
 from .solvers import constant_factor_metric_kmedian
@@ -110,10 +109,7 @@ def stream_push(state: StreamState, p) -> StreamState:
     if len(state.buffer) < state.block_size:
         return state
 
-    if state.metric.is_euclidean:
-        pts = np.asarray(state.buffer, dtype=float)
-    else:
-        pts = np.asarray(state.buffer, dtype=np.intp)
+    pts = as_points(state.metric, state.buffer)
     w = np.ones(len(pts))
     state.buffer = []
     core = _reduce(state, pts, w, level=0)
@@ -140,12 +136,9 @@ def stream_query(state: StreamState, centers) -> float:
         raise InputError("no points seen yet")
     total = 0.0
     if state.buffer:
-        if state.metric.is_euclidean:
-            pts = np.asarray(state.buffer, dtype=float)
-        else:
-            pts = np.asarray(state.buffer, dtype=np.intp)
-        d = pairwise_dist(state.metric, pts, centers).min(axis=1)
-        total += float((d ** state.z).sum())
+        pts = as_points(state.metric, state.buffer)
+        _, dz = nearest_center(state.metric, pts, centers, state.z)
+        total += float(dz.sum())
     for core in state.buckets.values():
         total += core.cost(centers)
     return total

@@ -303,3 +303,33 @@ class TestStdinStream:
         rep = read(out)
         assert rep["results"]["final"]["points_seen"] == 128
         assert rep["results"]["final"]["bucket_levels"] == [1]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["build-coreset", "--k", "3", "--eps", "0.3", "--coreset-out", "core.json"],
+        ["solve", "--method", "coreset", "--k", "3"],
+    ])
+    def test_overflowing_coordinates_exit_3(self, tmp_path, argv):
+        import os
+        import subprocess
+        import sys
+
+        import coreclust
+        data = tmp_path / "big.csv"
+        np.savetxt(data, gaussian_mixture(300, 2, 3, seed=11) * 1e154,
+                   delimiter=",", fmt="%.17g")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(coreclust.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coreclust", *argv, "--input", str(data),
+             "--seed", "1", "--out", "report.json"],
+            cwd=tmp_path, text=True, capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "coreclust: distance to the nearest center overflows float64; "
+            "rescale the coordinates"]
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "core.json").exists()

@@ -38,6 +38,23 @@ class TestPointFiles:
         with pytest.raises(LoadError):
             load_points_csv(path)
 
+    def test_csv_empty_cell_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,,2\n3,4\n5,6\n")
+        with pytest.raises(LoadError, match="row 1: could not convert"):
+            load_points_csv(path)
+
+    def test_csv_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("1,2\n\n , \n3,4\n")
+        assert load_points_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_jsonl_non_numeric_rejected(self, tmp_path):
+        path = tmp_path / "pts.jsonl"
+        path.write_text('{"coords": [1, 2]}\n{"coords": [3, null]}\n')
+        with pytest.raises(LoadError, match="row 2"):
+            load_points_jsonl(path)
+
     def test_jsonl(self, tmp_path):
         path = tmp_path / "pts.jsonl"
         path.write_text('{"coords": [1, 2]}\n{"coords": [3, 4]}\n')
@@ -46,7 +63,7 @@ class TestPointFiles:
     def test_jsonl_mixed_width_rejected(self, tmp_path):
         path = tmp_path / "pts.jsonl"
         path.write_text('{"coords": [1, 2]}\n{"coords": [3]}\n')
-        with pytest.raises(LoadError, match="line 2"):
+        with pytest.raises(LoadError, match="row 2 has 1 columns, expected 2"):
             load_points_jsonl(path)
 
     def test_dispatch_by_extension(self, tmp_path):

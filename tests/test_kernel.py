@@ -1,0 +1,157 @@
+"""Properties of the nearest-center kernel: chunking, array size and ties.
+
+Every property is bitwise: a row's nearest center and its d**z must not
+depend on how many rows share the call, on the row block it falls in, or on
+the chunk budget.  Shapes cover both sides of EXACT_MAX_WIDTH and the
+explicit-matrix metric.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import coreclust.geometry as geometry
+from coreclust.geometry import (
+    EXACT_MAX_WIDTH,
+    MATRIX,
+    InputError,
+    Metric,
+    cost,
+    nearest_center,
+    pairwise_dist,
+)
+
+# (m, d): exact form up to the boundary, dot-product form above it
+SHAPES = [(1, 1), (3, 2), (40, 16), (256, 16), (257, 16), (2049, 2), (2, 3000)]
+assert any(m * d == EXACT_MAX_WIDTH for m, d in SHAPES)
+assert any(m * d > EXACT_MAX_WIDTH for m, d in SHAPES)
+
+FEW = settings(max_examples=25, deadline=None)
+
+
+def instance(kind, n, shape, seed):
+    """(metric, points, centers) drawn from a seed."""
+    rng = np.random.default_rng(seed)
+    m, d = shape
+    if kind == MATRIX:
+        size = 30
+        D = np.abs(rng.normal(size=(size, size)))
+        D = np.round(D + D.T, 1)        # coarse values, so ties happen
+        np.fill_diagonal(D, 0.0)
+        return (Metric(kind=MATRIX, matrix=D), rng.integers(0, size, n),
+                rng.integers(0, size, min(m, 12)))
+    scale = 10.0 ** rng.integers(-3, 4)
+    return Metric(), rng.normal(size=(n, d)) * scale, rng.normal(size=(m, d)) * scale
+
+
+def assert_same(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+
+
+kinds = st.sampled_from(["euclidean", MATRIX])
+shapes = st.sampled_from(SHAPES)
+seeds = st.integers(0, 2 ** 32 - 1)
+powers = st.sampled_from([1.0, 2.0, 2.5])
+
+
+@FEW
+@given(kind=kinds, shape=shapes, n=st.integers(1, 300), seed=seeds, z=powers,
+       cuts=st.lists(st.integers(0, 300), max_size=4))
+def test_row_slices_match_the_whole_call(kind, shape, n, seed, z, cuts):
+    metric, P, C = instance(kind, n, shape, seed)
+    whole = nearest_center(metric, P, C, z)
+    bounds = [0, *sorted(c for c in cuts if c < n), n]
+    parts = [nearest_center(metric, P[a:b], C, z)
+             for a, b in zip(bounds, bounds[1:]) if b > a]
+    assert_same(whole, (np.concatenate([p[0] for p in parts]),
+                        np.concatenate([p[1] for p in parts])))
+
+
+@FEW
+@given(kind=kinds, shape=shapes, n=st.integers(1, 300), seed=seeds, z=powers,
+       prefix=st.integers(1, 300), chunk=st.integers(1, 5000))
+def test_rows_do_not_depend_on_n_or_the_chunk_budget(kind, shape, n, seed, z,
+                                                     prefix, chunk):
+    metric, P, C = instance(kind, n, shape, seed)
+    whole = nearest_center(metric, P, C, z)
+    p = min(prefix, n)
+    head = nearest_center(metric, P[:p], C, z)
+    assert_same(head, (whole[0][:p], whole[1][:p]))
+    with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
+        assert_same(nearest_center(metric, P, C, z), whole)
+
+
+@FEW
+@given(kind=kinds, shape=shapes, n=st.integers(1, 200), seed=seeds,
+       chunk=st.integers(1, 5000))
+def test_pairwise_rows_do_not_depend_on_chunking(kind, shape, n, seed, chunk):
+    metric, P, C = instance(kind, n, shape, seed)
+    whole = pairwise_dist(metric, P, C)
+    with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
+        assert np.array_equal(pairwise_dist(metric, P, C), whole)
+    for i in range(0, n, max(1, n // 5)):
+        assert np.array_equal(pairwise_dist(metric, P[i:i + 1], C)[0], whole[i])
+
+
+@FEW
+@given(kind=kinds, shape=shapes, n=st.integers(1, 200), seed=seeds,
+       data=st.data())
+def test_ties_go_to_the_lowest_center_index(kind, shape, n, seed, data):
+    metric, P, C = instance(kind, n, shape, seed)
+    # duplicate some centers further down the list: every copy ties with
+    # its original, which always comes first
+    dup = data.draw(st.lists(st.integers(0, len(C) - 1), min_size=1, max_size=5))
+    C2 = np.concatenate([C, C[dup]])
+    idx, dz = nearest_center(metric, P, C2)
+    D = pairwise_dist(metric, P, C2)
+    lowest = (D == D.min(axis=1, keepdims=True)).argmax(axis=1)
+    assert np.array_equal(idx, lowest)
+    assert np.all(idx < len(C))
+    assert np.array_equal(dz, D[np.arange(n), idx])
+
+
+@FEW
+@given(shape=st.sampled_from([(m, d) for m, d in SHAPES if m * d > EXACT_MAX_WIDTH]),
+       n=st.integers(1, 100), seed=seeds)
+def test_dot_product_form_agrees_with_the_difference_form(shape, n, seed):
+    metric, P, C = instance("euclidean", n, shape, seed)
+    diff = P[:, None, :] - C[None, :, :]
+    exact_sq = (diff * diff).sum(axis=2)
+    # the expansion cancels: its error scales with |p|^2 + |c|^2, not d^2
+    scale = (P * P).sum(axis=1)[:, None] + (C * C).sum(axis=1)[None, :]
+    tol = 4 * (shape[1] + 3) * np.finfo(float).eps * scale
+    assert np.all(np.abs(pairwise_dist(metric, P, C) ** 2 - exact_sq) <= tol)
+
+
+def test_a_point_is_at_distance_zero_from_itself_in_both_forms():
+    rng = np.random.default_rng(3)
+    for m, d in [(40, 16), (300, 16), (2100, 2)]:
+        P = rng.normal(size=(m, d)) * 100 + 50
+        assert np.all(np.diag(pairwise_dist(Metric(), P, P)) == 0.0)
+        idx, dz = nearest_center(Metric(), P, P)
+        assert idx.tolist() == list(range(m)) and not dz.any()
+
+
+def test_equidistant_point_takes_the_first_center():
+    idx, dz = nearest_center(Metric(), [[0.0], [5.0]], [[1.0], [-1.0], [5.0]])
+    assert idx.tolist() == [0, 2]
+    assert dz.tolist() == [1.0, 0.0]
+
+
+def test_overflow_is_an_input_error():
+    P = np.array([[1e154, -1e154], [2e154, 3e154]])
+    with pytest.raises(InputError, match="overflows"):
+        nearest_center(Metric(), P, [[-3e154, 1e154]])
+    with pytest.raises(InputError, match="overflows"):
+        nearest_center(Metric(), [[0.0], [1e200]], [[0.0]], z=2)
+
+
+def test_cost_accepts_weighted_inputs():
+    pts = np.array([[0.0], [3.0], [10.0]])
+    w = np.array([1.0, 2.0, 0.5])
+    assert cost((pts, w, Metric()), [[0.0], [10.0]]) == 6.0
+    assert cost((pts, w, Metric()), [[0.0]], z=2) == 68.0

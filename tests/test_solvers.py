@@ -20,6 +20,11 @@ def pts1d(values):
 
 
 class TestBruteForce:
+    def test_no_finite_combination_is_an_input_error(self):
+        P = PointSet(np.array([[0.0, 0.0], [1e154, 1e154], [-1e154, 3e154]]))
+        with pytest.raises(InputError, match="no k-subset"):
+            brute_force_k_median(P, 1, candidates=P.points)
+
     def test_pair_with_tie_break(self):
         P = pts1d([0, 1, 10])
         res = brute_force_k_median(P, 2, candidates=P.points)
