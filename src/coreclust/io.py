@@ -61,6 +61,9 @@ def load_points_jsonl(path) -> np.ndarray:
                 cells = json.loads(line)["coords"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise LoadError(f"{path}: line {lineno}: {exc}") from exc
+            if not isinstance(cells, list):
+                raise LoadError(f"{path}: line {lineno}: coords must be a JSON "
+                                f"list, got {type(cells).__name__}")
             rows.append(parse_row(cells, len(rows[0]) if rows else None,
                                   path, lineno))
     return _as_points(path, rows)

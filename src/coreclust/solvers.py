@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     InputError,
     Metric,
@@ -58,6 +59,29 @@ def _finalize(metric, points, weights, centers, z, method, evals,
                        evaluations=evals)
 
 
+def _distance_cache(metric, points, cand, z) -> np.ndarray:
+    """Candidate-major d**z: row j holds every point's distance to cand[j].
+
+    Filled by row blocks of about CHUNK_CELLS distances, so no (n, m)
+    temporary exists; the bits are those of pairwise_dist(...) ** z.
+    """
+    DT = np.empty((len(cand), len(points)))
+    rows = max(1, geometry.CHUNK_CELLS // len(cand))
+    for s in range(0, len(points), rows):
+        block = pairwise_dist(metric, points[s:s + rows], cand)
+        DT[:, s:s + rows] = np.power(block, z, out=block).T
+    return DT
+
+
+def _row_costs(rows, weights) -> np.ndarray:
+    """Weighted sum of each row of a C-contiguous (b, n) array.
+
+    einsum sums every row in the same order wherever the row sits; BLAS gemv
+    does not, and its bits also move with the thread count.
+    """
+    return np.einsum("ji,i->j", rows, weights)
+
+
 def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
                          guard: int = BRUTE_GUARD) -> SolveResult:
     """Exact optimum over all k-subsets of the candidate list.
@@ -75,7 +99,7 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
     if n_combos > guard:
         raise InputError(
             f"brute force refused: C({m}, {k}) = {n_combos} exceeds guard {guard}")
-    D = pairwise_dist(metric, points, cand) ** z
+    DT = _distance_cache(metric, points, cand, z)
     best_cost, best_combo = math.inf, None
     batch, combos = [], combinations(range(m), k)
     evals = 0
@@ -84,7 +108,7 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
         if not batch:
             break
         ixs = np.asarray(batch)                      # (b, k)
-        costs = weights @ D[:, ixs].min(axis=2)      # (b,)
+        costs = _row_costs(DT[ixs].min(axis=1), weights)   # (b,)
         evals += len(batch)
         j = int(costs.argmin())
         if costs[j] < best_cost:
@@ -106,14 +130,21 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     order; the first improving swap is accepted.  The cost strictly decreases
     at every accepted swap and the search stops at a local optimum or after
     max_iters sweeps.
+
+    Every d**z is computed once into a candidate-major (m, n) cache.  A swap
+    slot's candidates are costed in scan order, in blocks of about
+    CHUNK_CELLS distances, and the scan stops after the first block that holds
+    an improving candidate; the first such candidate is the one a full scan
+    would pick.  `evaluations` counts the candidate costs actually computed:
+    k for the start plus every candidate in every block costed.
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
     cand = check_centers(metric, candidates)
-    m = len(cand)
+    m, n = len(cand), len(points)
     k = min(k, m)
     rng = rng_for(seed, 6)
-    D = pairwise_dist(metric, points, cand) ** z
+    DT = _distance_cache(metric, points, cand, z)
 
     if init is None:
         chosen = list(rng.choice(m, size=k, replace=False))
@@ -121,23 +152,39 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
         chosen = list(np.asarray(init, dtype=int))
         if len(chosen) != k:
             raise InputError("init must list exactly k candidate indices")
-    cur_cost = float(weights @ D[:, chosen].min(axis=1))
+    cur_cost = float(_row_costs(DT[chosen].min(axis=0, keepdims=True),
+                                weights)[0])
     evals = len(chosen)
+    step = max(1, geometry.CHUNK_CELLS // max(n, 1))
+    buf = np.empty((min(step, m), n))
 
     for _ in range(max_iters):
         improved = False
         for slot in rng.permutation(k):
             rest = [c for i, c in enumerate(chosen) if i != slot]
-            base = D[:, rest].min(axis=1) if rest else np.full(len(points), np.inf)
-            trial = np.minimum(base[:, None], D)     # (n, m)
-            costs = weights @ trial
-            evals += m
+            base = DT[rest].min(axis=0) if rest else np.full(n, np.inf)
             order = rng.permutation(m)
-            better = order[costs[order] < cur_cost * (1 - 1e-12) - 1e-15]
-            if better.size:
-                chosen[slot] = int(better[0])
-                cur_cost = float(costs[better[0]])
-                improved = True
+            bar = cur_cost * (1 - 1e-12) - 1e-15
+            for s in range(0, m, step):
+                ids = order[s:s + step]
+                if step >= m:
+                    # one block holds every candidate: cost the rows where
+                    # they lie and skip the gather
+                    costs = _row_costs(np.minimum(DT, base, out=buf), weights)[ids]
+                else:
+                    # mode="clip" writes straight into buf; "raise" copies first
+                    trial = np.take(DT, ids, axis=0, out=buf[:len(ids)],
+                                    mode="clip")
+                    costs = _row_costs(np.minimum(trial, base, out=trial),
+                                       weights)
+                evals += len(ids)
+                hit = np.flatnonzero(costs < bar)
+                if hit.size:
+                    chosen[slot] = int(ids[hit[0]])
+                    cur_cost = float(costs[hit[0]])
+                    improved = True
+                    break
+            if improved:
                 break
         if not improved:
             break

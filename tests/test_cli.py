@@ -116,6 +116,13 @@ class TestExitCodes:
         assert main(["bicriteria", "--input", str(bad), "--k", "1",
                      "--eps", "0.3", "--seed", "1"]) == 2
 
+    def test_jsonl_string_coords(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"coords": "12"}\n{"coords": "34"}\n')
+        assert main(["bicriteria", "--input", str(bad), "--k", "1",
+                     "--eps", "0.3", "--seed", "1"]) == 2
+        assert "line 1: coords must be a JSON list" in capsys.readouterr().err
+
     def test_no_partial_output_on_failure(self, tmp_path, data_file):
         target = tmp_path / "sub" / "report.json"
         code = main(["bicriteria", "--input", str(data_file), "--k", "999",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreclust.geometry import (
     InputError,
@@ -195,6 +197,28 @@ class TestTrimming:
     def test_tie_by_index(self):
         taken = take_smallest([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 2)
         assert taken.tolist() == [1.0, 1.0, 0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.sampled_from([-3.0, 0.0, 1.0, 2.5, 7.0]),
+                           min_size=1, max_size=30),
+           data=st.data())
+    def test_mass_is_conserved_and_taken_in_value_order(self, values, data):
+        n = len(values)
+        weights = np.array(data.draw(st.lists(st.floats(0.0, 10.0),
+                                              min_size=n, max_size=n)))
+        total = float(weights.sum())
+        count = data.draw(st.floats(0.0, 1.5 * total + 1.0))
+        taken = take_smallest(values, weights, count)
+        assert taken.sum() == pytest.approx(min(count, total), rel=1e-9,
+                                            abs=1e-12)
+        assert np.all(taken >= 0.0) and np.all(taken <= weights)
+        # in value order, ties by index, an item is touched only once every
+        # item before it is used up
+        order = np.lexsort((np.arange(n), values))
+        t, w = taken[order], weights[order]
+        tol = 1e-9 * max(1.0, total)
+        for b in np.flatnonzero(t > tol):
+            assert np.all(t[:b] >= w[:b] - tol)
 
     def test_trimmed_cost(self):
         assert trimmed_cost([5.0, 1.0, 3.0], [1, 1, 1], 2) == 4.0

@@ -66,6 +66,14 @@ class TestPointFiles:
         with pytest.raises(LoadError, match="row 2 has 1 columns, expected 2"):
             load_points_jsonl(path)
 
+    @pytest.mark.parametrize("coords", ['"12"', "7", '{"x": 1}'])
+    def test_jsonl_coords_must_be_a_list(self, tmp_path, coords):
+        # a string used to be read character by character: "12" -> (1, 2)
+        path = tmp_path / "pts.jsonl"
+        path.write_text('{"coords": [1, 2]}\n{"coords": %s}\n' % coords)
+        with pytest.raises(LoadError, match="line 2: coords must be a JSON list"):
+            load_points(path)
+
     def test_dispatch_by_extension(self, tmp_path):
         path = tmp_path / "pts.jsonl"
         path.write_text('{"coords": [5]}\n')

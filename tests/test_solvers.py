@@ -1,10 +1,25 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coreclust.geometry import InputError, PointSet, cost
+import coreclust.geometry as geometry
+from coreclust.geometry import (
+    MATRIX,
+    InputError,
+    Metric,
+    PointSet,
+    check_centers,
+    coerce_weighted,
+    cost,
+    pairwise_dist,
+)
 from coreclust.io import gaussian_mixture
+from coreclust.sampling import rng_for
 from coreclust.solvers import (
     PIPELINE_BRUTE_LIMIT,
     brute_force_k_median,
@@ -59,6 +74,20 @@ class TestBruteForce:
         assert res.centers.ravel().tolist() == [0.0]
         assert res.cost == 10.0
 
+    def test_duplicate_candidates_tie_to_the_earliest_combination(self):
+        rng = np.random.default_rng(113)
+        n = rng.integers(50, 400)
+        pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 100)
+        w = rng.uniform(0.1, 10, n)
+        m = rng.integers(3, 12)
+        cand = pts[rng.choice(n, m, replace=False)]
+        cand = np.vstack([cand, cand[rng.integers(0, m)]])
+        # candidate 3 repeats candidate 1: the sets (1, 2) and (2, 3) are
+        # equal, so their costs tie and (1, 2) comes first
+        assert len(cand) == 4 and np.array_equal(cand[3], cand[1])
+        res = brute_force_k_median((pts, w, Metric()), 2, cand)
+        assert np.array_equal(res.centers, cand[[1, 2]])
+
 
 class TestLocalSearch:
     def test_optimal_start_stays(self):
@@ -99,6 +128,119 @@ class TestLocalSearch:
         b = weighted_local_search(P, 3, candidates=pts, seed=7)
         assert np.array_equal(a.centers, b.centers)
         assert a.cost == b.cost
+
+
+def full_matrix_search(data, k, candidates, z, seed, init=None, max_iters=200):
+    """The search as one (n, m) trial matrix per slot, costed by einsum."""
+    points, weights, metric = coerce_weighted(data)
+    cand = check_centers(metric, candidates)
+    m, k = len(cand), min(k, len(cand))
+    rng = rng_for(seed, 6)
+    D = pairwise_dist(metric, points, cand) ** z
+    chosen = list(rng.choice(m, size=k, replace=False) if init is None else init)
+    cur = np.einsum("ji,i->j", D[:, chosen].min(axis=1)[None], weights)[0]
+    for _ in range(max_iters):
+        for slot in rng.permutation(k):
+            rest = [c for i, c in enumerate(chosen) if i != slot]
+            base = D[:, rest].min(axis=1) if rest else np.full(len(points), np.inf)
+            trial = np.ascontiguousarray(np.minimum(base[:, None], D).T)
+            costs = np.einsum("ji,i->j", trial, weights)
+            order = rng.permutation(m)
+            better = order[costs[order] < cur * (1 - 1e-12) - 1e-15]
+            if better.size:
+                chosen[slot], cur = int(better[0]), costs[better[0]]
+                break
+        else:
+            break
+    return cand[chosen]
+
+
+def search_instance(kind, n, m, d, seed):
+    """(weighted data, candidates); some candidates are repeated."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 10.0, n)
+    if kind == MATRIX:
+        D = np.abs(rng.normal(size=(30, 30)))
+        D = np.round(D + D.T, 1)            # coarse values, so ties happen
+        np.fill_diagonal(D, 0.0)
+        metric = Metric(kind=MATRIX, matrix=D)
+        pts, cand = rng.integers(0, 30, n), rng.integers(0, 30, m)
+    else:
+        metric = Metric()
+        pts = np.round(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 3), 1)
+        cand = np.concatenate([pts[rng.integers(0, n, m // 2)],
+                               rng.normal(size=(m - m // 2, d))])
+    cand = np.concatenate([cand, cand[rng.integers(0, m, m // 4)]])
+    return (pts, w, metric), cand
+
+
+def candidate_index(cand, centers):
+    return [int(np.flatnonzero((cand == c).reshape(len(cand), -1).all(axis=1))[0])
+            for c in centers]
+
+
+class TestLocalSearchCache:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["euclidean", MATRIX]), n=st.integers(1, 60),
+           m=st.integers(1, 24), d=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
+           z=st.sampled_from([1.0, 2.0]), use_init=st.booleans(),
+           chunk=st.sampled_from([None, 1, 7, 100, 2000]))
+    def test_matches_the_full_matrix_search(self, kind, n, m, d, seed, k, z,
+                                            use_init, chunk):
+        data, cand = search_instance(kind, n, m, d, seed)
+        k = min(k, len(cand))
+        init = None
+        if use_init:
+            init = [int(i) for i in np.random.default_rng(seed).choice(
+                len(cand), size=k, replace=False)]
+        want = full_matrix_search(data, k, cand, z, seed, init=init)
+        with mock.patch.object(geometry, "CHUNK_CELLS", chunk or geometry.CHUNK_CELLS):
+            got = weighted_local_search(data, k, cand, z=z, seed=seed, init=init)
+        assert np.array_equal(got.centers, want)
+
+    @pytest.mark.parametrize("kind", ["euclidean", MATRIX])
+    def test_chunk_budget_changes_neither_centers_nor_cost(self, kind):
+        data, cand = search_instance(kind, 120, 40, 2, seed=5)
+        whole = weighted_local_search(data, 3, cand, z=2.0, seed=4)
+        evals = {}
+        for chunk in [1, 2, 3, 50, 239, 240, 1000, 4000, 1 << 20]:
+            with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
+                res = weighted_local_search(data, 3, cand, z=2.0, seed=4)
+            assert np.array_equal(res.centers, whole.centers)
+            assert res.cost == whole.cost
+            evals[chunk] = res.evaluations
+        # the same swaps, so one candidate per block costs the fewest and a
+        # single block (the full scan) the most
+        assert evals[1] == min(evals.values())
+        assert evals[1 << 20] == whole.evaluations == max(evals.values())
+        assert evals[1] < evals[1 << 20]
+
+    @pytest.mark.parametrize("kind", ["euclidean", MATRIX])
+    def test_local_optimum_costs_every_candidate_once_per_slot(self, kind):
+        data, cand = search_instance(kind, 90, 30, 2, seed=8)
+        k, m = 3, len(cand)
+        first = weighted_local_search(data, k, cand, seed=2)
+        init = candidate_index(cand, first.centers)
+        for chunk in [1, 5, 100, 1 << 20]:
+            with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
+                res = weighted_local_search(data, k, cand, seed=9, init=init)
+            assert np.array_equal(res.centers, first.centers)
+            assert res.evaluations == k + k * m
+
+    def test_peak_memory_is_the_cache_plus_a_few_blocks(self):
+        n = m = 3000
+        pts = np.random.default_rng(0).normal(size=(n, 2))
+        data = (pts, np.ones(n), Metric())
+        tracemalloc.start()
+        try:
+            weighted_local_search(data, 3, pts, seed=1, max_iters=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (m, n) cache is 8*m*n bytes; anything else is a few blocks of
+        # CHUNK_CELLS entries, never a second (n, m) array
+        assert peak < 8 * m * n + 4 * 8 * geometry.CHUNK_CELLS
 
 
 class TestSolveWeighted:
