@@ -27,8 +27,8 @@ from .geometry import (
     coerce_weighted,
     cost,
     nearest_center,
-    pairwise_dist,
     take_smallest,
+    weighted_sum,
 )
 from .sampling import rng_for
 from .robust import snap_alpha
@@ -70,7 +70,7 @@ class MedianProvider:
     draw(points, weights, metric, rng) returns a center array of at most beta
     centers that is a (3/4, eps, alpha, beta)-median of the weighted input.
     terminal(points, weights, metric, rng) must return a (1, 0, alpha, beta)-
-    median of the small residue; None selects the default residue rule.
+    median of the small residue; None selects the single-center residue rule.
     """
 
     draw: Callable
@@ -87,16 +87,19 @@ def _distinct_rows(arr: np.ndarray) -> np.ndarray:
     return arr[np.sort(idx)]
 
 
-def _default_terminal(points, weights, metric, rng, beta, z):
-    """Residue finisher: the residue itself if it fits in beta, else the best
-    single candidate (exhaustive, exact for a single center)."""
-    distinct = _distinct_rows(points)
-    if len(distinct) <= beta:
-        return distinct
-    d = pairwise_dist(metric, points, points) ** z
-    costs = weights @ d
-    best = int(costs.argmin())
-    return points[best:best + 1]
+def _terminal(k: int, beta: int, z: float) -> Callable:
+    """Residue finisher: the residue if it fits in beta, else solve_weighted's
+    k centers among its distinct points."""
+
+    def terminal(points, weights, metric, rng):
+        distinct = _distinct_rows(points)
+        if len(distinct) <= beta:
+            return distinct
+        from .solvers import solve_weighted
+        return solve_weighted((points, weights, metric), k, distinct, z=z,
+                              seed=int(rng.integers(2 ** 63))).centers
+
+    return terminal
 
 
 def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
@@ -128,7 +131,7 @@ def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
             Y = provider.draw(sub_pts, sub_w, metric, rng)
             _, dY = nearest_center(metric, sub_pts, Y, z)
             taken = take_smallest(dY, sub_w, trim)
-            c = float(taken @ dY)
+            c = float(weighted_sum(dY, taken))
             if best is None or c < best[0]:
                 best = (c, Y, taken)
         _, Y, taken = best
@@ -139,8 +142,7 @@ def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
 
     alive = np.flatnonzero(weights > 0)
     if alive.size:
-        finish = provider.terminal or (
-            lambda p, w, m, r: _default_terminal(p, w, m, r, provider.beta, z))
+        finish = provider.terminal or _terminal(1, provider.beta, z)
         Y = finish(points[alive], weights[alive], metric, rng)
         rounds.append(Round(indices=alive, amounts=weights[alive].copy(), centers=Y))
         center_blocks.append(Y)
@@ -188,16 +190,8 @@ def make_metric_provider(k: int, beta: int, z: float = 1.0) -> MedianProvider:
         idx = rng.choice(n, size=t, replace=True, p=weights / weights.sum())
         return _distinct_rows(points[np.sort(idx)])
 
-    def terminal(points, weights, metric, rng):
-        distinct = _distinct_rows(points)
-        if len(distinct) <= beta:
-            return distinct
-        from .solvers import solve_weighted
-        return solve_weighted((points, weights, metric), k, distinct, z=z,
-                              seed=int(rng.integers(2 ** 63))).centers
-
     return MedianProvider(draw=draw, alpha=snap_alpha(z), beta=beta,
-                          terminal=terminal)
+                          terminal=_terminal(k, beta, z))
 
 
 def metric_kmedian_bicriteria(P, k: int, eps: float, delta: float, seed: int,

@@ -75,6 +75,8 @@ def _query_grid(P: PointSet, k: int, n_queries: int, seed: int,
                 extra_centers=None):
     """Seeded k-subsets of the data plus the hardest practical probes:
     the brute optimum when enumeration is feasible, else the given centers."""
+    if not 1 <= k <= len(P):
+        raise InputError(f"need 1 <= k <= {len(P)} points, got k={k}")
     rng = rng_for(seed, 10)
     queries = [P.points[np.sort(rng.choice(len(P), size=k, replace=False))]
                for _ in range(n_queries)]

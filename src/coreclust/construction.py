@@ -33,6 +33,7 @@ from .geometry import (
     coerce_weighted,
     cost,
     nearest_center,
+    weighted_sum,
 )
 from .sampling import rng_for
 
@@ -168,12 +169,11 @@ def metric_function_family(P, B, eps: float, z: float = 1.0) -> FunctionFamily:
         raise InputError("function families require unit-multiplicity inputs")
     Bc = np.asarray(B)
     idx, dzB = nearest_center(metric, points, Bc, z)
-    total = float(dzB.sum())
-    if total <= 0:
+    if float(weighted_sum(dzB, weights)) <= 0:
         raise InputError("degenerate family: every point lies on a center of B")
+    m, _, _ = _importance_weights(weights, dzB)
     scale = 1.0 if z == 1.0 else (18.0 * z) ** z
     tau = scale * dzB / eps ** z
-    m = np.ceil(len(points) * dzB / total - 1e-12).astype(np.int64) + 1
     proj_pts = Bc[idx]
     return FunctionFamily(
         size=len(points), m=m, threshold=lambda _x: tau,
@@ -240,17 +240,14 @@ class ThresholdCoreset:
     def cost(self, centers) -> float:
         _, dzc = nearest_center(self.metric, self.proj_points, centers, self.z)
         total = 0.0
-        if len(self.sampled_points):
-            active = dzc[self.sampled_center] <= self.sampled_tau
-            if np.any(active):
-                _, ds = nearest_center(self.metric, self.sampled_points[active],
-                                       centers, self.z)
-                total += float(self.sampled_weights[active] @ ds)
-        for j in range(len(self.proj_points)):
-            # copies with tau strictly below dist^z(p', x) are active
-            pos = np.searchsorted(self.proj_tau[j], dzc[j], side="left")
-            total += float(dzc[j] * self.proj_cum_mass[j][pos])
-        return total
+        active = dzc[self.sampled_center] <= self.sampled_tau
+        if np.any(active):
+            total += cost((self.sampled_points[active], self.sampled_weights[active],
+                           self.metric), centers, self.z)
+        # copies with tau strictly below dist^z(p', x) are active
+        mass = [cum[np.searchsorted(tau, d, side="left")]
+                for tau, cum, d in zip(self.proj_tau, self.proj_cum_mass, dzc)]
+        return total + float(weighted_sum(dzc, np.asarray(mass)))
 
 
 def _nearest_anchor(P, B, t: int, eps: float, z: float):
@@ -273,7 +270,7 @@ def _importance_weights(weights: np.ndarray, dzB: np.ndarray):
     the sign rides along on the drawn weight.
     """
     aw = np.abs(weights)
-    total = float(aw @ dzB)
+    total = float(weighted_sum(dzB, aw))
     W = float(aw.sum())
     m = np.ceil(W * dzB / total - 1e-12).astype(np.int64) + 1
     mass = aw * m
@@ -312,7 +309,7 @@ def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
     cluster_mass = np.bincount(idx, weights=weights, minlength=n_anchors)
 
     prov = {"seed": seed, "t": t, "eps": eps, "z": z, "anchors": int(n_anchors)}
-    if float(np.abs(weights) @ dzB) <= 0.0:
+    if float(weighted_sum(dzB, np.abs(weights))) <= 0.0:
         prov["degenerate"] = True
         return StaticCoreset(points=Bc, weights=cluster_mass, metric=metric,
                              z=z, eps=eps, provenance=prov)
@@ -343,7 +340,7 @@ def metric_b_coreset(P, B, t: int, eps: float, z: float = 1.0,
     points, weights, metric, Bc, idx, dzB = _nearest_anchor(P, B, t, eps, z)
     prov = {"seed": seed, "t": t, "eps": eps, "z": z}
 
-    degenerate = float(np.abs(weights) @ dzB) <= 0.0
+    degenerate = float(weighted_sum(dzB, np.abs(weights))) <= 0.0
     tau = np.zeros(len(points)) if degenerate else dzB / eps ** z
     if degenerate:
         prov["degenerate"] = True

@@ -27,6 +27,9 @@ MATRIX = "explicit-matrix"
 CHUNK_CELLS = 1 << 20
 EXACT_MAX_WIDTH = 4096
 
+FULL_CHECK_LIMIT = 128
+SAMPLED_PAIRS = 2000
+
 
 class InputError(ValueError):
     """Invalid argument combination (empty center set, bad parameter range, ...)."""
@@ -68,13 +71,12 @@ class Metric:
         return None if self.matrix is None else self.matrix.shape[0]
 
     @staticmethod
-    def from_matrix(matrix, validate: bool = True, full_check_limit: int = 128,
-                    n_sampled_triples: int = 2000, seed: int = 0) -> "Metric":
+    def from_matrix(matrix, validate: bool = True) -> "Metric":
         """Build an explicit finite metric, checking the metric axioms.
 
         Zero diagonal and symmetry are always checked exactly.  The triangle
-        inequality is checked over all n^3 triples when n <= full_check_limit
-        and over sampled triples otherwise.
+        inequality is checked over all n^3 triples when n <= FULL_CHECK_LIMIT
+        and over SAMPLED_PAIRS seeded pairs (every intermediate) otherwise.
         """
         D = np.asarray(matrix, dtype=float)
         if validate:
@@ -90,16 +92,16 @@ class Metric:
                 raise LoadError("distance matrix is not symmetric")
             n = D.shape[0]
             tol = REL_TOL * max(1.0, float(D.max()))
-            if n <= full_check_limit:
+            if n <= FULL_CHECK_LIMIT:
                 for j in range(n):
                     if np.any(D > D[:, [j]] + D[[j], :] + tol):
                         raise LoadError(
                             f"triangle inequality violated through point {j}")
             else:
                 # spot check: sampled (i, k) pairs against every intermediate
-                rng = np.random.default_rng(seed)
-                i = rng.integers(0, n, size=n_sampled_triples)
-                k = rng.integers(0, n, size=n_sampled_triples)
+                rng = np.random.default_rng(0)
+                i = rng.integers(0, n, size=SAMPLED_PAIRS)
+                k = rng.integers(0, n, size=SAMPLED_PAIRS)
                 slack = (D[i, :] + D[:, k].T).min(axis=1)
                 if np.any(D[i, k] > slack + tol):
                     raise LoadError("triangle inequality violated on sampled pair")
@@ -187,11 +189,22 @@ def coerce_weighted(obj):
     return points, weights, metric
 
 
+def _sq_dist(a, b) -> np.ndarray:
+    """The one exact squared distance, over the first axis of broadcast
+    (d, ...) arrays: (a_j - b_j)^2 added one coordinate at a time, left to right."""
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    acc, diff = np.zeros(shape), np.empty(shape)
+    for a_j, b_j in zip(a, b):
+        np.subtract(a_j, b_j, out=diff)
+        acc += np.multiply(diff, diff, out=diff)
+    return acc
+
+
 def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
     """Base (unpowered) distances, shape (n_points, n_centers).
 
-    The exact difference form up to row width m*d = EXACT_MAX_WIDTH, the
-    dot-product expansion (no (m, d) temporary per row, but it cancels digits)
+    The exact form (_sq_dist) up to row width m*d = EXACT_MAX_WIDTH, the
+    dot-product expansion (fewer passes at large m*d, but it cancels digits)
     above it; an entry depends only on its point, its center and m*d.
     """
     if not metric.is_euclidean:
@@ -201,12 +214,12 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
     if P.shape[1] != C.shape[1]:
         raise InputError(
             f"dimension mismatch: points are {P.shape[1]}-D, centers {C.shape[1]}-D")
-    width = C.shape[0] * C.shape[1]
+    CT = np.ascontiguousarray(C.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        if width > EXACT_MAX_WIDTH:
+        if C.size > EXACT_MAX_WIDTH:
             # einsum sums every dot product in the same order, wherever its
             # row and column fall; BLAS's order depends on the block shape
-            dot2 = np.einsum("ik,kj->ij", P, np.ascontiguousarray(C.T))
+            dot2 = np.einsum("ik,kj->ij", P, CT)
             dot2 *= 2.0
             pp = (P * P).sum(axis=1)
             sq = pp[:, None] + (C * C).sum(axis=1)[None, :]
@@ -217,14 +230,14 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
             step = max(1, CHUNK_CELLS // P.shape[1])
             for s in range(0, len(near), step):
                 i, j = np.divmod(near[s:s + step], len(C))
-                diff = P[i] - C[j]
-                np.put(sq, near[s:s + step], (diff * diff).sum(axis=1))
+                np.put(sq, near[s:s + step], _sq_dist(P[i].T, C[j].T))
             return np.sqrt(sq, out=sq)
-        out = np.empty((len(P), len(C)))
-        rows = max(1, CHUNK_CELLS // max(1, width))
+        # coordinate-major (m, rows) blocks: every pass runs along the rows
+        PT, out = np.ascontiguousarray(P.T), np.empty((len(P), len(C)))
+        rows = max(1, CHUNK_CELLS // len(C))
         for s in range(0, len(P), rows):
-            diff = P[s:s + rows, None, :] - C[None, :, :]
-            np.sqrt((diff * diff).sum(axis=2), out=out[s:s + rows])
+            np.sqrt(_sq_dist(CT[:, :, None], PT[:, None, s:s + rows]).T,
+                    out=out[s:s + rows])
         return out
 
 
@@ -265,13 +278,20 @@ def nearest_center(metric: Metric, points, centers, z=1.0):
     return idx, dz
 
 
+def weighted_sum(values, weights):
+    """The one weighted sum, over the last axis of (n,) or (b, n) values: einsum
+    adds in one order wherever a row sits and whatever the BLAS thread count."""
+    return np.einsum("...i,i->...", values, weights)
+
+
 def cost(data, centers, z=1.0) -> float:
     """Weighted sum of d**z to the nearest center over a PointSet, a coreset
     or a (points, weights, metric) tuple."""
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:
         raise InputError("cost of an empty point set is undefined")
-    return float(weights @ nearest_center(metric, points, centers, z)[1])
+    return float(weighted_sum(nearest_center(metric, points, centers, z)[1],
+                              weights))
 
 
 def project(P: PointSet, B) -> PointSet:
@@ -313,4 +333,4 @@ def take_smallest(values, weights, count) -> np.ndarray:
 def trimmed_cost(values, weights, count) -> float:
     """Sum of the `count` smallest value-copies (weighted, boundary split)."""
     taken = take_smallest(values, weights, count)
-    return float(taken @ np.asarray(values, dtype=float))
+    return float(weighted_sum(np.asarray(values, dtype=float), taken))

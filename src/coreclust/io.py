@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import LoadError, Metric, PointSet
+from .geometry import InputError, LoadError, Metric, PointSet
 from .construction import StaticCoreset, ThresholdCoreset
 
 
@@ -76,16 +76,14 @@ def load_points(path) -> np.ndarray:
     return load_points_csv(path)
 
 
-def load_metric_csv(path, validate: bool = True) -> Metric:
-    mat = load_points_csv(path)
-    return Metric.from_matrix(mat, validate=validate)
+def load_metric_csv(path) -> Metric:
+    return Metric.from_matrix(load_points_csv(path))
 
 
-def load_point_set(path, metric_path=None, validate_metric: bool = True) -> PointSet:
+def load_point_set(path, metric_path=None) -> PointSet:
     if metric_path is not None:
-        metric = load_metric_csv(metric_path, validate=validate_metric)
-        n = metric.size
-        return PointSet(points=np.arange(n, dtype=np.intp), metric=metric)
+        metric = load_metric_csv(metric_path)
+        return PointSet(points=np.arange(metric.size, dtype=np.intp), metric=metric)
     return PointSet(points=load_points(path))
 
 
@@ -212,6 +210,8 @@ def load_coreset(path):
 def gaussian_mixture(n: int, d: int, k: int, seed: int, spread: float = 6.0,
                      sigma: float = 1.0) -> np.ndarray:
     """Synthetic benchmark data: k spherical Gaussian clusters."""
+    if min(n, d, k) < 1:
+        raise InputError(f"need n, d, k >= 1, got n={n}, d={d}, k={k}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-spread, spread, size=(k, d))
     labels = rng.integers(0, k, size=n)

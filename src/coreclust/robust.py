@@ -62,16 +62,9 @@ def _trim_count(fraction: float, total: float) -> float:
 def candidate_trimmed_costs(metric: Metric, points, weights, candidates,
                             gamma: float, z: float) -> np.ndarray:
     """gamma-trimmed cost of every candidate as a single center."""
-    d = pairwise_dist(metric, points, candidates) ** z
-    weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
-    count = _trim_count(gamma, total)
-    order = np.argsort(d, axis=0, kind="stable")
-    vals = np.take_along_axis(d, order, axis=0)
-    w = weights[order]
-    upper = np.cumsum(w, axis=0)
-    taken = np.clip(count - (upper - w), 0.0, w)
-    return (taken * vals).sum(axis=0)
+    count = _trim_count(gamma, float(np.sum(weights)))
+    return np.array([trimmed_cost(d, weights, count) for d in
+                     (pairwise_dist(metric, points, candidates) ** z).T])
 
 
 def verify_robust_median(P, Y, params: RobustParams, candidates,

@@ -24,6 +24,7 @@ from .geometry import (
     cost,
     nearest_center,
     pairwise_dist,
+    weighted_sum,
 )
 from .sampling import rng_for
 from .bicriteria import metric_kmedian_bicriteria
@@ -73,21 +74,13 @@ def _distance_cache(metric, points, cand, z) -> np.ndarray:
     return DT
 
 
-def _row_costs(rows, weights) -> np.ndarray:
-    """Weighted sum of each row of a C-contiguous (b, n) array.
-
-    einsum sums every row in the same order wherever the row sits; BLAS gemv
-    does not, and its bits also move with the thread count.
-    """
-    return np.einsum("ji,i->j", rows, weights)
-
-
 def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
                          guard: int = BRUTE_GUARD) -> SolveResult:
     """Exact optimum over all k-subsets of the candidate list.
 
     Ties go to the earliest combination in index order.  Refuses when the
-    number of combinations exceeds the guard.
+    number of combinations exceeds the guard.  Combinations are costed in
+    batches of about CHUNK_CELLS gathered distances, whatever n is.
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
@@ -101,14 +94,15 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
             f"brute force refused: C({m}, {k}) = {n_combos} exceeds guard {guard}")
     DT = _distance_cache(metric, points, cand, z)
     best_cost, best_combo = math.inf, None
-    batch, combos = [], combinations(range(m), k)
+    combos = combinations(range(m), k)
+    size = max(1, geometry.CHUNK_CELLS // (k * max(1, len(points))))
     evals = 0
     while True:
-        batch = [c for _, c in zip(range(20000), combos)]
+        batch = [c for _, c in zip(range(size), combos)]
         if not batch:
             break
         ixs = np.asarray(batch)                      # (b, k)
-        costs = _row_costs(DT[ixs].min(axis=1), weights)   # (b,)
+        costs = weighted_sum(DT[ixs].min(axis=1), weights)   # (b,)
         evals += len(batch)
         j = int(costs.argmin())
         if costs[j] < best_cost:
@@ -142,6 +136,8 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     points, weights, metric = coerce_weighted(data)
     cand = check_centers(metric, candidates)
     m, n = len(cand), len(points)
+    if k < 1:
+        raise InputError(f"need k >= 1, got k={k}")
     k = min(k, m)
     rng = rng_for(seed, 6)
     DT = _distance_cache(metric, points, cand, z)
@@ -152,8 +148,7 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
         chosen = list(np.asarray(init, dtype=int))
         if len(chosen) != k:
             raise InputError("init must list exactly k candidate indices")
-    cur_cost = float(_row_costs(DT[chosen].min(axis=0, keepdims=True),
-                                weights)[0])
+    cur_cost = float(weighted_sum(DT[chosen].min(axis=0), weights))
     evals = len(chosen)
     step = max(1, geometry.CHUNK_CELLS // max(n, 1))
     buf = np.empty((min(step, m), n))
@@ -170,13 +165,13 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
                 if step >= m:
                     # one block holds every candidate: cost the rows where
                     # they lie and skip the gather
-                    costs = _row_costs(np.minimum(DT, base, out=buf), weights)[ids]
+                    costs = weighted_sum(np.minimum(DT, base, out=buf), weights)[ids]
                 else:
                     # mode="clip" writes straight into buf; "raise" copies first
                     trial = np.take(DT, ids, axis=0, out=buf[:len(ids)],
                                     mode="clip")
-                    costs = _row_costs(np.minimum(trial, base, out=trial),
-                                       weights)
+                    costs = weighted_sum(np.minimum(trial, base, out=trial),
+                                         weights)
                 evals += len(ids)
                 hit = np.flatnonzero(costs < bar)
                 if hit.size:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InputError, Metric, as_points, check_power, nearest_center
+from .geometry import InputError, Metric, as_points, check_power, cost
 from .sampling import SampleParams, eps_approx_sample_size, rng_for
 from .construction import StaticCoreset, k_median_coreset
 from .solvers import constant_factor_metric_kmedian
@@ -137,8 +137,7 @@ def stream_query(state: StreamState, centers) -> float:
     total = 0.0
     if state.buffer:
         pts = as_points(state.metric, state.buffer)
-        _, dz = nearest_center(state.metric, pts, centers, state.z)
-        total += float(dz.sum())
+        total += cost((pts, np.ones(len(pts)), state.metric), centers, state.z)
     for core in state.buckets.values():
         total += core.cost(centers)
     return total

@@ -123,6 +123,26 @@ class TestExitCodes:
                      "--eps", "0.3", "--seed", "1"]) == 2
         assert "line 1: coords must be a JSON list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "local", "--k", "0", "--input", "{data}"],
+        ["verify", "--k", "100", "--input", "{data}", "--coreset", "{core}"],
+        ["bench", "--k-grid", "0", "--n-grid", "50", "--eps-grid", "0.3"],
+        ["bench", "--k-grid", "2", "--n-grid", "50", "--eps-grid", "0.3",
+         "--d", "-1"],
+    ])
+    def test_bad_k_or_d_is_a_validation_error(self, tmp_path, data_file,
+                                              capsys, argv):
+        core = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(data_file), "--k", "2",
+                     "--eps", "0.3", "--seed", "1",
+                     "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        capsys.readouterr()
+        argv = [a.format(data=data_file, core=core) for a in argv]
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "k" in err
+
     def test_no_partial_output_on_failure(self, tmp_path, data_file):
         target = tmp_path / "sub" / "report.json"
         code = main(["bicriteria", "--input", str(data_file), "--k", "999",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreclust.construction import (
     FunctionFamily,
@@ -11,7 +13,7 @@ from coreclust.construction import (
     nonneg_sample_size,
     weighted_family_sampler,
 )
-from coreclust.geometry import InputError, PointSet, cost, pairwise_dist
+from coreclust.geometry import InputError, Metric, PointSet, cost, pairwise_dist
 from coreclust.sampling import rng_for
 
 
@@ -205,6 +207,25 @@ class TestKMedianCoreset:
             core = k_median_coreset(P, B, t=30, eps=eps, seed=trial)
             expected = core.provenance["inflation"] * n
             assert core.total_weight == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 80), anchors=st.integers(1, 5), t=st.integers(1, 60),
+           eps=st.floats(0.01, 0.99), z=st.sampled_from([1.0, 2.0]),
+           signed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_weight_sum_is_inflation_times_n(self, n, anchors, t, eps, z,
+                                             signed, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 2))
+        w = rng.uniform(0.1, 5.0, n)
+        if signed:
+            w *= rng.choice([-1.0, 1.0], n)
+        B = pts[rng.choice(n, min(anchors, n), replace=False)]
+        core = k_median_coreset((pts, w, Metric()), B, t=t, eps=eps, z=z,
+                                seed=seed)
+        # the degenerate path (every point on an anchor) has no inflation
+        expected = core.provenance.get("inflation", 1.0) * w.sum()
+        scale = np.abs(core.weights).sum() + np.abs(w).sum()
+        assert abs(core.total_weight - expected) <= 1e-12 * scale
 
     def test_empty_anchor_set_rejected(self):
         P = pts1d([0, 1, 2])

@@ -1,10 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreclust.construction import k_median_coreset, metric_b_coreset
-from coreclust.geometry import LoadError, PointSet, metric_from_points
+from coreclust.geometry import LoadError, Metric, PointSet, metric_from_points
 from coreclust.io import (
     coreset_from_dict,
     coreset_to_dict,
@@ -149,6 +153,31 @@ class TestCoresetFiles:
         loaded = load_coreset(path)
         q = np.array([1, 8])
         assert loaded.cost(q) == pytest.approx(core.cost(q), rel=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(build=st.sampled_from([k_median_coreset, metric_b_coreset]),
+           euclid=st.booleans(), n=st.integers(2, 40),
+           z=st.sampled_from([1.0, 2.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_json_round_trip_is_lossless(self, build, euclid, n, z, seed):
+        rng = np.random.default_rng(seed)
+        coords = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-3, 4)
+        if euclid:
+            pts, metric = coords, Metric()
+        else:
+            pts, metric = np.arange(n), metric_from_points(coords)
+        w = rng.uniform(0.1, 5.0, n)
+        B = pts[rng.choice(n, rng.integers(1, min(n, 4) + 1), replace=False)]
+        core = build((pts, w, metric), B, t=int(rng.integers(1, 30)),
+                     eps=float(rng.uniform(0.05, 0.9)), z=z, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            save_coreset(first, core)
+            loaded = load_coreset(first)
+            save_coreset(second, loaded)
+            assert first.read_bytes() == second.read_bytes()
+        for _ in range(5):
+            x = pts[rng.choice(n, min(n, 3), replace=False)]
+            assert loaded.cost(x) == core.cost(x)
 
     def test_unknown_type_rejected(self):
         with pytest.raises((LoadError, KeyError)):

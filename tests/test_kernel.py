@@ -155,3 +155,68 @@ def test_cost_accepts_weighted_inputs():
     w = np.array([1.0, 2.0, 0.5])
     assert cost((pts, w, Metric()), [[0.0], [10.0]]) == 6.0
     assert cost((pts, w, Metric()), [[0.0]], z=2) == 68.0
+
+
+def left_to_right(p, c):
+    """Squared distance with the coordinates added in order, in Python floats."""
+    acc = 0.0
+    for a, b in zip(p, c):
+        acc += (a - b) * (a - b)
+    return acc
+
+
+@FEW
+@given(d=st.sampled_from([1, 2, 7, 8, 16]), n=st.integers(1, 8), seed=seeds,
+       data=st.data())
+def test_every_exact_entry_is_the_left_to_right_sum(d, n, seed, data):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4)
+    # exact form: m*d up to EXACT_MAX_WIDTH
+    m = data.draw(st.integers(1, EXACT_MAX_WIDTH // d))
+    P, C = rng.normal(size=(n, d)) * scale, rng.normal(size=(m, d)) * scale
+    ref = np.array([[left_to_right(p, c) for c in C.tolist()] for p in P.tolist()])
+    D = pairwise_dist(Metric(), P, C)
+    assert np.array_equal(D, np.sqrt(ref))
+    if d <= 7:
+        # numpy's own reduction over the last axis adds in order below 8 terms
+        diff = P[:, None, :] - C[None, :, :]
+        assert np.array_equal(D, np.sqrt((diff * diff).sum(axis=2)))
+    # dot-product form: points placed on or next to centers get recomputed
+    m = EXACT_MAX_WIDTH // d + 1 + data.draw(st.integers(0, 40))
+    C = rng.normal(size=(m, d)) * scale
+    on = rng.integers(0, m, n)
+    noise = rng.normal(size=(n, d)) * 1e-7 * (rng.random(n) < 0.7)[:, None]
+    P = C[on] * (1.0 + noise)
+    D = pairwise_dist(Metric(), P, C)
+    near = D[np.arange(n), on]
+    assert np.array_equal(near, np.sqrt([left_to_right(P[i], C[on[i]])
+                                         for i in range(n)]))
+    if d <= 7:
+        diff = P - C[on]
+        assert np.array_equal(near, np.sqrt((diff * diff).sum(axis=1)))
+
+
+def test_cost_does_not_depend_on_the_blas_thread_count():
+    import os
+    import subprocess
+    import sys
+
+    import coreclust
+    # BLAS dot splits long sums between threads, each adding its own part
+    code = ("import numpy as np\n"
+            "from coreclust.geometry import Metric, cost\n"
+            "rng = np.random.default_rng(0)\n"
+            "P = rng.normal(size=(20000, 2)) * 3.0\n"
+            "w = rng.uniform(0.1, 10.0, 20000)\n"
+            "print(cost((P, w, Metric()), rng.normal(size=(3, 2))).hex())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coreclust.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]

@@ -88,6 +88,35 @@ class TestBruteForce:
         res = brute_force_k_median((pts, w, Metric()), 2, cand)
         assert np.array_equal(res.centers, cand[[1, 2]])
 
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        # C(50, 3) = 19,600 combinations over n = 1,000 points: one batch of
+        # every combination would gather 470 MB of (b, k, n) distances
+        rng = np.random.default_rng(21)
+        n, m, k = 1000, 50, 3
+        pts = rng.normal(size=(n, 2))
+        data = (pts, rng.uniform(0.1, 10, n), Metric())
+        tracemalloc.start()
+        try:
+            res = brute_force_k_median(data, k, pts[:m])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == math.comb(m, k)
+        assert peak < 8 * m * n + 4 * 8 * geometry.CHUNK_CELLS
+
+    def test_batch_size_changes_neither_centers_nor_cost(self):
+        rng = np.random.default_rng(22)
+        pts = rng.normal(size=(80, 2))
+        cand = np.vstack([pts[:12], pts[[3, 7]]])      # repeated candidates
+        data = (pts, rng.uniform(0.1, 10, 80), Metric())
+        want = brute_force_k_median(data, 3, cand)
+        for chunk in (1, 80, 3 * 80 + 1, 5000):
+            with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
+                got = brute_force_k_median(data, 3, cand)
+            assert np.array_equal(got.centers, want.centers)
+            assert got.cost == want.cost
+            assert got.evaluations == want.evaluations == math.comb(14, 3)
+
 
 class TestLocalSearch:
     def test_optimal_start_stays(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreclust.geometry import InputError, PointSet, cost
 from coreclust.io import gaussian_mixture
@@ -31,6 +33,28 @@ class TestCounterLaw:
                 want = [lvl for lvl in range(blocks.bit_length())
                         if blocks >> lvl & 1]
                 assert state.levels == want, f"after {blocks} blocks"
+
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.integers(1, 3), block=st.integers(4, 24),
+           n=st.integers(0, 150), seed=st.integers(0, 2 ** 32 - 1))
+    def test_counter_and_storage_laws(self, k, block, n, seed):
+        state = StreamState(k=k, eps_bar=0.4, seed=seed, block_size=block + k)
+        size = state.block_size
+        for i, p in enumerate(np.random.default_rng(seed).normal(size=(n, 2)),
+                              start=1):
+            stream_push(state, p)
+            blocks = i // size
+            # buckets are the binary digits of the block count; each block
+            # costs one build and each carry one more
+            assert state.levels == [lvl for lvl in range(blocks.bit_length())
+                                    if blocks >> lvl & 1]
+            assert len(state.buffer) == i % size
+            assert state.builds == 2 * blocks - bin(blocks).count("1")
+            assert all(len(b) <= size for b in state.buckets.values())
+            assert state.stored_points < size * (len(state.levels) + 1)
+        assert state.points_seen == n
+        assert actual_total_weight(state) == pytest.approx(
+            expected_total_weight(state), rel=1e-9)
 
     def test_two_blocks_single_carry(self):
         rng = np.random.default_rng(1)
