@@ -55,11 +55,10 @@ def _report_skeleton(command: str, config: dict) -> dict:
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        cio.atomic_write_text(out_path, text)
+        cio.dump_json(out_path, report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _load_input(args) -> PointSet:
@@ -93,12 +92,12 @@ def _guarantee_broken(command: str, message: str) -> int:
 
 
 def _max_rel_error(P: PointSet, core, queries) -> tuple[float, int]:
+    """Worst |true - coreset| / true over the queries; where the true cost is
+    0 the error is 0 if the coreset's cost is 0 too, else infinite."""
     worst, arg = -1.0, -1
     for i, x in enumerate(queries):
-        true = cost(P, x, z=core.z)
-        if true <= 0:
-            continue
-        err = abs(true - core.cost(x)) / true
+        true, est = cost(P, x, z=core.z), core.cost(x)
+        err = abs(true - est) / true if true > 0 else (0.0 if est == 0 else math.inf)
         if err > worst:
             worst, arg = err, i
     return worst, arg
@@ -123,7 +122,7 @@ def cmd_build_coreset(args) -> int:
                             seed=args.seed)
     core.provenance.update({
         "k": args.k, "delta": args.delta, "c": args.c,
-        "input_sha256": cio.file_sha256(args.input),
+        "input_sha256": cio.file_sha256(args.metric or args.input),
         "bicriteria_cost": anchors.cost,
     })
     t3 = time.perf_counter()
@@ -209,17 +208,17 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     report = _report_skeleton("verify", _config_echo(args))
     t0 = time.perf_counter()
-    core = cio.load_coreset(args.coreset)
     P = _load_input(args)
+    core = cio.load_coreset(args.coreset, P.metric)
+    source = args.metric or args.input
     recorded = core.provenance.get("input_sha256")
-    if recorded is not None and recorded != cio.file_sha256(args.input):
-        print("verify: input file does not match the coreset's provenance hash",
+    if recorded is not None and recorded != cio.file_sha256(source):
+        print(f"verify: {source} does not match the coreset's provenance hash",
               file=sys.stderr)
         return EXIT_VALIDATION
-    if P.metric.is_euclidean and core.metric.is_euclidean:
-        if core.points.shape[1] != P.points.shape[1]:
-            print("verify: coreset and data dimensions differ", file=sys.stderr)
-            return EXIT_VALIDATION
+    if P.metric.is_euclidean and core.points.shape[1] != P.points.shape[1]:
+        print("verify: coreset and data dimensions differ", file=sys.stderr)
+        return EXIT_VALIDATION
     k = args.k or core.provenance.get("k")
     if not k:
         print("verify: k not recorded in coreset; pass --k", file=sys.stderr)

@@ -71,7 +71,7 @@ class Metric:
         return None if self.matrix is None else self.matrix.shape[0]
 
     @staticmethod
-    def from_matrix(matrix, validate: bool = True) -> "Metric":
+    def from_matrix(matrix) -> "Metric":
         """Build an explicit finite metric, checking the metric axioms.
 
         Zero diagonal and symmetry are always checked exactly.  The triangle
@@ -79,32 +79,31 @@ class Metric:
         and over SAMPLED_PAIRS seeded pairs (every intermediate) otherwise.
         """
         D = np.asarray(matrix, dtype=float)
-        if validate:
-            if D.ndim != 2 or D.shape[0] != D.shape[1]:
-                raise LoadError(f"distance matrix must be square, got shape {D.shape}")
-            if not np.all(np.isfinite(D)):
-                raise LoadError("distance matrix contains non-finite entries")
-            if np.any(D < 0):
-                raise LoadError("distance matrix contains negative entries")
-            if np.any(np.diag(D) != 0):
-                raise LoadError("distance matrix has a nonzero diagonal")
-            if not np.allclose(D, D.T, rtol=0, atol=0):
-                raise LoadError("distance matrix is not symmetric")
-            n = D.shape[0]
-            tol = REL_TOL * max(1.0, float(D.max()))
-            if n <= FULL_CHECK_LIMIT:
-                for j in range(n):
-                    if np.any(D > D[:, [j]] + D[[j], :] + tol):
-                        raise LoadError(
-                            f"triangle inequality violated through point {j}")
-            else:
-                # spot check: sampled (i, k) pairs against every intermediate
-                rng = np.random.default_rng(0)
-                i = rng.integers(0, n, size=SAMPLED_PAIRS)
-                k = rng.integers(0, n, size=SAMPLED_PAIRS)
-                slack = (D[i, :] + D[:, k].T).min(axis=1)
-                if np.any(D[i, k] > slack + tol):
-                    raise LoadError("triangle inequality violated on sampled pair")
+        if D.ndim != 2 or D.shape[0] != D.shape[1]:
+            raise LoadError(f"distance matrix must be square, got shape {D.shape}")
+        if not np.all(np.isfinite(D)):
+            raise LoadError("distance matrix contains non-finite entries")
+        if np.any(D < 0):
+            raise LoadError("distance matrix contains negative entries")
+        if np.any(np.diag(D) != 0):
+            raise LoadError("distance matrix has a nonzero diagonal")
+        if not np.allclose(D, D.T, rtol=0, atol=0):
+            raise LoadError("distance matrix is not symmetric")
+        n = D.shape[0]
+        tol = REL_TOL * max(1.0, float(D.max()))
+        if n <= FULL_CHECK_LIMIT:
+            for j in range(n):
+                if np.any(D > D[:, [j]] + D[[j], :] + tol):
+                    raise LoadError(
+                        f"triangle inequality violated through point {j}")
+        else:
+            # spot check: sampled (i, k) pairs against every intermediate
+            rng = np.random.default_rng(0)
+            i = rng.integers(0, n, size=SAMPLED_PAIRS)
+            k = rng.integers(0, n, size=SAMPLED_PAIRS)
+            slack = (D[i, :] + D[:, k].T).min(axis=1)
+            if np.any(D[i, k] > slack + tol):
+                raise LoadError("triangle inequality violated on sampled pair")
         return Metric(kind=MATRIX, matrix=D)
 
 

@@ -3,8 +3,10 @@
 Point files are CSV (one point per row, d columns) or JSON lines with a
 "coords" field; the dimension is inferred from the first row and mixed widths
 are a load error.  Explicit metrics are square CSV matrices.  Coresets
-round-trip losslessly through a single JSON document.  All writes go through
-a temp file plus atomic rename so failures never leave partial output.
+round-trip losslessly through a single JSON document that names its metric's
+kind but not its matrix: the loader takes the metric the ids refer to.  All
+writes go through a temp file plus atomic rename so failures never leave
+partial output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import InputError, LoadError, Metric, PointSet
+from .geometry import InputError, LoadError, Metric, PointSet, as_points
 from .construction import StaticCoreset, ThresholdCoreset
 
 
@@ -113,25 +115,13 @@ def dump_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _metric_to_dict(metric: Metric) -> dict:
-    if metric.is_euclidean:
-        return {"kind": metric.kind}
-    return {"kind": metric.kind, "matrix": metric.matrix.tolist()}
-
-
-def _metric_from_dict(obj: dict) -> Metric:
-    if obj["kind"] == "euclidean":
-        return Metric()
-    return Metric.from_matrix(np.asarray(obj["matrix"]), validate=False)
-
-
 def coreset_to_dict(core) -> dict:
     if isinstance(core, StaticCoreset):
         return {
             "type": "static",
             "z": core.z,
             "eps": core.eps,
-            "metric": _metric_to_dict(core.metric),
+            "metric": {"kind": core.metric.kind},
             "points": [
                 {"coords": p.tolist() if core.metric.is_euclidean else int(p),
                  "weight": float(w)}
@@ -146,7 +136,7 @@ def coreset_to_dict(core) -> dict:
             "type": "threshold",
             "z": core.z,
             "eps": core.eps,
-            "metric": _metric_to_dict(core.metric),
+            "metric": {"kind": core.metric.kind},
             "points": [
                 {"coords": p.tolist() if euclid else int(p),
                  "weight": float(w), "threshold": float(t), "center": int(c)}
@@ -164,14 +154,15 @@ def coreset_to_dict(core) -> dict:
     raise TypeError(f"not a coreset: {type(core)!r}")
 
 
-def coreset_from_dict(obj: dict):
-    metric = _metric_from_dict(obj["metric"])
-    euclid = metric.is_euclidean
+def coreset_from_dict(obj: dict, metric: Metric = Metric()):
+    """A coreset from its JSON document.  The document names only the kind of
+    its metric; `metric` is the one its points (or ids) live in."""
+    if obj["metric"]["kind"] != metric.kind:
+        raise LoadError(f"coreset metric {obj['metric']['kind']!r} does not "
+                        f"match the data's {metric.kind!r}")
 
     def as_pts(items):
-        if euclid:
-            return np.asarray([it["coords"] for it in items], dtype=float)
-        return np.asarray([it["coords"] for it in items], dtype=np.intp)
+        return as_points(metric, [it["coords"] for it in items])
 
     if obj["type"] == "static":
         pts = as_pts(obj["points"])
@@ -181,7 +172,7 @@ def coreset_from_dict(obj: dict):
     if obj["type"] == "threshold":
         pts = (as_pts(obj["points"]) if obj["points"] else
                (np.empty((0, len(obj["projected"][0]["coords"])))
-                if euclid else np.empty(0, dtype=np.intp)))
+                if metric.is_euclidean else np.empty(0, dtype=np.intp)))
         w = np.asarray([it["weight"] for it in obj["points"]], dtype=float)
         tau = np.asarray([it["threshold"] for it in obj["points"]], dtype=float)
         cen = np.asarray([it["center"] for it in obj["points"]], dtype=np.intp)
@@ -190,6 +181,10 @@ def coreset_from_dict(obj: dict):
                     for it in obj["projected"]]
         proj_cum = [np.concatenate([[0.0], np.cumsum(it["masses"])])
                     for it in obj["projected"]]
+        if np.any((cen < 0) | (cen >= len(proj))) or any(
+                len(c) != len(t) + 1 for t, c in zip(proj_tau, proj_cum)):
+            raise LoadError("threshold centers or masses do not match the "
+                            "projected points")
         return ThresholdCoreset(
             sampled_points=pts, sampled_weights=w, sampled_tau=tau,
             sampled_center=cen, proj_points=proj, proj_tau=proj_tau,
@@ -202,9 +197,15 @@ def save_coreset(path, core) -> None:
     dump_json(path, coreset_to_dict(core))
 
 
-def load_coreset(path):
+def load_coreset(path, metric: Metric = Metric()):
+    """A coreset file over `metric`; a malformed file is a LoadError naming it."""
     with open(path) as fh:
-        return coreset_from_dict(json.load(fh))
+        try:
+            return coreset_from_dict(json.load(fh), metric)
+        except KeyError as exc:
+            raise LoadError(f"{path}: coreset file lacks the field {exc}") from exc
+        except (LookupError, TypeError, ValueError) as exc:
+            raise LoadError(f"{path}: {exc}") from exc
 
 
 def gaussian_mixture(n: int, d: int, k: int, seed: int, spread: float = 6.0,

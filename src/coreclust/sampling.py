@@ -10,7 +10,6 @@ and seed give bit-identical outputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -111,9 +110,6 @@ class VerificationReport:
             "seed": self.seed,
             "details": self.details,
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
 def _as_value_table(values) -> np.ndarray:

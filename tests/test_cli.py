@@ -15,6 +15,15 @@ def data_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def metric_file(tmp_path):
+    from coreclust.geometry import metric_from_points
+    path = tmp_path / "metric.csv"
+    np.savetxt(path, metric_from_points(gaussian_mixture(40, 2, 2, seed=6)).matrix,
+               delimiter=",")
+    return path
+
+
 def read(path):
     with open(path) as fh:
         return json.load(fh)
@@ -143,6 +152,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "k" in err
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"type": "static"}',
+        json.dumps({"type": "static", "z": 1.0, "eps": 0.3,
+                    "metric": {"kind": "explicit-matrix"},
+                    "points": [{"coords": 999, "weight": 40.0}]}),
+    ], ids=["not-json", "no-metric", "id-outside-metric"])
+    def test_malformed_coreset_file(self, tmp_path, metric_file, capsys, text):
+        core = tmp_path / "core.json"
+        core.write_text(text)
+        assert main(["verify", "--coreset", str(core), "--input",
+                     str(metric_file), "--metric", str(metric_file),
+                     "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(core) in err
+
     def test_no_partial_output_on_failure(self, tmp_path, data_file):
         target = tmp_path / "sub" / "report.json"
         code = main(["bicriteria", "--input", str(data_file), "--k", "999",
@@ -176,6 +201,41 @@ class TestStrictReasons:
         assert code == 4
         err = capsys.readouterr().err
         assert "n_centers 10" in err and "center_bound 6" in err
+
+
+class TestZeroCostQueries:
+    """Every query costs 0 on 60 copies of one point."""
+
+    @pytest.fixture
+    def one_point(self, tmp_path):
+        data, core = tmp_path / "same.csv", tmp_path / "core.json"
+        np.savetxt(data, np.ones((60, 2)), delimiter=",")
+        assert main(["build-coreset", "--input", str(data), "--k", "2",
+                     "--eps", "0.3", "--seed", "1", "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        return data, core
+
+    def verify(self, tmp_path, data, core):
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--coreset", str(core), "--input", str(data),
+                     "--seed", "1", "--strict", "--out", str(out)])
+        return code, read(out)["results"]
+
+    def test_zero_cost_queries_are_audited(self, tmp_path, one_point):
+        code, res = self.verify(tmp_path, *one_point)
+        assert code == 0
+        assert res["max_relative_error"] == 0.0 and res["argmax_query"] == 0
+        assert res["pass"]
+
+    def test_nonzero_coreset_cost_fails(self, tmp_path, one_point, capsys):
+        data, core = one_point
+        doc = read(core)
+        doc["points"][0]["coords"] = [2.0, 2.0]
+        core.write_text(json.dumps(doc))
+        code, res = self.verify(tmp_path, data, core)
+        assert code == 4
+        assert res["max_relative_error"] == float("inf") and not res["pass"]
+        assert "max_relative_error inf" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -288,22 +348,33 @@ class TestBench:
 
 
 class TestExplicitMetricCli:
-    def test_build_and_verify_with_metric(self, tmp_path):
-        from coreclust.geometry import metric_from_points
-        coords = gaussian_mixture(40, 2, 2, seed=6)
-        metric = metric_from_points(coords)
-        mpath = tmp_path / "metric.csv"
-        np.savetxt(mpath, metric.matrix, delimiter=",")
+    def test_build_and_verify_with_metric(self, tmp_path, metric_file):
         core_path = tmp_path / "core.json"
-        # point ids come from the matrix; --input doubles as the hashed file
-        code = main(["build-coreset", "--input", str(mpath), "--metric",
-                     str(mpath), "--k", "2", "--eps", "0.3", "--seed", "2",
+        # point ids come from the matrix, which is also the hashed file
+        code = main(["build-coreset", "--input", str(metric_file), "--metric",
+                     str(metric_file), "--k", "2", "--eps", "0.3", "--seed", "2",
                      "--coreset-out", str(core_path)])
         assert code == 0
         code = main(["verify", "--coreset", str(core_path), "--input",
-                     str(mpath), "--metric", str(mpath), "--seed", "2",
+                     str(metric_file), "--metric", str(metric_file), "--seed", "2",
                      "--queries", "25"])
         assert code == 0
+
+    def test_verify_rejects_another_matrix(self, tmp_path, data_file,
+                                          metric_file, capsys):
+        core = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(data_file), "--metric",
+                     str(metric_file), "--k", "2", "--eps", "0.3", "--seed",
+                     "2", "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        scaled = tmp_path / "scaled.csv"
+        np.savetxt(scaled, 2 * np.loadtxt(metric_file, delimiter=","),
+                   delimiter=",")
+        code = main(["verify", "--coreset", str(core), "--input",
+                     str(data_file), "--metric", str(scaled), "--seed", "2",
+                     "--queries", "25"])
+        assert code == 3
+        assert "provenance hash" in capsys.readouterr().err
 
 
 class TestStdinStream:

@@ -134,6 +134,19 @@ class TestCoresetFiles:
             x = pts[rng.choice(20, 2, replace=False)]
             assert loaded.cost(x) == pytest.approx(core.cost(x), rel=1e-15)
 
+    @pytest.mark.parametrize("field, value", [
+        ("center", 7), ("center", -1), ("masses", [1.0, 2.0, 3.0])])
+    def test_threshold_parts_must_match(self, tmp_path, field, value):
+        pts = np.random.default_rng(4).normal(size=(20, 2))
+        core = metric_b_coreset(PointSet(pts), pts[:2], t=9, eps=0.3, seed=5)
+        doc = coreset_to_dict(core)
+        part = doc["points" if field == "center" else "projected"][0]
+        part[field] = value
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LoadError, match="do not match the projected"):
+            load_coreset(path)
+
     def test_byte_identical_reserialization(self, tmp_path):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(15, 2))
@@ -150,9 +163,22 @@ class TestCoresetFiles:
         core = k_median_coreset(P, np.array([0, 5]), t=6, eps=0.2, seed=7)
         path = tmp_path / "core.json"
         save_coreset(path, core)
-        loaded = load_coreset(path)
+        loaded = load_coreset(path, metric)
         q = np.array([1, 8])
         assert loaded.cost(q) == pytest.approx(core.cost(q), rel=1e-15)
+        with pytest.raises(LoadError, match="does not match"):
+            load_coreset(path)
+
+    def test_explicit_metric_file_holds_ids_not_the_matrix(self, tmp_path):
+        coords = np.random.default_rng(8).normal(size=(200, 2))
+        P = PointSet(np.arange(200), metric=metric_from_points(coords))
+        core = k_median_coreset(P, np.array([0, 70, 140]), t=40, eps=0.2,
+                                seed=9)
+        path = tmp_path / "core.json"
+        save_coreset(path, core)
+        assert json.loads(path.read_text())["metric"] == {
+            "kind": "explicit-matrix"}
+        assert path.stat().st_size < 100 * len(core)
 
     @settings(max_examples=30, deadline=None)
     @given(build=st.sampled_from([k_median_coreset, metric_b_coreset]),
@@ -172,7 +198,7 @@ class TestCoresetFiles:
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
             save_coreset(first, core)
-            loaded = load_coreset(first)
+            loaded = load_coreset(first, metric)
             save_coreset(second, loaded)
             assert first.read_bytes() == second.read_bytes()
         for _ in range(5):
@@ -180,6 +206,6 @@ class TestCoresetFiles:
             assert loaded.cost(x) == core.cost(x)
 
     def test_unknown_type_rejected(self):
-        with pytest.raises((LoadError, KeyError)):
+        with pytest.raises(LoadError):
             coreset_from_dict({"type": "mystery", "metric": {"kind": "euclidean"},
                                "z": 1, "eps": 0.1, "points": []})
