@@ -25,7 +25,6 @@ from .geometry import (
     Metric,
     check_power,
     coerce_weighted,
-    cost,
     nearest_center,
     take_smallest,
     weighted_sum,
@@ -53,6 +52,9 @@ class BicriteriaResult:
     n: float
     seed: int | None = None
     meta: dict = field(default_factory=dict)
+    # nearest center in B of every input point (ties: lowest index), from the
+    # pass that gives total_cost; None until bicriteria() fills it
+    assignment: np.ndarray | None = None
 
     @property
     def n_centers(self) -> int:
@@ -164,7 +166,8 @@ def bicriteria(P, eps: float, provider: MedianProvider, seed: int,
     points, weights, metric = coerce_weighted(P)
     rng = rng_for(seed, 1)
     res = peel_bicriteria(points, weights, metric, eps / 100.0, provider, rng, z)
-    res.total_cost = cost((points, weights, metric), res.B, z)
+    res.assignment, dz = nearest_center(metric, points, res.B, z)
+    res.total_cost = float(weighted_sum(dz, weights))
     res.seed = seed
     res.meta.update({"eps": eps, "z": z})
     return res

@@ -83,6 +83,9 @@ def _query_grid(P: PointSet, k: int, n_queries: int, seed: int,
         queries.append(brute_force_k_median(P, k, candidates=P.points).centers)
     elif extra_centers is not None:
         queries.append(np.asarray(extra_centers))
+    if not queries:
+        raise InputError(f"no queries to audit: --queries is {n_queries} and "
+                         f"C({len(P)}, {k}) is too large for the brute optimum")
     return queries
 
 

@@ -22,9 +22,11 @@ REL_TOL = 1e-9
 EUCLIDEAN = "euclidean"
 MATRIX = "explicit-matrix"
 
-# Working set of a kernel call beyond its outputs, in float64 entries; rows
-# whose width m*d is at most EXACT_MAX_WIDTH get the exact difference form.
-CHUNK_CELLS = 1 << 20
+# Working set of a kernel call beyond its outputs, in float64 entries: the
+# exact form holds three blocks of CHUNK_CELLS (1.5 MiB), which stay in a
+# 2 MiB per-core L2.  Rows whose width m*d is at most EXACT_MAX_WIDTH get the
+# exact difference form.
+CHUNK_CELLS = 1 << 16
 EXACT_MAX_WIDTH = 4096
 
 FULL_CHECK_LIMIT = 128
@@ -258,7 +260,9 @@ def nearest_center(metric: Metric, points, centers, z=1.0):
     """Nearest center of every point and its powered distance: (idx, d**z).
 
     Ties go to the lowest center index.  Rows go through pairwise_dist in
-    blocks of about CHUNK_CELLS distances; a d**z that overflows raises.
+    blocks of about CHUNK_CELLS (2^16) distances, so the working set stays in
+    cache and memory beyond the outputs is O(CHUNK_CELLS); a d**z that
+    overflows raises.
     """
     z = check_power(z)
     c = check_centers(metric, centers)

@@ -22,7 +22,6 @@ from .geometry import (
     check_power,
     coerce_weighted,
     cost,
-    nearest_center,
     pairwise_dist,
     weighted_sum,
 )
@@ -63,7 +62,7 @@ def _finalize(metric, points, weights, centers, z, method, evals,
 def _distance_cache(metric, points, cand, z) -> np.ndarray:
     """Candidate-major d**z: row j holds every point's distance to cand[j].
 
-    Filled by row blocks of about CHUNK_CELLS distances, so no (n, m)
+    Filled by row blocks of about CHUNK_CELLS (2^16) distances, so no (n, m)
     temporary exists; the bits are those of pairwise_dist(...) ** z.
     """
     DT = np.empty((len(cand), len(points)))
@@ -127,10 +126,11 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
 
     Every d**z is computed once into a candidate-major (m, n) cache.  A swap
     slot's candidates are costed in scan order, in blocks of about
-    CHUNK_CELLS distances, and the scan stops after the first block that holds
-    an improving candidate; the first such candidate is the one a full scan
-    would pick.  `evaluations` counts the candidate costs actually computed:
-    k for the start plus every candidate in every block costed.
+    CHUNK_CELLS (2^16) distances, and the scan stops after the first block
+    that holds an improving candidate; the first such candidate is the one a
+    full scan would pick.  `evaluations` counts the candidate costs actually
+    computed: k for the start plus every candidate in every block costed, so
+    it depends on CHUNK_CELLS while the centers and the cost do not.
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
@@ -217,8 +217,7 @@ def constant_factor_metric_kmedian(P, k: int, eps: float, delta: float,
     points, weights, metric = coerce_weighted(P)
     bic = metric_kmedian_bicriteria((points, weights, metric), k, eps, delta,
                                     seed, z=1.0, c=c, beta=beta)
-    idx, _ = nearest_center(metric, points, bic.B)
-    masses = np.bincount(idx, weights=weights, minlength=len(bic.B))
+    masses = np.bincount(bic.assignment, weights=weights, minlength=len(bic.B))
     used = np.flatnonzero(masses > 0)
     proj_pts, proj_w = bic.B[used], masses[used]
     inner = solve_weighted((proj_pts, proj_w, metric), k, proj_pts, seed=seed)

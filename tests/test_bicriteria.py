@@ -11,9 +11,16 @@ from coreclust.bicriteria import (
     metric_kmedian_bicriteria,
     peel_bicriteria,
 )
-from coreclust.geometry import InputError, Metric, PointSet, cost
+from coreclust.geometry import (
+    InputError,
+    Metric,
+    PointSet,
+    cost,
+    metric_from_points,
+    nearest_center,
+)
 from coreclust.sampling import rng_for
-from coreclust.solvers import brute_force_k_median
+from coreclust.solvers import brute_force_k_median, constant_factor_metric_kmedian
 
 
 def check_partition(res, n):
@@ -163,6 +170,63 @@ class TestMetricKMedian:
         assert len(a.B) <= 3
         assert np.array_equal(a.B, b.B)
         assert a.total_cost == b.total_cost
+
+
+class TestAssignment:
+    """bicriteria() keeps the nearest-center pass that gives total_cost, and
+    the constant-factor step projects with it instead of a second pass."""
+
+    @staticmethod
+    def repeated_points(kind):
+        # 1,500 points on 200 sites: above the guard 10 / (eps/100) = 1,000
+        # at eps = 1, so the peeling loop runs
+        rng = np.random.default_rng(31)
+        coords = rng.normal(size=(200, 2))
+        rows = np.concatenate([np.arange(200), rng.integers(0, 200, 1300)])
+        if kind == "euclidean":
+            return PointSet(coords[rows])
+        return PointSet(rows, metric=metric_from_points(coords))
+
+    @pytest.mark.parametrize("kind", ["euclidean", "explicit-matrix"])
+    @pytest.mark.parametrize("z", [1.0, 2.0])
+    def test_assignment_is_the_nearest_center_pass(self, kind, z):
+        P = self.repeated_points(kind)
+        res = metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1, seed=2,
+                                        z=z, beta=12)
+        assert len(res.rounds) > 1 and len(res.B) < len(P)
+        idx, _ = nearest_center(P.metric, P.points, res.B, z)
+        assert res.assignment.dtype == idx.dtype
+        assert np.array_equal(res.assignment, idx)
+        assert res.total_cost == cost(P, res.B, z)
+
+    def test_constant_factor_makes_one_pass_over_the_input(self, monkeypatch):
+        import coreclust.geometry as geometry
+        import coreclust.solvers as solvers
+
+        P = self.repeated_points("euclidean")
+        bics, rows = [], []
+        pairwise, bicrit = geometry.pairwise_dist, solvers.metric_kmedian_bicriteria
+
+        def counting(metric, points, centers):
+            out = pairwise(metric, points, centers)
+            # blocks of the input itself are views of its array
+            if np.shares_memory(points, P.points):
+                rows.append((len(points), np.asarray(centers).copy()))
+            return out
+
+        def capture(*args, **kwargs):
+            bics.append(bicrit(*args, **kwargs))
+            return bics[-1]
+
+        monkeypatch.setattr(geometry, "pairwise_dist", counting)
+        monkeypatch.setattr(solvers, "pairwise_dist", counting)
+        monkeypatch.setattr(solvers, "metric_kmedian_bicriteria", capture)
+        constant_factor_metric_kmedian(P, k=3, eps=1.0, delta=0.1, seed=2,
+                                       beta=12)
+        (bic,) = bics
+        against_B = sum(n for n, c in rows
+                        if len(c) == len(bic.B) and np.array_equal(c, bic.B))
+        assert against_B == len(P)
 
 
 class TestGenericProvider:

@@ -152,6 +152,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "k" in err
 
+    def test_audit_without_queries_is_a_validation_error(self, tmp_path,
+                                                         data_file, capsys):
+        # C(60, 4) is above the brute-force limit, so --queries 0 leaves the
+        # audit with nothing to check; it must not pass
+        core, report = tmp_path / "core.json", tmp_path / "verify.json"
+        assert main(["build-coreset", "--input", str(data_file), "--k", "4",
+                     "--eps", "0.3", "--seed", "1", "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--input", str(data_file), "--coreset",
+                     str(core), "--seed", "1", "--queries", "0", "--strict",
+                     "--out", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "queries" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("text", [
         "{not json",
         '{"type": "static"}',

@@ -6,6 +6,7 @@ the chunk budget.  Shapes cover both sides of EXACT_MAX_WIDTH and the
 explicit-matrix metric.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -56,6 +57,10 @@ kinds = st.sampled_from(["euclidean", MATRIX])
 shapes = st.sampled_from(SHAPES)
 seeds = st.integers(0, 2 ** 32 - 1)
 powers = st.sampled_from([1.0, 2.0, 2.5])
+# small budgets split every call; the default and the old 2^20 are compared
+# with each other through the unpatched call
+chunks = st.one_of(st.integers(1, 5000),
+                   st.sampled_from([geometry.CHUNK_CELLS, 1 << 20]))
 
 
 @FEW
@@ -73,7 +78,7 @@ def test_row_slices_match_the_whole_call(kind, shape, n, seed, z, cuts):
 
 @FEW
 @given(kind=kinds, shape=shapes, n=st.integers(1, 300), seed=seeds, z=powers,
-       prefix=st.integers(1, 300), chunk=st.integers(1, 5000))
+       prefix=st.integers(1, 300), chunk=chunks)
 def test_rows_do_not_depend_on_n_or_the_chunk_budget(kind, shape, n, seed, z,
                                                      prefix, chunk):
     metric, P, C = instance(kind, n, shape, seed)
@@ -85,9 +90,21 @@ def test_rows_do_not_depend_on_n_or_the_chunk_budget(kind, shape, n, seed, z,
         assert_same(nearest_center(metric, P, C, z), whole)
 
 
+@pytest.mark.parametrize("kind, shape", [
+    ("euclidean", (700, 2)), ("euclidean", (2049, 2)), ("euclidean", (257, 16)),
+    (MATRIX, (12, 1))])
+def test_default_and_old_block_sizes_agree(kind, shape):
+    # 3,000 rows: many blocks at the default budget, one block at 2^20
+    metric, P, C = instance(kind, 3000, shape, seed=17)
+    with mock.patch.object(geometry, "CHUNK_CELLS", 1 << 20):
+        old = nearest_center(metric, P, C, 2.0), pairwise_dist(metric, P, C)
+    assert_same(nearest_center(metric, P, C, 2.0), old[0])
+    assert np.array_equal(pairwise_dist(metric, P, C), old[1])
+
+
 @FEW
 @given(kind=kinds, shape=shapes, n=st.integers(1, 200), seed=seeds,
-       chunk=st.integers(1, 5000))
+       chunk=chunks)
 def test_pairwise_rows_do_not_depend_on_chunking(kind, shape, n, seed, chunk):
     metric, P, C = instance(kind, n, shape, seed)
     whole = pairwise_dist(metric, P, C)
@@ -134,6 +151,24 @@ def test_a_point_is_at_distance_zero_from_itself_in_both_forms():
         assert np.all(np.diag(pairwise_dist(Metric(), P, P)) == 0.0)
         idx, dz = nearest_center(Metric(), P, P)
         assert idx.tolist() == list(range(m)) and not dz.any()
+
+
+@pytest.mark.parametrize("n, m, d", [(20_000, 2_000, 2), (20_000, 2_100, 2),
+                                     (5_000, 300, 16)])
+def test_peak_memory_is_the_outputs_plus_a_few_blocks(n, m, d):
+    rng = np.random.default_rng(4)
+    P, C = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    tracemalloc.start()
+    try:
+        nearest_center(Metric(), P, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # idx and d**z are 16 bytes a row; beyond them a few blocks of
+    # CHUNK_CELLS float64 (about 4.2 at (20000, 2000): the block, the exact
+    # form's two temporaries, the previous block and ufunc buffers), where a
+    # full (n, m) matrix would be 8*n*m
+    assert peak < 16 * n + 6 * 8 * geometry.CHUNK_CELLS
 
 
 def test_equidistant_point_takes_the_first_center():

@@ -110,7 +110,7 @@ class TestBruteForce:
         cand = np.vstack([pts[:12], pts[[3, 7]]])      # repeated candidates
         data = (pts, rng.uniform(0.1, 10, 80), Metric())
         want = brute_force_k_median(data, 3, cand)
-        for chunk in (1, 80, 3 * 80 + 1, 5000):
+        for chunk in (1, 80, 3 * 80 + 1, 5000, geometry.CHUNK_CELLS, 1 << 20):
             with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
                 got = brute_force_k_median(data, 3, cand)
             assert np.array_equal(got.centers, want.centers)
@@ -214,7 +214,7 @@ class TestLocalSearchCache:
            m=st.integers(1, 24), d=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
            z=st.sampled_from([1.0, 2.0]), use_init=st.booleans(),
-           chunk=st.sampled_from([None, 1, 7, 100, 2000]))
+           chunk=st.sampled_from([None, 1, 7, 100, 2000, 1 << 20]))
     def test_matches_the_full_matrix_search(self, kind, n, m, d, seed, k, z,
                                             use_init, chunk):
         data, cand = search_instance(kind, n, m, d, seed)
@@ -233,7 +233,8 @@ class TestLocalSearchCache:
         data, cand = search_instance(kind, 120, 40, 2, seed=5)
         whole = weighted_local_search(data, 3, cand, z=2.0, seed=4)
         evals = {}
-        for chunk in [1, 2, 3, 50, 239, 240, 1000, 4000, 1 << 20]:
+        for chunk in [1, 2, 3, 50, 239, 240, 1000, 4000, geometry.CHUNK_CELLS,
+                      1 << 20]:
             with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
                 res = weighted_local_search(data, 3, cand, z=2.0, seed=4)
             assert np.array_equal(res.centers, whole.centers)
@@ -245,13 +246,23 @@ class TestLocalSearchCache:
         assert evals[1 << 20] == whole.evaluations == max(evals.values())
         assert evals[1] < evals[1 << 20]
 
+    def test_default_and_old_budgets_take_the_same_swaps(self):
+        # 1,500 points: many candidate blocks at the default, one at 2^20
+        data, cand = search_instance("euclidean", 1500, 400, 2, seed=6)
+        new = weighted_local_search(data, 3, cand, seed=3)
+        with mock.patch.object(geometry, "CHUNK_CELLS", 1 << 20):
+            old = weighted_local_search(data, 3, cand, seed=3)
+        assert np.array_equal(new.centers, old.centers)
+        assert new.cost == old.cost
+        assert new.evaluations < old.evaluations
+
     @pytest.mark.parametrize("kind", ["euclidean", MATRIX])
     def test_local_optimum_costs_every_candidate_once_per_slot(self, kind):
         data, cand = search_instance(kind, 90, 30, 2, seed=8)
         k, m = 3, len(cand)
         first = weighted_local_search(data, k, cand, seed=2)
         init = candidate_index(cand, first.centers)
-        for chunk in [1, 5, 100, 1 << 20]:
+        for chunk in [1, 5, 100, geometry.CHUNK_CELLS, 1 << 20]:
             with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
                 res = weighted_local_search(data, k, cand, seed=9, init=init)
             assert np.array_equal(res.centers, first.centers)
