@@ -24,7 +24,6 @@ from .sampling import check_seed, rng_for
 from .bicriteria import metric_kmedian_bicriteria
 from .construction import k_median_coreset
 from .solvers import (
-    BRUTE_GUARD,
     brute_force_k_median,
     constant_factor_metric_kmedian,
     solve_on_coreset,
@@ -35,6 +34,10 @@ from .streaming import StreamState, stream_push, stream_query
 from . import io as cio
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_VALIDATION, EXIT_GUARANTEE = 0, 1, 2, 3, 4
+
+# reports add the exact optimum (an audit query, the bicriteria lower bound)
+# only up to this many k-subsets
+REPORT_BRUTE_LIMIT = 10 ** 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +82,7 @@ def _query_grid(P: PointSet, k: int, n_queries: int, seed: int,
     rng = rng_for(seed, 10)
     queries = [P.points[np.sort(rng.choice(len(P), size=k, replace=False))]
                for _ in range(n_queries)]
-    if math.comb(len(P), k) <= min(BRUTE_GUARD, 10 ** 5):
+    if math.comb(len(P), k) <= REPORT_BRUTE_LIMIT:
         queries.append(brute_force_k_median(P, k, candidates=P.points).centers)
     elif extra_centers is not None:
         queries.append(np.asarray(extra_centers))
@@ -162,7 +165,7 @@ def cmd_bicriteria(args) -> int:
                                     c=args.c, beta=args.beta)
     t1 = time.perf_counter()
     opt = None
-    if math.comb(len(P), args.k) <= 10 ** 5:
+    if math.comb(len(P), args.k) <= REPORT_BRUTE_LIMIT:
         opt = brute_force_k_median(P, args.k, candidates=P.points).cost
     results = {
         "n_centers": res.n_centers,

@@ -22,10 +22,10 @@ REL_TOL = 1e-9
 EUCLIDEAN = "euclidean"
 MATRIX = "explicit-matrix"
 
-# Working set of a kernel call beyond its outputs, in float64 entries: the
-# exact form holds three blocks of CHUNK_CELLS (1.5 MiB), which stay in a
-# 2 MiB per-core L2.  Rows whose width m*d is at most EXACT_MAX_WIDTH get the
-# exact difference form.
+# Distances per pairwise_dist block, walked by nearest_center and
+# distance_table: the exact form holds two blocks of CHUNK_CELLS float64
+# (1 MiB) at a time, which stay in a 2 MiB per-core L2.  Rows whose width
+# m*d is at most EXACT_MAX_WIDTH get the exact difference form.
 CHUNK_CELLS = 1 << 16
 EXACT_MAX_WIDTH = 4096
 
@@ -112,8 +112,8 @@ class Metric:
 def metric_from_points(coords) -> Metric:
     """Explicit metric induced by Euclidean distances of the given points."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    D = pairwise_dist(Metric(), coords, coords)
-    D = 0.5 * (D + D.T)
+    DT = distance_table(Metric(), coords, coords)
+    D = 0.5 * (DT + DT.T)
     np.fill_diagonal(D, 0.0)
     return Metric(kind=MATRIX, matrix=D)
 
@@ -190,11 +190,11 @@ def coerce_weighted(obj):
     return points, weights, metric
 
 
-def _sq_dist(a, b) -> np.ndarray:
+def _sq_dist(a, b, diff) -> np.ndarray:
     """The one exact squared distance, over the first axis of broadcast
-    (d, ...) arrays: (a_j - b_j)^2 added one coordinate at a time, left to right."""
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    acc, diff = np.zeros(shape), np.empty(shape)
+    (d, ...) arrays: (a_j - b_j)^2 added one coordinate at a time, left to
+    right.  diff is scratch space of the broadcast shape."""
+    acc = np.zeros(diff.shape)
     for a_j, b_j in zip(a, b):
         np.subtract(a_j, b_j, out=diff)
         acc += np.multiply(diff, diff, out=diff)
@@ -202,7 +202,8 @@ def _sq_dist(a, b) -> np.ndarray:
 
 
 def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
-    """Base (unpowered) distances, shape (n_points, n_centers).
+    """Base (unpowered) distances of one block, a C-ordered (n_points,
+    n_centers) array; callers pass blocks of about CHUNK_CELLS distances.
 
     The exact form (_sq_dist) up to row width m*d = EXACT_MAX_WIDTH, the
     dot-product expansion (fewer passes at large m*d, but it cancels digits)
@@ -228,18 +229,16 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
             # near a center the expansion is rounding noise, even below 0 (a
             # point's distance to itself would not be 0): redo those exactly
             near = np.flatnonzero(sq <= pp[:, None] * 2.0 ** -20)
-            step = max(1, CHUNK_CELLS // P.shape[1])
-            for s in range(0, len(near), step):
-                i, j = np.divmod(near[s:s + step], len(C))
-                np.put(sq, near[s:s + step], _sq_dist(P[i].T, C[j].T))
+            i, j = np.divmod(near, len(C))
+            np.put(sq, near, _sq_dist(P[i].T, C[j].T, np.empty(len(near))))
             return np.sqrt(sq, out=sq)
-        # coordinate-major (m, rows) blocks: every pass runs along the rows
+        # coordinate-major (m, rows) arrays: every pass runs along the rows.
+        # The output's memory is the passes' scratch, so a block holds two
+        # arrays.  It is allocated before the passes: allocated after them,
+        # it let glibc trim the heap, and every verify query faulted in again
         PT, out = np.ascontiguousarray(P.T), np.empty((len(P), len(C)))
-        rows = max(1, CHUNK_CELLS // len(C))
-        for s in range(0, len(P), rows):
-            np.sqrt(_sq_dist(CT[:, :, None], PT[:, None, s:s + rows]).T,
-                    out=out[s:s + rows])
-        return out
+        sq = _sq_dist(CT[:, :, None], PT[:, None, :], out.reshape(len(C), len(P)))
+        return np.sqrt(sq.T, out=out)
 
 
 def check_centers(metric: Metric, centers) -> np.ndarray:
@@ -281,10 +280,27 @@ def nearest_center(metric: Metric, points, centers, z=1.0):
     return idx, dz
 
 
+def distance_table(metric: Metric, points, centers, z=1.0) -> np.ndarray:
+    """Center-major d**z, shape (n_centers, n_points): row j holds every
+    point's powered distance to centers[j].
+
+    Filled by row blocks of about CHUNK_CELLS distances, so memory beyond the
+    table is O(CHUNK_CELLS); the bits are those of pairwise_dist(...) ** z.
+    """
+    DT = np.empty((len(centers), len(points)))
+    rows = max(1, CHUNK_CELLS // len(centers))
+    for s in range(0, len(points), rows):
+        block = pairwise_dist(metric, points[s:s + rows], centers)
+        DT[:, s:s + rows] = np.power(block, z, out=block).T
+    return DT
+
+
 def weighted_sum(values, weights):
     """The one weighted sum, over the last axis of (n,) or (b, n) values: einsum
-    adds in one order wherever a row sits and whatever the BLAS thread count."""
-    return np.einsum("...i,i->...", values, weights)
+    adds in one order wherever a row sits and whatever the BLAS thread count,
+    once both operands are C-ordered (it adds strided ones in another order)."""
+    return np.einsum("...i,i->...", np.ascontiguousarray(values),
+                     np.ascontiguousarray(weights))
 
 
 def cost(data, centers, z=1.0) -> float:

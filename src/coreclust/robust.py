@@ -23,8 +23,8 @@ from .geometry import (
     check_centers,
     check_power,
     coerce_weighted,
+    distance_table,
     nearest_center,
-    pairwise_dist,
     trimmed_cost,
 )
 from .sampling import SampleParams, VerificationReport, rng_for
@@ -64,7 +64,7 @@ def candidate_trimmed_costs(metric: Metric, points, weights, candidates,
     """gamma-trimmed cost of every candidate as a single center."""
     count = _trim_count(gamma, float(np.sum(weights)))
     return np.array([trimmed_cost(d, weights, count) for d in
-                     (pairwise_dist(metric, points, candidates) ** z).T])
+                     distance_table(metric, points, candidates, z)])
 
 
 def verify_robust_median(P, Y, params: RobustParams, candidates,

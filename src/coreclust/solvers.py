@@ -22,7 +22,7 @@ from .geometry import (
     check_power,
     coerce_weighted,
     cost,
-    pairwise_dist,
+    distance_table,
     weighted_sum,
 )
 from .sampling import rng_for
@@ -59,26 +59,11 @@ def _finalize(metric, points, weights, centers, z, method, evals,
                        evaluations=evals)
 
 
-def _distance_cache(metric, points, cand, z) -> np.ndarray:
-    """Candidate-major d**z: row j holds every point's distance to cand[j].
-
-    Filled by row blocks of about CHUNK_CELLS (2^16) distances, so no (n, m)
-    temporary exists; the bits are those of pairwise_dist(...) ** z.
-    """
-    DT = np.empty((len(cand), len(points)))
-    rows = max(1, geometry.CHUNK_CELLS // len(cand))
-    for s in range(0, len(points), rows):
-        block = pairwise_dist(metric, points[s:s + rows], cand)
-        DT[:, s:s + rows] = np.power(block, z, out=block).T
-    return DT
-
-
-def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
-                         guard: int = BRUTE_GUARD) -> SolveResult:
+def brute_force_k_median(data, k: int, candidates, z: float = 1.0) -> SolveResult:
     """Exact optimum over all k-subsets of the candidate list.
 
     Ties go to the earliest combination in index order.  Refuses when the
-    number of combinations exceeds the guard.  Combinations are costed in
+    number of combinations exceeds BRUTE_GUARD.  Combinations are costed in
     batches of about CHUNK_CELLS gathered distances, whatever n is.
     """
     z = check_power(z)
@@ -88,10 +73,10 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0,
     if k < 1 or k > m:
         raise InputError(f"need 1 <= k <= {m} candidates, got k={k}")
     n_combos = math.comb(m, k)
-    if n_combos > guard:
-        raise InputError(
-            f"brute force refused: C({m}, {k}) = {n_combos} exceeds guard {guard}")
-    DT = _distance_cache(metric, points, cand, z)
+    if n_combos > BRUTE_GUARD:
+        raise InputError(f"brute force refused: C({m}, {k}) = {n_combos} "
+                         f"exceeds guard {BRUTE_GUARD}")
+    DT = distance_table(metric, points, cand, z)
     best_cost, best_combo = math.inf, None
     combos = combinations(range(m), k)
     size = max(1, geometry.CHUNK_CELLS // (k * max(1, len(points))))
@@ -124,13 +109,14 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     at every accepted swap and the search stops at a local optimum or after
     max_iters sweeps.
 
-    Every d**z is computed once into a candidate-major (m, n) cache.  A swap
-    slot's candidates are costed in scan order, in blocks of about
-    CHUNK_CELLS (2^16) distances, and the scan stops after the first block
-    that holds an improving candidate; the first such candidate is the one a
-    full scan would pick.  `evaluations` counts the candidate costs actually
-    computed: k for the start plus every candidate in every block costed, so
-    it depends on CHUNK_CELLS while the centers and the cost do not.
+    Every d**z is computed once into the candidate-major (m, n)
+    distance_table.  A swap slot's candidates are costed in scan order, in
+    blocks of about CHUNK_CELLS (2^16) distances, and the scan stops after
+    the first block that holds an improving candidate; the first such
+    candidate is the one a full scan would pick.  `evaluations` counts the
+    candidate costs actually computed: k for the start plus every candidate
+    in every block costed, so it depends on CHUNK_CELLS while the centers and
+    the cost do not.
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
@@ -140,7 +126,7 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
         raise InputError(f"need k >= 1, got k={k}")
     k = min(k, m)
     rng = rng_for(seed, 6)
-    DT = _distance_cache(metric, points, cand, z)
+    DT = distance_table(metric, points, cand, z)
 
     if init is None:
         chosen = list(rng.choice(m, size=k, replace=False))
@@ -162,16 +148,9 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
             bar = cur_cost * (1 - 1e-12) - 1e-15
             for s in range(0, m, step):
                 ids = order[s:s + step]
-                if step >= m:
-                    # one block holds every candidate: cost the rows where
-                    # they lie and skip the gather
-                    costs = weighted_sum(np.minimum(DT, base, out=buf), weights)[ids]
-                else:
-                    # mode="clip" writes straight into buf; "raise" copies first
-                    trial = np.take(DT, ids, axis=0, out=buf[:len(ids)],
-                                    mode="clip")
-                    costs = weighted_sum(np.minimum(trial, base, out=trial),
-                                         weights)
+                # mode="clip" writes straight into buf; "raise" copies first
+                trial = np.take(DT, ids, axis=0, out=buf[:len(ids)], mode="clip")
+                costs = weighted_sum(np.minimum(trial, base, out=trial), weights)
                 evals += len(ids)
                 hit = np.flatnonzero(costs < bar)
                 if hit.size:

@@ -219,7 +219,6 @@ class TestAssignment:
             return bics[-1]
 
         monkeypatch.setattr(geometry, "pairwise_dist", counting)
-        monkeypatch.setattr(solvers, "pairwise_dist", counting)
         monkeypatch.setattr(solvers, "metric_kmedian_bicriteria", capture)
         constant_factor_metric_kmedian(P, k=3, eps=1.0, delta=0.1, seed=2,
                                        beta=12)

@@ -21,9 +21,14 @@ from coreclust.geometry import (
     InputError,
     Metric,
     cost,
+    distance_table,
+    metric_from_points,
     nearest_center,
     pairwise_dist,
+    weighted_sum,
 )
+from coreclust.robust import candidate_trimmed_costs
+from coreclust.solvers import brute_force_k_median, weighted_local_search
 
 # (m, d): exact form up to the boundary, dot-product form above it
 SHAPES = [(1, 1), (3, 2), (40, 16), (256, 16), (257, 16), (2049, 2), (2, 3000)]
@@ -103,13 +108,15 @@ def test_default_and_old_block_sizes_agree(kind, shape):
 
 
 @FEW
-@given(kind=kinds, shape=shapes, n=st.integers(1, 200), seed=seeds,
+@given(kind=kinds, shape=shapes, n=st.integers(1, 200), seed=seeds, z=powers,
        chunk=chunks)
-def test_pairwise_rows_do_not_depend_on_chunking(kind, shape, n, seed, chunk):
+def test_pairwise_rows_do_not_depend_on_chunking(kind, shape, n, seed, z, chunk):
     metric, P, C = instance(kind, n, shape, seed)
     whole = pairwise_dist(metric, P, C)
     with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
         assert np.array_equal(pairwise_dist(metric, P, C), whole)
+        # the table is the same distances, powered and center-major
+        assert np.array_equal(distance_table(metric, P, C, z), (whole ** z).T)
     for i in range(0, n, max(1, n // 5)):
         assert np.array_equal(pairwise_dist(metric, P[i:i + 1], C)[0], whole[i])
 
@@ -165,10 +172,66 @@ def test_peak_memory_is_the_outputs_plus_a_few_blocks(n, m, d):
     finally:
         tracemalloc.stop()
     # idx and d**z are 16 bytes a row; beyond them a few blocks of
-    # CHUNK_CELLS float64 (about 4.2 at (20000, 2000): the block, the exact
-    # form's two temporaries, the previous block and ufunc buffers), where a
+    # CHUNK_CELLS float64 (about 3.3: the previous block, the exact form's
+    # output, which is also its scratch, its sum, and ufunc buffers), where a
     # full (n, m) matrix would be 8*n*m
-    assert peak < 16 * n + 6 * 8 * geometry.CHUNK_CELLS
+    assert peak < 16 * n + 4 * 8 * geometry.CHUNK_CELLS
+
+
+def test_every_pairwise_call_is_one_block(monkeypatch):
+    # only nearest_center and distance_table walk rows: every caller hands
+    # pairwise_dist about CHUNK_CELLS distances, one row when m is larger
+    pairwise, widths = geometry.pairwise_dist, []
+
+    def recording(metric, points, centers):
+        out = pairwise(metric, points, centers)
+        widths.append(out.shape)
+        return out
+
+    monkeypatch.setattr(geometry, "pairwise_dist", recording)
+    rng = np.random.default_rng(5)
+    P = rng.normal(size=(1200, 2))
+    data = (P, rng.uniform(0.1, 10.0, len(P)), Metric())
+    # each full table below is 2.7 to 5.5 blocks of CHUNK_CELLS
+    candidate_trimmed_costs(Metric(), P, data[1], P[:300], 0.8, 1.0)
+    metric_from_points(P[:600])
+    brute_force_k_median(data, 2, P[:150])
+    weighted_local_search(data, 3, P[:300], seed=1, max_iters=2)
+    nearest_center(Metric(), P, P[:300])
+    nearest_center(Metric(), P[:3, :1], rng.normal(size=(70_000, 1)))
+    assert len(widths) > 30
+    for rows, m in widths:
+        assert rows * m <= max(geometry.CHUNK_CELLS, m)
+
+
+def test_trimmed_costs_hold_one_table_plus_a_few_blocks():
+    rng = np.random.default_rng(6)
+    n, m = 3000, 600
+    P = rng.normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        candidate_trimmed_costs(Metric(), P, np.ones(n), P[:m], 0.7, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (m, n) table of d**z is 8*n*m bytes; a second (n, m) array of
+    # unpowered distances would double it
+    assert peak < 8 * n * m + 4 * 8 * geometry.CHUNK_CELLS
+
+
+@pytest.mark.parametrize("n", [17, 100, 1200, 5000])
+def test_weighted_sum_does_not_depend_on_memory_layout(n):
+    # einsum adds strided and Fortran-ordered operands in another order
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=2 * n) * 10.0 ** rng.integers(-8, 9, 2 * n)
+    w = rng.uniform(0.1, 10.0, 2 * n)
+    assert weighted_sum(v[::2], w[:n]) == weighted_sum(v[::2].copy(), w[:n])
+    assert weighted_sum(v[:n], w[::2]) == weighted_sum(v[:n], w[::2].copy())
+    batch = v[:5 * (2 * n // 5)].reshape(5, -1)
+    F = np.asfortranarray(batch)
+    rows = [weighted_sum(r.copy(), w[:batch.shape[1]]) for r in batch]
+    assert np.array_equal(weighted_sum(F, w[:batch.shape[1]]), rows)
+    assert np.array_equal(weighted_sum(batch, w[:batch.shape[1]]), rows)
 
 
 def test_equidistant_point_takes_the_first_center():

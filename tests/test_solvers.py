@@ -58,9 +58,10 @@ class TestBruteForce:
         assert res.cost == 0.0
 
     def test_guard_refuses_with_count(self):
+        # C(60, 5) = 5,461,512 is above BRUTE_GUARD
         P = PointSet(np.random.default_rng(0).normal(size=(60, 2)))
         with pytest.raises(InputError, match=r"C\(60, 5\)"):
-            brute_force_k_median(P, 5, candidates=P.points, guard=1000)
+            brute_force_k_median(P, 5, candidates=P.points)
 
     def test_evaluation_count(self):
         P = pts1d([0, 1, 2, 3])
