@@ -11,6 +11,7 @@ from .geometry import (
     Metric,
     PointSet,
     cost,
+    costs,
     dist_pow,
     metric_from_points,
     nearest_center,

@@ -29,8 +29,8 @@ from .geometry import (
     take_smallest,
     weighted_sum,
 )
-from .sampling import rng_for
-from .robust import snap_alpha
+from .sampling import check_sample_constant, rng_for
+from .robust import check_beta, snap_alpha
 
 
 @dataclass
@@ -79,6 +79,9 @@ class MedianProvider:
     alpha: float
     beta: int
     terminal: Callable | None = None
+
+    def __post_init__(self):
+        check_beta(self.beta)
 
 
 def _distinct_rows(arr: np.ndarray) -> np.ndarray:
@@ -175,6 +178,7 @@ def bicriteria(P, eps: float, provider: MedianProvider, seed: int,
 
 def metric_kmedian_beta(k: int, eps: float, delta: float, c: float = 1.0) -> int:
     """Sample size per round for the metric k-median provider."""
+    check_sample_constant(c)
     return int(math.ceil(c * (k + math.log(2.0 / delta)) / eps ** 4))
 
 
@@ -213,6 +217,7 @@ def metric_kmedian_bicriteria(P, k: int, eps: float, delta: float, seed: int,
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 0 < delta < 1:
         raise InputError(f"delta must lie in (0, 1), got {delta}")
+    check_sample_constant(c)
     if beta is None:
         beta = metric_kmedian_beta(k, eps, delta, c)
     provider = make_metric_provider(k, beta, z)

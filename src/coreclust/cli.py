@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .geometry import InputError, LoadError, PointSet, cost
+from .geometry import InputError, LoadError, PointSet, costs
 from .sampling import check_seed, rng_for
 from .bicriteria import metric_kmedian_bicriteria
 from .construction import k_median_coreset
@@ -99,10 +99,12 @@ def _guarantee_broken(command: str, message: str) -> int:
 
 def _max_rel_error(P: PointSet, core, queries) -> tuple[float, int]:
     """Worst |true - coreset| / true over the queries; where the true cost is
-    0 the error is 0 if the coreset's cost is 0 too, else infinite."""
+    0 the error is 0 if the coreset's cost is 0 too, else infinite.  The true
+    costs come from one walk over the data; the coreset is queried one set at
+    a time."""
     worst, arg = -1.0, -1
-    for i, x in enumerate(queries):
-        true, est = cost(P, x, z=core.z), core.cost(x)
+    for i, (x, true) in enumerate(zip(queries, costs(P, queries, z=core.z))):
+        true, est = float(true), core.cost(x)
         err = abs(true - est) / true if true > 0 else (0.0 if est == 0 else math.inf)
         if err > worst:
             worst, arg = err, i
@@ -122,7 +124,7 @@ def cmd_build_coreset(args) -> int:
     anchors = constant_factor_metric_kmedian(P, args.k, args.eps, args.delta,
                                              args.seed, c=args.c)
     t2 = time.perf_counter()
-    t = args.t or strong_coreset_sample_size(
+    t = args.t if args.t is not None else strong_coreset_sample_size(
         n, args.k, args.eps, args.delta, P.metric, dim=P.dim, c=args.c)
     core = k_median_coreset(P, anchors.centers, t, args.eps, z=args.z,
                             seed=args.seed)
@@ -225,8 +227,8 @@ def cmd_verify(args) -> int:
     if P.metric.is_euclidean and core.points.shape[1] != P.points.shape[1]:
         print("verify: coreset and data dimensions differ", file=sys.stderr)
         return EXIT_VALIDATION
-    k = args.k or core.provenance.get("k")
-    if not k:
+    k = args.k if args.k is not None else core.provenance.get("k")
+    if k is None:
         print("verify: k not recorded in coreset; pass --k", file=sys.stderr)
         return EXIT_VALIDATION
     eps = args.eps or core.eps

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +23,10 @@ REL_TOL = 1e-9
 EUCLIDEAN = "euclidean"
 MATRIX = "explicit-matrix"
 
-# Distances per pairwise_dist block, walked by nearest_center and
-# distance_table: the exact form holds two blocks of CHUNK_CELLS float64
-# (1 MiB) at a time, which stay in a 2 MiB per-core L2.  Rows whose width
-# m*d is at most EXACT_MAX_WIDTH get the exact difference form.
+# Distances per block, walked by nearest_center, distance_table and costs:
+# the exact form holds two blocks of CHUNK_CELLS float64 (1 MiB) at a time,
+# which stay in a 2 MiB per-core L2.  Rows whose width m*d is at most
+# EXACT_MAX_WIDTH get the exact difference form.
 CHUNK_CELLS = 1 << 16
 EXACT_MAX_WIDTH = 4096
 
@@ -190,15 +191,35 @@ def coerce_weighted(obj):
     return points, weights, metric
 
 
-def _sq_dist(a, b, diff) -> np.ndarray:
+def _sq_dist(a, b, diff, out) -> np.ndarray:
     """The one exact squared distance, over the first axis of broadcast
     (d, ...) arrays: (a_j - b_j)^2 added one coordinate at a time, left to
-    right.  diff is scratch space of the broadcast shape."""
-    acc = np.zeros(diff.shape)
-    for a_j, b_j in zip(a, b):
+    right, into out.  The first square is written straight into out, as
+    0.0 + x is x; diff is scratch space of out's shape."""
+    if len(a) == 0:
+        out.fill(0.0)
+    for j, (a_j, b_j) in enumerate(zip(a, b)):
         np.subtract(a_j, b_j, out=diff)
-        acc += np.multiply(diff, diff, out=diff)
-    return acc
+        if j:
+            out += np.multiply(diff, diff, out=diff)
+        else:
+            np.multiply(diff, diff, out=out)
+    return out
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """Uninitialised float64 array whose data starts on a 64-byte boundary:
+    the exact form's passes run slower on rows that do not."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    skip = (-raw.ctypes.data % 64) // 8
+    return raw[skip:skip + size].reshape(shape)
+
+
+def _check_dims(P, C) -> None:
+    if P.shape[1] != C.shape[1]:
+        raise InputError(
+            f"dimension mismatch: points are {P.shape[1]}-D, centers {C.shape[1]}-D")
 
 
 def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
@@ -213,9 +234,7 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
         return metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
     P = np.atleast_2d(np.asarray(points, dtype=float))
     C = np.atleast_2d(np.asarray(centers, dtype=float))
-    if P.shape[1] != C.shape[1]:
-        raise InputError(
-            f"dimension mismatch: points are {P.shape[1]}-D, centers {C.shape[1]}-D")
+    _check_dims(P, C)
     CT = np.ascontiguousarray(C.T)
     with np.errstate(over="ignore", invalid="ignore"):
         if C.size > EXACT_MAX_WIDTH:
@@ -230,14 +249,17 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
             # point's distance to itself would not be 0): redo those exactly
             near = np.flatnonzero(sq <= pp[:, None] * 2.0 ** -20)
             i, j = np.divmod(near, len(C))
-            np.put(sq, near, _sq_dist(P[i].T, C[j].T, np.empty(len(near))))
+            np.put(sq, near, _sq_dist(P[i].T, C[j].T, np.empty(len(near)),
+                                      np.empty(len(near))))
             return np.sqrt(sq, out=sq)
         # coordinate-major (m, rows) arrays: every pass runs along the rows.
         # The output's memory is the passes' scratch, so a block holds two
         # arrays.  It is allocated before the passes: allocated after them,
-        # it let glibc trim the heap, and every verify query faulted in again
-        PT, out = np.ascontiguousarray(P.T), np.empty((len(P), len(C)))
-        sq = _sq_dist(CT[:, :, None], PT[:, None, :], out.reshape(len(C), len(P)))
+        # it let glibc trim the heap, and every query faulted in again
+        m, rows = len(C), len(P)
+        PT, out = np.ascontiguousarray(P.T), np.empty((rows, m))
+        sq = _sq_dist(CT[:, :, None], PT[:, None, :], out.reshape(m, rows),
+                      np.empty((m, rows)))
         return np.sqrt(sq.T, out=out)
 
 
@@ -303,14 +325,69 @@ def weighted_sum(values, weights):
                      np.ascontiguousarray(weights))
 
 
-def cost(data, centers, z=1.0) -> float:
+def costs(data, center_sets, z=1.0) -> np.ndarray:
     """Weighted sum of d**z to the nearest center over a PointSet, a coreset
-    or a (points, weights, metric) tuple."""
+    or a (points, weights, metric) tuple, for every center set in one walk.
+
+    The points are laid out coordinate-major once.  For each set whose width
+    m*d is at most EXACT_MAX_WIDTH and each block of about CHUNK_CELLS
+    distances, _sq_dist fills a center-major (m, rows) block and a minimum
+    over its centers keeps each point's nearest squared distance; sqrt is
+    correctly rounded and monotone, so sqrt(min) is min(sqrt), and sqrt and
+    **z run once a point.  Wider sets and explicit metrics take the minimum
+    of pairwise_dist's block.  Each entry has the bits of the one-set cost.
+    Memory beyond the output is the copy plus a few blocks, whatever the
+    number of sets; a d**z that overflows raises.
+    """
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:
         raise InputError("cost of an empty point set is undefined")
-    return float(weighted_sum(nearest_center(metric, points, centers, z)[1],
-                              weights))
+    z = check_power(z)
+    n = len(points)
+    if metric.is_euclidean:
+        points = np.atleast_2d(points)
+        # rows padded to 64 bytes, so every coordinate's row is aligned too
+        PT = _aligned_empty((points.shape[1], -(-n // 8) * 8))[:, :n]
+        PT[...] = points.T
+    scratch = np.empty((2, 0))
+    dz, out = np.empty(n), np.empty(len(center_sets))
+    for q, centers in enumerate(center_sets):
+        c = check_centers(metric, centers)
+        m = len(c)
+        rows = max(1, CHUNK_CELLS // m)
+        exact = metric.is_euclidean and c.size <= EXACT_MAX_WIDTH
+        if exact:
+            _check_dims(points, c)
+            CT = c.T[:, :, None]
+            # whole 64-byte lines a block, so every block row stays aligned
+            rows = rows - rows % 8 or rows
+            if scratch.shape[1] < m * min(rows, n):
+                # diff and acc for the widest set so far: two blocks at
+                # most, and a few cells when the points are few
+                scratch = _aligned_empty((2, -(-m * min(rows, n) // 8) * 8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, n, rows):
+                near = dz[s:s + rows]
+                if exact:
+                    r = len(near)
+                    diff, acc = scratch[:, :m * r].reshape(2, m, r)
+                    sq = _sq_dist(CT, PT[:, None, s:s + r], diff, acc)
+                    np.sqrt(np.minimum.reduce(sq, axis=0, out=near), out=near)
+                else:
+                    near[...] = pairwise_dist(metric, points[s:s + rows],
+                                              c).min(axis=1)
+                near[...] = near ** z
+        if not np.all(np.isfinite(dz)):
+            raise InputError("distance to the nearest center overflows float64; "
+                             "rescale the coordinates")
+        out[q] = weighted_sum(dz, weights)
+    return out
+
+
+def cost(data, centers, z=1.0) -> float:
+    """Weighted sum of d**z to the nearest center over a PointSet, a coreset
+    or a (points, weights, metric) tuple: costs of one center set."""
+    return float(costs(data, [centers], z)[0])
 
 
 def project(P: PointSet, B) -> PointSet:

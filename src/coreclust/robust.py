@@ -30,6 +30,13 @@ from .geometry import (
 from .sampling import SampleParams, VerificationReport, rng_for
 
 
+def check_beta(beta) -> int:
+    """A center budget beta: an integer >= 1."""
+    if not float(beta).is_integer() or beta < 1:
+        raise InputError(f"beta must be a positive integer, got {beta}")
+    return int(beta)
+
+
 @dataclass(frozen=True)
 class RobustParams:
     gamma: float
@@ -44,8 +51,7 @@ class RobustParams:
             raise InputError(f"eps must lie in [0, 1), got {self.eps}")
         if self.alpha <= 0:
             raise InputError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 1 or int(self.beta) != self.beta:
-            raise InputError(f"beta must be a positive integer, got {self.beta}")
+        check_beta(self.beta)
 
 
 class RobustMedian(NamedTuple):

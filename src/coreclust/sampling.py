@@ -32,6 +32,14 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=key))
 
 
+def check_sample_constant(c) -> float:
+    """The sample-size constant c: a finite c > 0."""
+    c = float(c)
+    if not math.isfinite(c) or c <= 0:
+        raise InputError(f"sample-size constant c must be finite and > 0, got {c}")
+    return c
+
+
 @dataclass(frozen=True)
 class SampleParams:
     """Inputs to the epsilon-approximation sample-size bound."""
@@ -48,8 +56,7 @@ class SampleParams:
             raise InputError(f"delta must lie in (0, 1), got {self.delta}")
         if self.dim < 1 or int(self.dim) != self.dim:
             raise InputError(f"dim must be a positive integer, got {self.dim}")
-        if self.c <= 0:
-            raise InputError(f"c must be positive, got {self.c}")
+        check_sample_constant(self.c)
 
 
 def eps_approx_sample_size(params: SampleParams) -> int:

@@ -25,7 +25,7 @@ from .geometry import (
     distance_table,
     weighted_sum,
 )
-from .sampling import rng_for
+from .sampling import check_sample_constant, rng_for
 from .bicriteria import metric_kmedian_bicriteria
 from .construction import k_median_coreset
 
@@ -214,6 +214,7 @@ def strong_coreset_sample_size(n: int, k: int, eps: float, delta: float,
     Metric spaces pay k log n for the candidate-space dimension; Euclidean
     inputs pay k min(d, 1 + log k) instead.
     """
+    check_sample_constant(c)
     if metric.is_euclidean and dim is not None:
         complexity = k * min(dim, 1.0 + math.log(max(k, 2)))
     else:

@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import InputError, Metric, as_points, check_power, cost
-from .sampling import SampleParams, eps_approx_sample_size, rng_for
+from .sampling import (
+    SampleParams,
+    check_sample_constant,
+    eps_approx_sample_size,
+    rng_for,
+)
 from .construction import StaticCoreset, k_median_coreset
 from .solvers import constant_factor_metric_kmedian
 
@@ -53,6 +58,7 @@ class StreamState:
 
     def __post_init__(self):
         check_power(self.z)
+        check_sample_constant(self.c)
         if not 0 < self.eps_bar < 1:
             raise InputError(f"eps_bar must lie in (0, 1), got {self.eps_bar}")
         if self.block_size is None:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,46 @@ class TestExitCodes:
         assert main(argv + ["--seed", "1", "--out", str(tmp_path / "r.json")]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "k" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        *[(["build-coreset", "--k", "2", "--eps", "0.3", "--c", c,
+            "--coreset-out", "{out}", "--input", "{data}"], "c")
+          for c in ("nan", "inf", "-1", "0")],
+        (["build-coreset", "--k", "2", "--eps", "0.3", "--t", "0",
+          "--coreset-out", "{out}", "--input", "{data}"], "t"),
+        (["solve", "--method", "coreset", "--k", "2", "--c", "-1",
+          "--input", "{data}"], "c"),
+        (["bicriteria", "--k", "2", "--eps", "0.3", "--c", "-1",
+          "--input", "{data}"], "c"),
+        (["bicriteria", "--k", "2", "--eps", "0.3", "--beta", "-4",
+          "--input", "{data}"], "beta"),
+        (["bicriteria", "--k", "2", "--eps", "0.3", "--beta", "0",
+          "--input", "{data}"], "beta"),
+        (["stream", "--k", "2", "--eps", "0.3", "--block-size", "16",
+          "--c", "-1", "--input", "{data}"], "c"),
+        (["stream", "--k", "2", "--eps", "0.3", "--block-size", "16",
+          "--c", "0", "--input", "{data}"], "c"),
+        (["bench", "--k-grid", "2", "--n-grid", "50", "--eps-grid", "0.3",
+          "--c", "-1"], "c"),
+        (["verify", "--k", "0", "--coreset", "{core}", "--input", "{data}"],
+         "k"),
+    ])
+    def test_bad_sample_constant_beta_t_or_k_is_a_validation_error(
+            self, tmp_path, data_file, capsys, argv, flag):
+        # each value used to end in a traceback, in "center set must be
+        # nonempty", or in a silent fall back to the default
+        core = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(data_file), "--k", "2",
+                     "--eps", "0.3", "--seed", "1",
+                     "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        capsys.readouterr()
+        out, report = tmp_path / "new.json", tmp_path / "r.json"
+        argv = [a.format(data=data_file, core=core, out=out) for a in argv]
+        assert main(argv + ["--seed", "1", "--out", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.search(rf"\b{flag}\b", err), err
+        assert not out.exists() and not report.exists()
 
     def test_audit_without_queries_is_a_validation_error(self, tmp_path,
                                                          data_file, capsys):

@@ -21,6 +21,7 @@ from coreclust.geometry import (
     InputError,
     Metric,
     cost,
+    costs,
     distance_table,
     metric_from_points,
     nearest_center,
@@ -199,9 +200,74 @@ def test_every_pairwise_call_is_one_block(monkeypatch):
     weighted_local_search(data, 3, P[:300], seed=1, max_iters=2)
     nearest_center(Metric(), P, P[:300])
     nearest_center(Metric(), P[:3, :1], rng.normal(size=(70_000, 1)))
+    # cost sets wider than EXACT_MAX_WIDTH go through pairwise_dist too
+    costs(data, [rng.normal(size=(2_100, 2))])
     assert len(widths) > 30
     for rows, m in widths:
         assert rows * m <= max(geometry.CHUNK_CELLS, m)
+
+
+@FEW
+@given(kind=kinds, d=st.sampled_from([1, 2, 16, 300]), n=st.integers(1, 300),
+       seed=seeds, z=st.sampled_from([1.0, 1.5, 2.0]), chunk=chunks,
+       data=st.data())
+def test_costs_are_the_one_set_formula_bit_for_bit(kind, d, n, seed, z, chunk,
+                                                   data):
+    metric, P, _ = instance(kind, n, (1, d), seed)
+    w = np.random.default_rng(seed).uniform(-2.0, 10.0, n)
+    # one call mixes exact sets with sets wider than EXACT_MAX_WIDTH
+    edge = EXACT_MAX_WIDTH // d
+    ms = data.draw(st.lists(st.sampled_from([1, 3, 5, edge, edge + 1, edge + 40]),
+                            min_size=1, max_size=6))
+    sets = [instance(kind, 1, (m, d), seed + 1 + i)[2] for i, m in enumerate(ms)]
+    ref = [weighted_sum(nearest_center(metric, P, x, z)[1], w) for x in sets]
+    with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
+        got = costs((P, w, metric), sets, z)
+    assert np.array_equal(got, ref)
+    assert [cost((P, w, metric), x, z) for x in sets] == ref
+
+
+def test_costs_raise_what_cost_raised():
+    data = (np.array([[0.0, 0.0], [1e154, 0.0]]), np.ones(2), Metric())
+    ok = [[5e153, 0.0]]
+    assert costs(data, [ok])[0] == 1e154
+    with pytest.raises(InputError, match="overflows"):
+        costs(data, [ok, [[-1e154, 1e154]]])
+    with pytest.raises(InputError, match="overflows"):
+        costs(([[0.0], [1e200]], np.ones(2), Metric()), [[[0.0]]], z=2)
+    with pytest.raises(InputError,
+                       match="dimension mismatch: points are 2-D, centers 3-D"):
+        costs(data, [ok, [[0.0, 0.0, 0.0]]])
+    with pytest.raises(InputError,
+                       match="dimension mismatch: points are 2-D, centers 1-D"):
+        costs(data, [np.zeros((3_000, 1))])
+    with pytest.raises(InputError, match="center set must be nonempty"):
+        costs(data, [ok, np.empty((0, 2))])
+    with pytest.raises(InputError, match="empty point set"):
+        costs((np.empty((0, 2)), np.ones(0), Metric()), [ok])
+    assert costs(data, []).shape == (0,)
+
+
+@pytest.mark.parametrize("m, d", [(3, 2), (5, 16), (2_100, 2)])
+def test_costs_memory_does_not_grow_with_the_queries(m, d):
+    rng = np.random.default_rng(7)
+    n = 20_000
+    data = (rng.normal(size=(n, d)), np.ones(n), Metric())
+    sets = [rng.normal(size=(m, d)) for _ in range(40)]
+    peaks = []
+    for q in (2, 40):
+        tracemalloc.start()
+        try:
+            costs(data, sets[:q])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the coordinate-major copy (8*n*d), the d**z row (8*n) and a few
+    # blocks of CHUNK_CELLS float64 (the dot form's expansion holds about
+    # 4.3); 38 more queries add 304 bytes of output
+    block = 8 * max(geometry.CHUNK_CELLS, EXACT_MAX_WIDTH)
+    assert peaks[0] < 8 * n * (d + 1) + 5 * block
+    assert peaks[1] <= peaks[0] + 8 * 38 + 4096
 
 
 def test_trimmed_costs_hold_one_table_plus_a_few_blocks():
