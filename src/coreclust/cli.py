@@ -231,7 +231,10 @@ def cmd_verify(args) -> int:
     if k is None:
         print("verify: k not recorded in coreset; pass --k", file=sys.stderr)
         return EXIT_VALIDATION
-    eps = args.eps or core.eps
+    if k < 1:
+        print(f"verify: k must be >= 1, got {k}", file=sys.stderr)
+        return EXIT_VALIDATION
+    eps = args.eps if args.eps is not None else core.eps
     if eps is None:
         print("verify: eps not recorded in coreset; pass --eps", file=sys.stderr)
         return EXIT_VALIDATION

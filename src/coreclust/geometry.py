@@ -194,16 +194,11 @@ def coerce_weighted(obj):
 def _sq_dist(a, b, diff, out) -> np.ndarray:
     """The one exact squared distance, over the first axis of broadcast
     (d, ...) arrays: (a_j - b_j)^2 added one coordinate at a time, left to
-    right, into out.  The first square is written straight into out, as
-    0.0 + x is x; diff is scratch space of out's shape."""
-    if len(a) == 0:
-        out.fill(0.0)
-    for j, (a_j, b_j) in enumerate(zip(a, b)):
+    right, into out.  diff is scratch space of out's shape."""
+    out.fill(0.0)
+    for a_j, b_j in zip(a, b):
         np.subtract(a_j, b_j, out=diff)
-        if j:
-            out += np.multiply(diff, diff, out=diff)
-        else:
-            np.multiply(diff, diff, out=out)
+        out += np.multiply(diff, diff, out=diff)
     return out
 
 
@@ -223,12 +218,13 @@ def _check_dims(P, C) -> None:
 
 
 def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
-    """Base (unpowered) distances of one block, a C-ordered (n_points,
-    n_centers) array; callers pass blocks of about CHUNK_CELLS distances.
+    """Base (unpowered) distances of one block, an (n_points, n_centers)
+    array; callers pass blocks of about CHUNK_CELLS distances.
 
     The exact form (_sq_dist) up to row width m*d = EXACT_MAX_WIDTH, the
     dot-product expansion (fewer passes at large m*d, but it cancels digits)
-    above it; an entry depends only on its point, its center and m*d.
+    above it; an entry depends only on its point, its center and m*d.  The
+    exact form's block is the transposed view of a center-major array.
     """
     if not metric.is_euclidean:
         return metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
@@ -238,6 +234,8 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
     CT = np.ascontiguousarray(C.T)
     with np.errstate(over="ignore", invalid="ignore"):
         if C.size > EXACT_MAX_WIDTH:
+            # einsum and sum add strided operands in another order
+            P = np.ascontiguousarray(P)
             # einsum sums every dot product in the same order, wherever its
             # row and column fall; BLAS's order depends on the block shape
             dot2 = np.einsum("ik,kj->ij", P, CT)
@@ -252,15 +250,17 @@ def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
             np.put(sq, near, _sq_dist(P[i].T, C[j].T, np.empty(len(near)),
                                       np.empty(len(near))))
             return np.sqrt(sq, out=sq)
-        # coordinate-major (m, rows) arrays: every pass runs along the rows.
-        # The output's memory is the passes' scratch, so a block holds two
-        # arrays.  It is allocated before the passes: allocated after them,
-        # it let glibc trim the heap, and every query faulted in again
+        # coordinate-major (m, rows) arrays: every pass runs along the rows,
+        # and the block is the (rows, m) view of the center-major result.
+        # Points that are already a view of coordinate-major memory are used
+        # in place.  Both arrays are allocated before the passes: an array
+        # allocated after them let glibc trim the heap, and every query
+        # faulted in again
         m, rows = len(C), len(P)
-        PT, out = np.ascontiguousarray(P.T), np.empty((rows, m))
-        sq = _sq_dist(CT[:, :, None], PT[:, None, :], out.reshape(m, rows),
-                      np.empty((m, rows)))
-        return np.sqrt(sq.T, out=out)
+        PT = P.T if P.strides[0] == P.itemsize else np.ascontiguousarray(P.T)
+        diff, sq = _aligned_empty((m, rows)), _aligned_empty((m, rows))
+        _sq_dist(CT[:, :, None], PT[:, None, :], diff, sq)
+        return np.sqrt(sq, out=sq).T
 
 
 def check_centers(metric: Metric, centers) -> np.ndarray:
@@ -329,15 +329,13 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
     """Weighted sum of d**z to the nearest center over a PointSet, a coreset
     or a (points, weights, metric) tuple, for every center set in one walk.
 
-    The points are laid out coordinate-major once.  For each set whose width
-    m*d is at most EXACT_MAX_WIDTH and each block of about CHUNK_CELLS
-    distances, _sq_dist fills a center-major (m, rows) block and a minimum
-    over its centers keeps each point's nearest squared distance; sqrt is
-    correctly rounded and monotone, so sqrt(min) is min(sqrt), and sqrt and
-    **z run once a point.  Wider sets and explicit metrics take the minimum
-    of pairwise_dist's block.  Each entry has the bits of the one-set cost.
-    Memory beyond the output is the copy plus a few blocks, whatever the
-    number of sets; a d**z that overflows raises.
+    Euclidean points are laid out coordinate-major once, in 64-byte aligned
+    memory, and pairwise_dist takes them in place.  Each block's minimum
+    over its centers is each point's nearest distance (a center-major
+    reduction in the exact form), and **z runs once a point, so every entry
+    has the bits of weighted_sum(nearest_center(...)[1], weights).  Memory
+    beyond the output is the copy, one n-long row and a few blocks, whatever
+    the number of sets; a d**z that overflows raises.
     """
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:
@@ -346,37 +344,22 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
     n = len(points)
     if metric.is_euclidean:
         points = np.atleast_2d(points)
-        # rows padded to 64 bytes, so every coordinate's row is aligned too
+        # rows padded to whole 64-byte lines, so every coordinate's row, and
+        # every block of a multiple of 8 rows, starts aligned
         PT = _aligned_empty((points.shape[1], -(-n // 8) * 8))[:, :n]
         PT[...] = points.T
-    scratch = np.empty((2, 0))
+        points = PT.T
     dz, out = np.empty(n), np.empty(len(center_sets))
     for q, centers in enumerate(center_sets):
         c = check_centers(metric, centers)
-        m = len(c)
-        rows = max(1, CHUNK_CELLS // m)
-        exact = metric.is_euclidean and c.size <= EXACT_MAX_WIDTH
-        if exact:
-            _check_dims(points, c)
-            CT = c.T[:, :, None]
-            # whole 64-byte lines a block, so every block row stays aligned
-            rows = rows - rows % 8 or rows
-            if scratch.shape[1] < m * min(rows, n):
-                # diff and acc for the widest set so far: two blocks at
-                # most, and a few cells when the points are few
-                scratch = _aligned_empty((2, -(-m * min(rows, n) // 8) * 8))
-        with np.errstate(over="ignore", invalid="ignore"):
+        rows = max(1, CHUNK_CELLS // len(c))
+        rows = rows - rows % 8 or rows
+        with np.errstate(over="ignore"):
             for s in range(0, n, rows):
                 near = dz[s:s + rows]
-                if exact:
-                    r = len(near)
-                    diff, acc = scratch[:, :m * r].reshape(2, m, r)
-                    sq = _sq_dist(CT, PT[:, None, s:s + r], diff, acc)
-                    np.sqrt(np.minimum.reduce(sq, axis=0, out=near), out=near)
-                else:
-                    near[...] = pairwise_dist(metric, points[s:s + rows],
-                                              c).min(axis=1)
-                near[...] = near ** z
+                block = pairwise_dist(metric, points[s:s + rows], c)
+                np.minimum.reduce(block, axis=1, out=near)
+                np.power(near, z, out=near)
         if not np.all(np.isfinite(dz)):
             raise InputError("distance to the nearest center overflows float64; "
                              "rescale the coordinates")
@@ -386,7 +369,8 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
 
 def cost(data, centers, z=1.0) -> float:
     """Weighted sum of d**z to the nearest center over a PointSet, a coreset
-    or a (points, weights, metric) tuple: costs of one center set."""
+    or a (points, weights, metric) tuple: costs of one center set, so on
+    Euclidean data it also copies the points once."""
     return float(costs(data, [centers], z)[0])
 
 

@@ -175,8 +175,12 @@ class TestExitCodes:
           "--c", "-1"], "c"),
         (["verify", "--k", "0", "--coreset", "{core}", "--input", "{data}"],
          "k"),
+        (["verify", "--k", "0", "--query-file", "{data}", "--coreset", "{core}",
+          "--input", "{data}"], "k"),
+        (["verify", "--eps", "0", "--coreset", "{core}", "--input", "{data}"],
+         "eps"),
     ])
-    def test_bad_sample_constant_beta_t_or_k_is_a_validation_error(
+    def test_bad_sample_constant_beta_t_k_or_eps_is_a_validation_error(
             self, tmp_path, data_file, capsys, argv, flag):
         # each value used to end in a traceback, in "center set must be
         # nonempty", or in a silent fall back to the default

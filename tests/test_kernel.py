@@ -122,6 +122,17 @@ def test_pairwise_rows_do_not_depend_on_chunking(kind, shape, n, seed, z, chunk)
         assert np.array_equal(pairwise_dist(metric, P[i:i + 1], C)[0], whole[i])
 
 
+@pytest.mark.parametrize("m, d", [(1, 1), (5, 16), (300, 16), (2_100, 2)])
+def test_pairwise_rows_do_not_depend_on_the_points_layout(m, d):
+    # costs hands pairwise_dist a view of coordinate-major memory; the dot
+    # form's sums add Fortran-ordered rows in another order unless copied
+    rng = np.random.default_rng(m * d)
+    P, C = rng.normal(size=(200, d)) * 7.0, rng.normal(size=(m, d)) * 7.0
+    whole = pairwise_dist(Metric(), P, C)
+    for view in (np.asfortranarray(P), np.repeat(P, 2, axis=1)[:, ::2]):
+        assert np.array_equal(pairwise_dist(Metric(), view, C), whole)
+
+
 @FEW
 @given(kind=kinds, shape=shapes, n=st.integers(1, 200), seed=seeds,
        data=st.data())
@@ -180,8 +191,8 @@ def test_peak_memory_is_the_outputs_plus_a_few_blocks(n, m, d):
 
 
 def test_every_pairwise_call_is_one_block(monkeypatch):
-    # only nearest_center and distance_table walk rows: every caller hands
-    # pairwise_dist about CHUNK_CELLS distances, one row when m is larger
+    # only nearest_center, distance_table and costs walk rows: every caller
+    # hands pairwise_dist about CHUNK_CELLS distances, one row when m is larger
     pairwise, widths = geometry.pairwise_dist, []
 
     def recording(metric, points, centers):
@@ -200,8 +211,8 @@ def test_every_pairwise_call_is_one_block(monkeypatch):
     weighted_local_search(data, 3, P[:300], seed=1, max_iters=2)
     nearest_center(Metric(), P, P[:300])
     nearest_center(Metric(), P[:3, :1], rng.normal(size=(70_000, 1)))
-    # cost sets wider than EXACT_MAX_WIDTH go through pairwise_dist too
-    costs(data, [rng.normal(size=(2_100, 2))])
+    # cost sets of both forms, one walk
+    costs(data, [P[:300], rng.normal(size=(2_100, 2))])
     assert len(widths) > 30
     for rows, m in widths:
         assert rows * m <= max(geometry.CHUNK_CELLS, m)
