@@ -7,20 +7,16 @@ whose cost matches the full data within eps at every center tuple.
 
 import numpy as np
 
-from coreclust import PointSet, cost, k_median_coreset, metric_b_coreset
+from coreclust import PointSet, cost, metric_b_coreset, static_coreset
 from coreclust.io import gaussian_mixture
-from coreclust.solvers import (
-    constant_factor_metric_kmedian,
-    strong_coreset_sample_size,
-)
 
 n, k, eps = 2000, 3, 0.2
 pts = gaussian_mixture(n, 2, k, seed=3)
 P = PointSet(pts)
 
-anchors = constant_factor_metric_kmedian(P, k, eps, 0.1, seed=0)
-t = strong_coreset_sample_size(n, k, eps, 0.1, P.metric, dim=2)
-core = k_median_coreset(P, anchors.centers, t, eps, seed=0)
+# one call: anchors, the sample size t, then the weighted sample
+core, anchors = static_coreset(P, k, eps, 0.1, seed=0)
+t = core.provenance["t"]
 
 print(f"coreset: {len(core)} weighted points for {n} originals "
       f"(sample {t} + {k} anchors)")

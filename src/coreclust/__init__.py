@@ -57,6 +57,7 @@ from .solvers import (
     constant_factor_metric_kmedian,
     solve_on_coreset,
     solve_weighted,
+    static_coreset,
     weighted_local_search,
 )
 from .streaming import StreamState, stream_push, stream_query

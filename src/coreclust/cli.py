@@ -22,12 +22,11 @@ from . import __version__
 from .geometry import InputError, LoadError, PointSet, costs
 from .sampling import check_seed, rng_for
 from .bicriteria import metric_kmedian_bicriteria
-from .construction import k_median_coreset
 from .solvers import (
     brute_force_k_median,
     constant_factor_metric_kmedian,
     solve_on_coreset,
-    strong_coreset_sample_size,
+    static_coreset,
     weighted_local_search,
 )
 from .streaming import StreamState, stream_push, stream_query
@@ -45,32 +44,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _report_skeleton(command: str, config: dict) -> dict:
-    return {
-        "tool": {"name": "coreclust", "version": __version__},
-        "command": command,
-        "config": config,
-        "timings": {},
-        "results": {},
-    }
-
-
-def _emit(report: dict, out_path) -> None:
-    if out_path:
-        cio.dump_json(out_path, report)
-    else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def _load_input(args) -> PointSet:
-    return cio.load_point_set(args.input, metric_path=args.metric)
-
-
-def _config_echo(args, skip=("out", "func")) -> dict:
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and not k.startswith("_")}
 
 
 def _query_grid(P: PointSet, k: int, n_queries: int, seed: int,
@@ -92,11 +65,6 @@ def _query_grid(P: PointSet, k: int, n_queries: int, seed: int,
     return queries
 
 
-def _guarantee_broken(command: str, message: str) -> int:
-    print(f"{command}: --strict: {message}", file=sys.stderr)
-    return EXIT_GUARANTEE
-
-
 def _max_rel_error(P: PointSet, core, queries) -> tuple[float, int]:
     """Worst |true - coreset| / true over the queries; where the true cost is
     0 the error is 0 if the coreset's cost is 0 too, else infinite.  The true
@@ -112,57 +80,44 @@ def _max_rel_error(P: PointSet, core, queries) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (results, timings, broken), where broken is the
+# message --strict turns into exit 4, or None
 # ---------------------------------------------------------------------------
 
-def cmd_build_coreset(args) -> int:
-    report = _report_skeleton("build-coreset", _config_echo(args))
+def cmd_build_coreset(args):
     t0 = time.perf_counter()
-    P = _load_input(args)
-    n = P.total_weight
+    P = cio.load_point_set(args.input, args.metric)
     t1 = time.perf_counter()
-    anchors = constant_factor_metric_kmedian(P, args.k, args.eps, args.delta,
-                                             args.seed, c=args.c)
+    core, anchors = static_coreset(P, args.k, args.eps, args.delta, args.seed,
+                                   z=args.z, t=args.t, c=args.c)
+    core.provenance["input_sha256"] = cio.file_sha256(args.metric or args.input)
     t2 = time.perf_counter()
-    t = args.t if args.t is not None else strong_coreset_sample_size(
-        n, args.k, args.eps, args.delta, P.metric, dim=P.dim, c=args.c)
-    core = k_median_coreset(P, anchors.centers, t, args.eps, z=args.z,
-                            seed=args.seed)
-    core.provenance.update({
-        "k": args.k, "delta": args.delta, "c": args.c,
-        "input_sha256": cio.file_sha256(args.metric or args.input),
-        "bicriteria_cost": anchors.cost,
-    })
-    t3 = time.perf_counter()
     cio.save_coreset(args.coreset_out, core)
-    t4 = time.perf_counter()
+    t3 = time.perf_counter()
 
-    report["results"] = {
+    n = P.total_weight
+    inflation = core.provenance.get("inflation", 1.0)
+    results = {
         "n": int(n),
         "coreset_size": len(core),
-        "t": int(t),
+        "t": int(core.provenance["t"]),
         "weight_sum": core.total_weight,
         "min_weight": float(np.min(core.weights)),
-        "inflation": core.provenance.get("inflation", 1.0),
+        "inflation": inflation,
         "anchor_cost": anchors.cost,
         "coreset_file": str(args.coreset_out),
     }
-    report["timings"] = {"load_s": t1 - t0, "anchors_s": t2 - t1,
-                         "build_s": t3 - t2, "write_s": t4 - t3,
-                         "total_s": t4 - t0}
-    _emit(report, args.out)
-    expected = core.provenance.get("inflation", 1.0) * n
-    gap = abs(core.total_weight - expected)
-    if args.strict and gap > 1e-9 * max(1.0, n):
-        return _guarantee_broken("build-coreset", (
-            f"weight_sum misses inflation*n = {expected!r} by {gap:.3g}"))
-    return EXIT_OK
+    timings = {"load_s": t1 - t0, "build_s": t2 - t1, "write_s": t3 - t2}
+    gap = abs(core.total_weight - inflation * n)
+    broken = None
+    if gap > 1e-9 * max(1.0, n):
+        broken = f"weight_sum misses inflation*n = {inflation * n!r} by {gap:.3g}"
+    return results, timings, broken
 
 
-def cmd_bicriteria(args) -> int:
-    report = _report_skeleton("bicriteria", _config_echo(args))
+def cmd_bicriteria(args):
     t0 = time.perf_counter()
-    P = _load_input(args)
+    P = cio.load_point_set(args.input, args.metric)
     res = metric_kmedian_bicriteria(P, args.k, args.eps, args.delta, args.seed,
                                     c=args.c, beta=args.beta)
     t1 = time.perf_counter()
@@ -178,73 +133,55 @@ def cmd_bicriteria(args) -> int:
         "B": res.B.tolist(),
         "opt_lower_bound": opt,
     }
-    report["results"] = results
-    report["timings"] = {"total_s": time.perf_counter() - t0,
-                         "bicriteria_s": t1 - t0}
-    _emit(report, args.out)
-    if args.strict and res.n_centers > res.center_bound():
-        return _guarantee_broken("bicriteria", (
-            f"n_centers {res.n_centers} exceeds center_bound "
-            f"{res.center_bound()} by {res.n_centers - res.center_bound()}"))
-    return EXIT_OK
+    broken = None
+    if res.n_centers > res.center_bound():
+        broken = (f"n_centers {res.n_centers} exceeds center_bound "
+                  f"{res.center_bound()} by {res.n_centers - res.center_bound()}")
+    return results, {"bicriteria_s": t1 - t0}, broken
 
 
-def cmd_solve(args) -> int:
-    report = _report_skeleton("solve", _config_echo(args))
-    t0 = time.perf_counter()
-    P = _load_input(args)
+def cmd_solve(args):
+    P = cio.load_point_set(args.input, args.metric)
+    audit = None
     if args.method == "brute":
         res = brute_force_k_median(P, args.k, candidates=P.points, z=args.z)
-        audit = None
     elif args.method == "local":
         res = weighted_local_search(P, args.k, candidates=P.points, z=args.z,
                                     seed=args.seed)
-        audit = None
     elif args.method == "constant-factor":
         res = constant_factor_metric_kmedian(P, args.k, args.eps, args.delta,
                                              args.seed, c=args.c)
-        audit = None
     else:
         res, audit = solve_on_coreset(P, args.k, args.eps, args.seed,
                                       delta=args.delta, c=args.c, z=args.z)
-    report["results"] = {"solution": res.to_dict(), "audit": audit}
-    report["timings"] = {"total_s": time.perf_counter() - t0}
-    _emit(report, args.out)
-    return EXIT_OK
+    return {"solution": res.to_dict(), "audit": audit}, {}, None
 
 
-def cmd_verify(args) -> int:
-    report = _report_skeleton("verify", _config_echo(args))
-    t0 = time.perf_counter()
-    P = _load_input(args)
+def cmd_verify(args):
+    P = cio.load_point_set(args.input, args.metric)
     core = cio.load_coreset(args.coreset, P.metric)
     source = args.metric or args.input
     recorded = core.provenance.get("input_sha256")
     if recorded is not None and recorded != cio.file_sha256(source):
-        print(f"verify: {source} does not match the coreset's provenance hash",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError(f"verify: {source} does not match the coreset's "
+                         "provenance hash")
     if P.metric.is_euclidean and core.points.shape[1] != P.points.shape[1]:
-        print("verify: coreset and data dimensions differ", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError("verify: coreset and data dimensions differ")
     k = args.k if args.k is not None else core.provenance.get("k")
     if k is None:
-        print("verify: k not recorded in coreset; pass --k", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError("verify: k not recorded in coreset; pass --k")
     if k < 1:
-        print(f"verify: k must be >= 1, got {k}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError(f"verify: k must be >= 1, got {k}")
     eps = args.eps if args.eps is not None else core.eps
     if eps is None:
-        print("verify: eps not recorded in coreset; pass --eps", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError("verify: eps not recorded in coreset; pass --eps")
     if args.query_file:
         queries = [cio.load_points(args.query_file)]
     else:
         queries = _query_grid(P, int(k), args.queries, args.seed)
     worst, arg = _max_rel_error(P, core, queries)
     passed = worst <= eps
-    report["results"] = {
+    results = {
         "max_relative_error": worst,
         "argmax_query": arg,
         "eps": eps,
@@ -252,18 +189,13 @@ def cmd_verify(args) -> int:
         "pass": bool(passed),
         "weight_sum": getattr(core, "total_weight", None),
     }
-    report["timings"] = {"total_s": time.perf_counter() - t0}
-    _emit(report, args.out)
-    if args.strict and not passed:
-        return _guarantee_broken("verify", (
-            f"max_relative_error {worst!r} exceeds eps {eps!r} by "
-            f"{worst - eps:.3g} at argmax_query {arg}"))
-    return EXIT_OK
+    broken = None if passed else (
+        f"max_relative_error {worst!r} exceeds eps {eps!r} by "
+        f"{worst - eps:.3g} at argmax_query {arg}")
+    return results, {}, broken
 
 
-def cmd_stream(args) -> int:
-    report = _report_skeleton("stream", _config_echo(args))
-    t0 = time.perf_counter()
+def cmd_stream(args):
     state = StreamState(k=args.k, eps_bar=args.eps, seed=args.seed,
                         block_size=args.block_size, z=args.z, c=args.c)
     checkpoints = []
@@ -291,41 +223,28 @@ def cmd_stream(args) -> int:
     if args.query_file:
         centers = cio.load_points(args.query_file)
         results["query_cost"] = stream_query(state, centers)
-    report["results"] = results
-    report["timings"] = {"total_s": time.perf_counter() - t0}
-    _emit(report, args.out)
-    return EXIT_OK
+    return results, {}, None
 
 
-def cmd_bench(args) -> int:
-    report = _report_skeleton("bench", _config_echo(args))
-    t0 = time.perf_counter()
+def cmd_bench(args):
     rows, cell_timings = [], []
     for n in args.n_grid:
         for k in args.k_grid:
             for eps in args.eps_grid:
                 cell_mix = n * 1_000_003 + k * 10_007 + int(round(eps * 1e9))
                 cell_seed = (check_seed(args.seed) ^ cell_mix) % (2 ** 32)
-                pts = cio.gaussian_mixture(n, args.d, k, cell_seed)
-                P = PointSet(pts)
+                P = PointSet(cio.gaussian_mixture(n, args.d, k, cell_seed))
                 tb0 = time.perf_counter()
-                anchors = constant_factor_metric_kmedian(P, k, eps, args.delta,
-                                                         cell_seed, c=args.c)
-                t = strong_coreset_sample_size(n, k, eps, args.delta, P.metric,
-                                               dim=args.d, c=args.c)
-                core = k_median_coreset(P, anchors.centers, t, eps,
-                                        seed=cell_seed)
+                core, anchors = static_coreset(P, k, eps, args.delta, cell_seed,
+                                               c=args.c)
                 cell_timings.append(time.perf_counter() - tb0)
                 queries = _query_grid(P, k, args.queries, cell_seed,
                                       extra_centers=anchors.centers)
                 worst, _ = _max_rel_error(P, core, queries)
-                rows.append({"n": n, "k": k, "eps": eps, "t": t,
+                rows.append({"n": n, "k": k, "eps": eps,
+                             "t": core.provenance["t"],
                              "coreset_size": len(core),
                              "max_relative_error": worst, "seed": cell_seed})
-    report["results"] = {"rows": rows, "cells": len(rows)}
-    report["timings"] = {"total_s": time.perf_counter() - t0,
-                         "build_s_per_cell": cell_timings}
-    _emit(report, args.out)
     if args.csv_out:
         header = ["n", "k", "eps", "t", "coreset_size", "max_relative_error",
                   "seed"]
@@ -333,7 +252,8 @@ def cmd_bench(args) -> int:
         for r, b in zip(rows, cell_timings):
             lines.append(",".join(str(r[h]) for h in header) + f",{b}")
         cio.atomic_write_text(args.csv_out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return ({"rows": rows, "cells": len(rows)},
+            {"build_s_per_cell": cell_timings}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +349,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that builds, writes and strict-checks
+    its report."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -439,13 +361,31 @@ def main(argv=None) -> int:
             check_seed(args.seed)
         if hasattr(args, "eps") and args.eps is not None and not 0 < args.eps <= 1:
             raise InputError(f"eps must lie in (0, 1], got {args.eps}")
-        return args.func(args)
+        t0 = time.perf_counter()
+        results, timings, broken = args.func(args)
+        timings["total_s"] = time.perf_counter() - t0
+        report = {
+            "tool": {"name": "coreclust", "version": __version__},
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items()
+                       if k not in ("out", "func")},
+            "timings": timings,
+            "results": results,
+        }
+        if args.out:
+            cio.dump_json(args.out, report)
+        else:
+            sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except (OSError, LoadError) as exc:
         print(f"coreclust: {exc}", file=sys.stderr)
         return EXIT_IO
     except InputError as exc:
         print(f"coreclust: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.strict and broken:
+        print(f"{args.command}: --strict: {broken}", file=sys.stderr)
+        return EXIT_GUARANTEE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -250,12 +250,17 @@ class ThresholdCoreset:
         return total + float(weighted_sum(dzc, np.asarray(mass)))
 
 
-def _nearest_anchor(P, B, t: int, eps: float, z: float):
-    """Checked builder input: (points, weights, metric, anchors, idx, d^z)."""
-    if t < 1:
-        raise InputError("sample size t must be >= 1")
+def check_sample_args(t: int | None, eps: float) -> None:
+    """The builders' 0 < eps < 1 and, when t is given, t >= 1."""
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
+    if t is not None and t < 1:
+        raise InputError("sample size t must be >= 1")
+
+
+def _nearest_anchor(P, B, t: int, eps: float, z: float):
+    """Checked builder input: (points, weights, metric, anchors, idx, d^z)."""
+    check_sample_args(t, eps)
     points, weights, metric = coerce_weighted(P)
     Bc = check_centers(metric, B)
     idx, dzB = nearest_center(metric, points, Bc, z)
@@ -348,21 +353,20 @@ def metric_b_coreset(P, B, t: int, eps: float, z: float = 1.0,
     else:
         s_draws, w_sample = _importance_sample(weights, dzB, t, seed, draws, 4)
 
-    used = np.unique(idx)
-    remap = np.full(len(Bc), -1, dtype=np.intp)
-    remap[used] = np.arange(len(used))
-    proj_tau, proj_cum = [], []
-    for u in used:
-        members = np.flatnonzero(idx == u)
-        order = np.argsort(tau[members], kind="stable")
-        proj_tau.append(tau[members][order])
-        proj_cum.append(np.concatenate([[0.0], np.cumsum(weights[members][order])]))
+    # one stable sort by (anchor, tau); each used anchor is one run of it
+    order = np.lexsort((tau, idx))
+    tau_s, w_s = tau[order], weights[order]
+    runs = np.flatnonzero(np.diff(idx[order], prepend=-1, append=-1))
+    used = idx[order][runs[:-1]]
+    bounds = list(zip(runs[:-1], runs[1:]))
+    proj_tau = [tau_s[a:b] for a, b in bounds]
+    proj_cum = [np.concatenate([[0.0], np.cumsum(w_s[a:b])]) for a, b in bounds]
 
     return ThresholdCoreset(
         sampled_points=points[s_draws],
         sampled_weights=np.asarray(w_sample, dtype=float),
         sampled_tau=tau[s_draws],
-        sampled_center=remap[idx[s_draws]],
+        sampled_center=np.searchsorted(used, idx[s_draws]),
         proj_points=Bc[used],
         proj_tau=proj_tau,
         proj_cum_mass=proj_cum,

@@ -116,42 +116,24 @@ def dump_json(path, obj) -> None:
 
 
 def coreset_to_dict(core) -> dict:
+    if not isinstance(core, (StaticCoreset, ThresholdCoreset)):
+        raise TypeError(f"not a coreset: {type(core)!r}")
+    euclid = core.metric.is_euclidean
+    doc = {"z": core.z, "eps": core.eps, "metric": {"kind": core.metric.kind},
+           "provenance": core.provenance}
     if isinstance(core, StaticCoreset):
-        return {
-            "type": "static",
-            "z": core.z,
-            "eps": core.eps,
-            "metric": {"kind": core.metric.kind},
-            "points": [
-                {"coords": p.tolist() if core.metric.is_euclidean else int(p),
-                 "weight": float(w)}
-                for p, w in zip(core.points, core.weights)
-            ],
-            "projected": [],
-            "provenance": core.provenance,
-        }
-    if isinstance(core, ThresholdCoreset):
-        euclid = core.metric.is_euclidean
-        return {
-            "type": "threshold",
-            "z": core.z,
-            "eps": core.eps,
-            "metric": {"kind": core.metric.kind},
-            "points": [
-                {"coords": p.tolist() if euclid else int(p),
-                 "weight": float(w), "threshold": float(t), "center": int(c)}
-                for p, w, t, c in zip(core.sampled_points, core.sampled_weights,
-                                      core.sampled_tau, core.sampled_center)
-            ],
-            "projected": [
-                {"coords": p.tolist() if euclid else int(p),
-                 "thresholds": core.proj_tau[j].tolist(),
-                 "masses": np.diff(core.proj_cum_mass[j]).tolist()}
-                for j, p in enumerate(core.proj_points)
-            ],
-            "provenance": core.provenance,
-        }
-    raise TypeError(f"not a coreset: {type(core)!r}")
+        points = [{"coords": p.tolist() if euclid else int(p), "weight": float(w)}
+                  for p, w in zip(core.points, core.weights)]
+        return {**doc, "type": "static", "points": points, "projected": []}
+    points = [{"coords": p.tolist() if euclid else int(p), "weight": float(w),
+               "threshold": float(t), "center": int(c)}
+              for p, w, t, c in zip(core.sampled_points, core.sampled_weights,
+                                    core.sampled_tau, core.sampled_center)]
+    projected = [{"coords": p.tolist() if euclid else int(p),
+                  "thresholds": tau.tolist(), "masses": np.diff(cum).tolist()}
+                 for p, tau, cum in zip(core.proj_points, core.proj_tau,
+                                        core.proj_cum_mass)]
+    return {**doc, "type": "threshold", "points": points, "projected": projected}
 
 
 def coreset_from_dict(obj: dict, metric: Metric = Metric()):

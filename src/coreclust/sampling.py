@@ -128,6 +128,16 @@ def _as_value_table(values) -> np.ndarray:
     return v
 
 
+def _check_sample(sample_idx, n: int) -> np.ndarray:
+    """Nonempty sample indices, each in [0, n)."""
+    sample_idx = np.asarray(sample_idx, dtype=np.intp)
+    if sample_idx.size == 0:
+        raise InputError("sample must be nonempty")
+    if np.any(sample_idx < 0) or np.any(sample_idx >= n):
+        raise InputError("sample indices out of range")
+    return sample_idx
+
+
 def verify_range_eps_approx(values, sample_idx, eps: float,
                             params: dict | None = None,
                             seed: int | None = None) -> VerificationReport:
@@ -141,11 +151,7 @@ def verify_range_eps_approx(values, sample_idx, eps: float,
     """
     v = _as_value_table(values)
     n, q = v.shape
-    sample_idx = np.asarray(sample_idx, dtype=np.intp)
-    if sample_idx.size == 0:
-        raise InputError("sample must be nonempty")
-    if np.any(sample_idx < 0) or np.any(sample_idx >= n):
-        raise InputError("sample indices out of range")
+    sample_idx = _check_sample(sample_idx, n)
     s = sample_idx.size
     best = (-1.0, 0, 0.0)
     for j in range(q):
@@ -182,9 +188,7 @@ def verify_function_eps_approx(values, sample_idx, eps: float,
     """
     v = _as_value_table(values)
     n, q = v.shape
-    sample_idx = np.asarray(sample_idx, dtype=np.intp)
-    if sample_idx.size == 0:
-        raise InputError("sample must be nonempty")
+    sample_idx = _check_sample(sample_idx, n)
     s = sample_idx.size
     best = (-1.0, 0, 0.0)
     flagged = []

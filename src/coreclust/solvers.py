@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .sampling import check_sample_constant, rng_for
 from .bicriteria import metric_kmedian_bicriteria
-from .construction import k_median_coreset
+from .construction import check_sample_args, k_median_coreset
 
 BRUTE_GUARD = 10 ** 6
 
@@ -223,6 +223,32 @@ def strong_coreset_sample_size(n: int, k: int, eps: float, delta: float,
     return int(math.ceil(t))
 
 
+def static_coreset(data, k: int, eps: float, delta: float, seed: int,
+                   z: float = 1.0, t: int | None = None, c: float = 1.0):
+    """The static k-median coreset pipeline: constant-factor anchors, a
+    sample size t, then k_median_coreset.  Returns (coreset, anchors).
+
+    The anchors are found on the absolute measure |w|: merged stream coresets
+    carry signed corrections, and anchor quality only affects the error, not
+    the estimator's validity.  t defaults to strong_coreset_sample_size at
+    n = round(sum |w|).  z, eps and t are checked before the anchors are
+    built.  The provenance records k, delta, c and the anchors' cost.
+    """
+    z = check_power(z)
+    check_sample_args(t, eps)
+    points, weights, metric = coerce_weighted(data)
+    if t is None:
+        dim = points.shape[1] if metric.is_euclidean else None
+        t = strong_coreset_sample_size(round(float(np.abs(weights).sum())), k,
+                                       eps, delta, metric, dim=dim, c=c)
+    anchors = constant_factor_metric_kmedian(
+        (points, np.abs(weights), metric), k, eps, delta, seed, c=c)
+    core = k_median_coreset(data, anchors.centers, t, eps, z=z, seed=seed)
+    core.provenance.update({"k": k, "delta": delta, "c": c,
+                            "bicriteria_cost": anchors.cost})
+    return core, anchors
+
+
 def solve_on_coreset(P, k: int, eps: float, seed: int, delta: float = 0.1,
                      c: float = 1.0, z: float = 1.0,
                      t: int | None = None):
@@ -231,24 +257,14 @@ def solve_on_coreset(P, k: int, eps: float, seed: int, delta: float = 0.1,
     Returns (SolveResult, audit) where the audit carries both the coreset
     cost and the true cost at the returned centers plus the build parameters.
     """
-    z = check_power(z)
-    points, weights, metric = coerce_weighted(P)
-    anchors = constant_factor_metric_kmedian((points, weights, metric), k,
-                                             eps, delta, seed, c=c)
-    n = int(round(weights.sum()))
-    if t is None:
-        dim = points.shape[1] if metric.is_euclidean else None
-        t = strong_coreset_sample_size(n, k, eps, delta, metric, dim=dim, c=c)
-    core = k_median_coreset((points, weights, metric), anchors.centers, t,
-                            eps, z=z, seed=seed)
-
+    core, anchors = static_coreset(P, k, eps, delta, seed, z=z, t=t, c=c)
     uniq = np.unique(core.points, axis=0)
     inner = solve_weighted(core, k, uniq, z=z, seed=seed)
-    true_cost = cost((points, weights, metric), inner.centers, z)
+    true_cost = cost(P, inner.centers, z)
     audit = {
         "coreset_cost": core.cost(inner.centers),
         "true_cost": true_cost,
-        "t": t,
+        "t": core.provenance["t"],
         "coreset_size": len(core),
         "coreset_weight_sum": core.total_weight,
         "anchor_cost": anchors.cost,

@@ -25,8 +25,8 @@ from .sampling import (
     eps_approx_sample_size,
     rng_for,
 )
-from .construction import StaticCoreset, k_median_coreset
-from .solvers import constant_factor_metric_kmedian
+from .construction import StaticCoreset
+from .solvers import static_coreset
 
 
 def level_eps(eps_bar: float, level: int) -> float:
@@ -85,23 +85,13 @@ class StreamState:
         }
 
 
-def _derived_seed(state: StreamState, idx: int) -> int:
-    return int(rng_for(state.seed, 9, idx).integers(2 ** 63))
-
-
 def _reduce(state: StreamState, points, weights, level: int) -> StaticCoreset:
-    eps = level_eps(state.eps_bar, level)
-    seed = _derived_seed(state, state.builds)
+    seed = int(rng_for(state.seed, 9, state.builds).integers(2 ** 63))
     state.builds += 1
-    # anchors are found on the absolute measure; merged coresets can carry
-    # signed correction weights and anchor quality only affects error, not
-    # the estimator's validity
-    anchors = constant_factor_metric_kmedian(
-        (points, np.abs(weights), state.metric), state.k, eps, state.delta,
-        seed, c=state.c)
-    t = state.block_size - state.k
-    return k_median_coreset((points, weights, state.metric), anchors.centers,
-                            t, eps, z=state.z, seed=seed)
+    core, _ = static_coreset((points, weights, state.metric), state.k,
+                             level_eps(state.eps_bar, level), state.delta, seed,
+                             z=state.z, t=state.block_size - state.k, c=state.c)
+    return core
 
 
 def stream_push(state: StreamState, p) -> StreamState:

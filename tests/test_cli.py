@@ -197,6 +197,27 @@ class TestExitCodes:
         assert err.count("\n") == 1 and re.search(rf"\b{flag}\b", err), err
         assert not out.exists() and not report.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--z", "0.5"), ("--t", "0"),
+                                             ("--eps", "1")])
+    def test_bad_build_value_fails_before_the_anchors(
+            self, tmp_path, data_file, capsys, monkeypatch, flag, value):
+        # these used to pay the whole anchor build before exit 3
+        import coreclust.solvers as solvers
+        calls = []
+        anchors = solvers.constant_factor_metric_kmedian
+        monkeypatch.setattr(solvers, "constant_factor_metric_kmedian",
+                            lambda *a, **kw: calls.append(1) or anchors(*a, **kw))
+        out = tmp_path / "core.json"
+        argv = ["build-coreset", "--input", str(data_file), "--k", "2",
+                "--eps", "0.3", "--seed", "1", "--coreset-out", str(out),
+                flag, value]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+        assert calls == [] and not out.exists()
+        # the wrapper does see the anchors of a good build
+        assert main(argv[:-2] + ["--out", str(tmp_path / "r.json")]) == 0
+        assert calls == [1] and out.exists()
+
     def test_audit_without_queries_is_a_validation_error(self, tmp_path,
                                                          data_file, capsys):
         # C(60, 4) is above the brute-force limit, so --queries 0 leaves the

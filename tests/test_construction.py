@@ -195,6 +195,48 @@ class TestMetricThresholdCoreset:
                                                  rel=1e-11)
 
 
+    @pytest.mark.parametrize("metric", ["euclidean", "explicit"])
+    def test_projected_copies_match_the_per_anchor_loop(self, metric):
+        # reference: the per-anchor loop the builder used before its one
+        # lexsort, bit for bit, with ties in tau, multiplicities and an
+        # anchor that serves no point
+        from coreclust.geometry import metric_from_points, nearest_center
+        rng = np.random.default_rng(8)
+        pts = np.round(rng.normal(size=(300, 2)), 1)
+        mult = rng.integers(1, 4, size=300)
+        B = np.concatenate([pts[:6], [[50.0, 50.0]]])
+        P = PointSet(pts, multiplicity=mult)
+        if metric == "explicit":
+            pts = np.concatenate([pts, B[-1:]])
+            P = PointSet(np.arange(300), metric=metric_from_points(pts),
+                         multiplicity=mult)
+            B = np.array([0, 1, 2, 3, 4, 5, 300])
+        draws = rng.integers(0, 300, size=40)
+        core = metric_b_coreset(P, B, t=40, eps=0.3, z=1.5, draws=draws)
+
+        w = mult.astype(float)
+        idx, dzB = nearest_center(P.metric, P.points, B, 1.5)
+        tau = dzB / 0.3 ** 1.5
+        used = np.unique(idx)
+        assert len(used) < len(B) and len(np.unique(tau)) < len(tau)
+        remap = np.full(len(B), -1, dtype=np.intp)
+        remap[used] = np.arange(len(used))
+        proj_tau, proj_cum = [], []
+        for u in used:
+            members = np.flatnonzero(idx == u)
+            order = np.argsort(tau[members], kind="stable")
+            proj_tau.append(tau[members][order])
+            proj_cum.append(np.concatenate([[0.0], np.cumsum(w[members][order])]))
+
+        assert np.array_equal(core.proj_points, B[used])
+        assert len(core.proj_tau) == len(core.proj_cum_mass) == len(used)
+        for got, ref in zip(core.proj_tau + core.proj_cum_mass,
+                            proj_tau + proj_cum):
+            assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(core.sampled_center, remap[idx[draws]])
+        assert core.sampled_tau.tobytes() == tau[draws].tobytes()
+
+
 class TestKMedianCoreset:
     def test_weight_sum_identity(self):
         rng = np.random.default_rng(5)

@@ -7,6 +7,7 @@ from coreclust.robust import (
     exhaustive_provider,
     exhaustive_robust_median,
     metric_snap_median,
+    robust_sample_size,
     sampled_robust_median,
     snap_alpha,
     verify_robust_median,
@@ -171,7 +172,9 @@ class TestSampledReduction:
         pts = rng.normal(size=(1000, 2))
         P = PointSet(pts)
         params = RobustParams(0.75, 0.1, 1.0, 1)
-        sp = SampleParams(0.1, 0.1, 3, c=1.0)
+        # c = 0.005 gives t = 472 draws: below n, so every seed samples
+        sp = SampleParams(0.1, 0.1, 3, c=0.005)
+        assert robust_sample_size(params, sp) < len(P)
         passed = 0
         for seed in range(50):
             res = sampled_robust_median(P, params, seed,

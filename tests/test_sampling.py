@@ -112,6 +112,16 @@ class TestRangeApprox:
             assert key in d
 
 
+@pytest.mark.parametrize("verify", [verify_range_eps_approx,
+                                    verify_function_eps_approx])
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_sample_index_outside_the_table_is_rejected(verify, bad):
+    # -1 used to wrap to the last item and 10 to end in an IndexError
+    values = np.arange(10.0)
+    with pytest.raises(InputError, match="sample indices out of range"):
+        verify(values, np.array([0, bad]), 0.5)
+
+
 class TestFunctionApprox:
     def test_self_is_exact(self):
         rng = np.random.default_rng(7)

@@ -26,8 +26,11 @@ from coreclust.solvers import (
     constant_factor_metric_kmedian,
     solve_on_coreset,
     solve_weighted,
+    static_coreset,
+    strong_coreset_sample_size,
     weighted_local_search,
 )
+from coreclust.construction import k_median_coreset
 
 
 def pts1d(values):
@@ -353,6 +356,76 @@ class TestSolveOnCoreset:
         r2, a2 = solve_on_coreset(P, 2, 0.25, seed=9)
         assert np.array_equal(r1.centers, r2.centers)
         assert a1 == a2
+
+
+class TestStaticCoreset:
+    """static_coreset against the pipeline composed by hand, as its callers
+    composed it before it existed: the same points, weights and provenance,
+    bit for bit."""
+
+    @staticmethod
+    def assert_same(core, anchors, ref, ref_anchors):
+        assert core.points.tobytes() == ref.points.tobytes()
+        assert core.weights.tobytes() == ref.weights.tobytes()
+        assert core.provenance == ref.provenance
+        assert np.array_equal(anchors.centers, ref_anchors.centers)
+
+    @pytest.mark.parametrize("z, t", [(1.0, None), (2.0, None), (1.0, 57)])
+    def test_point_set(self, z, t):
+        P = PointSet(gaussian_mixture(400, 2, 3, seed=21))
+        core, anchors = static_coreset(P, 3, 0.2, 0.1, 5, z=z, t=t, c=0.5)
+        ref_anchors = constant_factor_metric_kmedian(P, 3, 0.2, 0.1, 5, c=0.5)
+        if t is None:
+            t = strong_coreset_sample_size(len(P), 3, 0.2, 0.1, P.metric,
+                                           dim=P.dim, c=0.5)
+        ref = k_median_coreset(P, ref_anchors.centers, t, 0.2, z=z, seed=5)
+        ref.provenance.update({"k": 3, "delta": 0.1, "c": 0.5,
+                               "bicriteria_cost": ref_anchors.cost})
+        self.assert_same(core, anchors, ref, ref_anchors)
+        assert core.provenance["t"] == t
+
+    def test_explicit_metric(self):
+        M = geometry.metric_from_points(gaussian_mixture(60, 2, 3, seed=22))
+        P = PointSet(np.arange(60), metric=M)
+        core, anchors = static_coreset(P, 3, 0.3, 0.1, 6, z=2.0)
+        ref_anchors = constant_factor_metric_kmedian(P, 3, 0.3, 0.1, 6)
+        t = strong_coreset_sample_size(60, 3, 0.3, 0.1, M)
+        ref = k_median_coreset(P, ref_anchors.centers, t, 0.3, z=2.0, seed=6)
+        ref.provenance.update({"k": 3, "delta": 0.1, "c": 1.0,
+                               "bicriteria_cost": ref_anchors.cost})
+        self.assert_same(core, anchors, ref, ref_anchors)
+
+    def test_signed_weights_as_the_stream_reduces_them(self):
+        # two merged coresets, as stream_push hands them to a reduction:
+        # anchors on |w|, the coreset on the signed weights, t given
+        P = PointSet(gaussian_mixture(300, 2, 3, seed=23))
+        a = k_median_coreset(P, P.points[:3], 30, 0.3, seed=1)
+        b = k_median_coreset(P, P.points[3:6], 30, 0.3, seed=2)
+        pts = np.concatenate([a.points, b.points])
+        w = np.concatenate([a.weights, b.weights])
+        w[::9] *= -1.0
+        data = (pts, w, P.metric)
+        core, anchors = static_coreset(data, 3, 0.1, 0.1, 7, z=1.5, t=40)
+        ref_anchors = constant_factor_metric_kmedian(
+            (pts, np.abs(w), P.metric), 3, 0.1, 0.1, 7)
+        ref = k_median_coreset(data, ref_anchors.centers, 40, 0.1, z=1.5,
+                               seed=7)
+        ref.provenance.update({"k": 3, "delta": 0.1, "c": 1.0,
+                               "bicriteria_cost": ref_anchors.cost})
+        assert np.any(w < 0)
+        self.assert_same(core, anchors, ref, ref_anchors)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"z": 0.5}, "z >= 1"), ({"t": 0}, "t must be >= 1"),
+        ({"eps": 1.0}, "eps must lie"), ({"eps": 0.0}, "eps must lie")])
+    def test_bad_arguments_fail_before_the_anchors(self, kwargs, match):
+        P = PointSet(gaussian_mixture(50, 2, 2, seed=24))
+        args = {"eps": 0.3, **kwargs}
+        eps = args.pop("eps")
+        with mock.patch("coreclust.solvers.constant_factor_metric_kmedian",
+                        side_effect=AssertionError("anchors were built")):
+            with pytest.raises(InputError, match=match):
+                static_coreset(P, 2, eps, 0.1, 1, **args)
 
 
 class TestWeakCoresetProperty:
