@@ -15,7 +15,7 @@ clean (1 + eps) * alpha cost bound; the loop guard uses the internal eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,8 +50,6 @@ class BicriteriaResult:
     beta: int
     alpha: float
     n: float
-    seed: int | None = None
-    meta: dict = field(default_factory=dict)
     # nearest center in B of every input point (ties: lowest index), from the
     # pass that gives total_cost; None until bicriteria() fills it
     assignment: np.ndarray | None = None
@@ -171,8 +169,6 @@ def bicriteria(P, eps: float, provider: MedianProvider, seed: int,
     res = peel_bicriteria(points, weights, metric, eps / 100.0, provider, rng, z)
     res.assignment, dz = nearest_center(metric, points, res.B, z)
     res.total_cost = float(weighted_sum(dz, weights))
-    res.seed = seed
-    res.meta.update({"eps": eps, "z": z})
     return res
 
 
@@ -221,6 +217,4 @@ def metric_kmedian_bicriteria(P, k: int, eps: float, delta: float, seed: int,
     if beta is None:
         beta = metric_kmedian_beta(k, eps, delta, c)
     provider = make_metric_provider(k, beta, z)
-    res = bicriteria((points, weights, metric), eps, provider, seed, z)
-    res.meta.update({"k": k, "delta": delta, "c": c})
-    return res
+    return bicriteria((points, weights, metric), eps, provider, seed, z)

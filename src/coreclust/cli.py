@@ -11,6 +11,8 @@ Exit codes: 0 ok, 1 usage, 2 I/O, 3 validation, 4 guarantee violation under
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import math
 import sys
@@ -40,6 +42,11 @@ REPORT_BRUTE_LIMIT = 10 ** 5
 
 
 class _Parser(argparse.ArgumentParser):
+    """Whole flag names only, in every subparser too; a usage error is exit 1."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -150,7 +157,7 @@ def cmd_solve(args):
                                     seed=args.seed)
     elif args.method == "constant-factor":
         res = constant_factor_metric_kmedian(P, args.k, args.eps, args.delta,
-                                             args.seed, c=args.c)
+                                             args.seed, c=args.c, z=args.z)
     else:
         res, audit = solve_on_coreset(P, args.k, args.eps, args.seed,
                                       delta=args.delta, c=args.c, z=args.z)
@@ -199,25 +206,15 @@ def cmd_stream(args):
     state = StreamState(k=args.k, eps_bar=args.eps, seed=args.seed,
                         block_size=args.block_size, z=args.z, c=args.c)
     checkpoints = []
-    width = None
-    source = open(args.input) if args.input else sys.stdin
-    try:
-        for lineno, line in enumerate(source, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            row = cio.parse_row(line.split(","), width,
-                                args.input or "<stdin>", lineno)
-            width = len(row)
+    with (open(args.input, newline="") if args.input
+          else contextlib.nullcontext(sys.stdin)) as source:
+        for row in cio.csv_rows(source, args.input or "<stdin>"):
             stream_push(state, row)
             if state.points_seen % state.block_size == 0:
                 cp = state.checkpoint()
                 checkpoints.append(cp)
                 if not args.out:
                     sys.stdout.write(json.dumps(cp, sort_keys=True) + "\n")
-    finally:
-        if args.input:
-            source.close()
     results = {"checkpoints": checkpoints, "final": state.checkpoint(),
                "block_size": state.block_size}
     if args.query_file:
@@ -261,11 +258,11 @@ def cmd_bench(args):
 # ---------------------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    return [int(x) for x in next(csv.reader([text]), []) if x]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+    return [float(x) for x in next(csv.reader([text]), []) if x]
 
 
 def build_parser() -> _Parser:
@@ -274,20 +271,22 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
+    def common(sp, needs_input=True, strict=False, c=True):
         if needs_input:
             sp.add_argument("--input", required=True, help="points CSV/JSONL")
             sp.add_argument("--metric", default=None,
                             help="optional explicit n x n distance matrix CSV")
         sp.add_argument("--seed", type=int, required=True)
         sp.add_argument("--out", default=None, help="report JSON path (default stdout)")
-        sp.add_argument("--strict", action="store_true",
-                        help="exit 4 when a checked guarantee fails")
-        sp.add_argument("--c", type=float, default=1.0,
-                        help="sample-size constant")
+        if strict:
+            sp.add_argument("--strict", action="store_true",
+                            help="exit 4 when a checked guarantee fails")
+        if c:
+            sp.add_argument("--c", type=float, default=1.0,
+                            help="sample-size constant")
 
     sp = sub.add_parser("build-coreset", help="bicriteria -> coreset -> file")
-    common(sp)
+    common(sp, strict=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--z", type=float, default=1.0)
@@ -297,7 +296,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_build_coreset)
 
     sp = sub.add_parser("bicriteria", help="peeling bicriteria approximation")
-    common(sp)
+    common(sp, strict=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--delta", type=float, default=0.1)
@@ -315,7 +314,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("verify", help="check a coreset file against its data")
-    common(sp)
+    common(sp, strict=True, c=False)
     sp.add_argument("--coreset", required=True)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--eps", type=float, default=None)
@@ -357,8 +356,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "seed"):
-            check_seed(args.seed)
+        check_seed(args.seed)
         if hasattr(args, "eps") and args.eps is not None and not 0 < args.eps <= 1:
             raise InputError(f"eps must lie in (0, 1], got {args.eps}")
         t0 = time.perf_counter()
@@ -382,7 +380,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"coreclust: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.strict and broken:
+    # only the commands with --strict ever return a broken guarantee
+    if broken and args.strict:
         print(f"{args.command}: --strict: {broken}", file=sys.stderr)
         return EXIT_GUARANTEE
     return EXIT_OK

@@ -42,15 +42,25 @@ def _as_points(path, rows) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def load_points_csv(path) -> np.ndarray:
-    """CSV points; only blank rows are skipped, so an empty cell is an error."""
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, cells in enumerate(csv.reader(fh), start=1):
+def csv_rows(lines, path):
+    """The point rows of CSV text, one float list at a time.  Only blank rows
+    are skipped; an empty cell, a non-number or a width other than the first
+    row's is a LoadError naming the row and `path`."""
+    reader = csv.reader(lines)
+    width = None
+    try:
+        for lineno, cells in enumerate(reader, start=1):
             if "".join(cells).strip():
-                rows.append(parse_row(cells, len(rows[0]) if rows else None,
-                                      path, lineno))
-    return _as_points(path, rows)
+                row = parse_row(cells, width, path, lineno)
+                width = len(row)
+                yield row
+    except csv.Error as exc:
+        raise LoadError(f"{path}: row {reader.line_num}: {exc}") from exc
+
+
+def load_points_csv(path) -> np.ndarray:
+    with open(path, newline="") as fh:
+        return _as_points(path, list(csv_rows(fh, path)))
 
 
 def load_points_jsonl(path) -> np.ndarray:

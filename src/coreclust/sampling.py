@@ -138,6 +138,42 @@ def _check_sample(sample_idx, n: int) -> np.ndarray:
     return sample_idx
 
 
+def _threshold_scan(kind, values, sample_idx, eps, params, seed, score,
+                    below_min=False) -> VerificationReport:
+    """Column j's thresholds r are its distinct values (counts and cost sums
+    are step functions of r), after one below the minimum if `below_min`.
+    score(j, r, col, sub, kf, ks) gets the sorted column and sample column
+    and the counts of each at or below every r, and returns one discrepancy
+    per r, NaN where r does not count.  The report holds the first maximum in
+    (column, threshold) order, or 0 when no threshold counts."""
+    v = _as_value_table(values)
+    n, q = v.shape
+    sample_idx = _check_sample(sample_idx, n)
+    best = (-1.0, 0, 0.0)
+    for j in range(q):
+        col = np.sort(v[:, j])
+        sub = np.sort(v[sample_idx, j])
+        r = np.unique(col)
+        if below_min:
+            r = np.concatenate([[r[0] - 1.0], r])
+        disc = score(j, r, col, sub, np.searchsorted(col, r, side="right"),
+                     np.searchsorted(sub, r, side="right"))
+        disc[np.isnan(disc)] = -1.0
+        i = int(disc.argmax())
+        if disc[i] > best[0]:
+            best = (float(disc[i]), j, float(r[i]))
+    max_disc = max(best[0], 0.0)
+    return VerificationReport(
+        kind=kind,
+        passed=bool(max_disc <= eps + 1e-12),
+        max_discrepancy=max_disc,
+        argmax_x=best[1],
+        argmax_r=best[2],
+        params={"eps": eps, "n": n, "sample": sample_idx.size, **(params or {})},
+        seed=seed,
+    )
+
+
 def verify_range_eps_approx(values, sample_idx, eps: float,
                             params: dict | None = None,
                             seed: int | None = None) -> VerificationReport:
@@ -145,35 +181,14 @@ def verify_range_eps_approx(values, sample_idx, eps: float,
 
     `values` is an (n_items, n_queries) table of f(x); `sample_idx` indexes
     the subset S.  For every query column and every threshold r taken from the
-    distinct values (counts are step functions of r, so these suffice), the
-    discrepancy | |range|/n - |S∩range|/|S| | is computed; the report carries
-    the maximum and whether it is <= eps.
+    distinct values, the discrepancy | |range|/n - |S∩range|/|S| | is
+    computed; the report carries the maximum and whether it is <= eps.
     """
-    v = _as_value_table(values)
-    n, q = v.shape
-    sample_idx = _check_sample(sample_idx, n)
-    s = sample_idx.size
-    best = (-1.0, 0, 0.0)
-    for j in range(q):
-        col = np.sort(v[:, j])
-        sub = np.sort(v[sample_idx, j])
-        thresholds = np.unique(col)
-        thresholds = np.concatenate([[thresholds[0] - 1.0], thresholds])
-        cf = np.searchsorted(col, thresholds, side="right") / n
-        cs = np.searchsorted(sub, thresholds, side="right") / s
-        disc = np.abs(cf - cs)
-        i = int(disc.argmax())
-        if disc[i] > best[0]:
-            best = (float(disc[i]), j, float(thresholds[i]))
-    return VerificationReport(
-        kind="range-eps-approx",
-        passed=bool(best[0] <= eps + 1e-12),
-        max_discrepancy=best[0],
-        argmax_x=best[1],
-        argmax_r=best[2],
-        params={"eps": eps, "n": n, "sample": s, **(params or {})},
-        seed=seed,
-    )
+    def score(j, r, col, sub, kf, ks):
+        return np.abs(kf / len(col) - ks / len(sub))
+
+    return _threshold_scan("range-eps-approx", values, sample_idx, eps, params,
+                           seed, score, below_min=True)
 
 
 def verify_function_eps_approx(values, sample_idx, eps: float,
@@ -186,37 +201,17 @@ def verify_function_eps_approx(values, sample_idx, eps: float,
     only ever hold zero-valued items, so both cost sums vanish there; such
     ranges are skipped (and flagged if the invariant were ever broken).
     """
-    v = _as_value_table(values)
-    n, q = v.shape
-    sample_idx = _check_sample(sample_idx, n)
-    s = sample_idx.size
-    best = (-1.0, 0, 0.0)
     flagged = []
-    for j in range(q):
-        col = np.sort(v[:, j])
-        sub = np.sort(v[sample_idx, j])
+
+    def score(j, r, col, sub, kf, ks):
         cum_f = np.concatenate([[0.0], np.cumsum(col)])
         cum_s = np.concatenate([[0.0], np.cumsum(sub)])
-        thresholds = np.unique(col)
-        for r in thresholds:
-            costf = cum_f[np.searchsorted(col, r, side="right")] / n
-            costs = cum_s[np.searchsorted(sub, r, side="right")] / s
-            gap = abs(costf - costs)
-            if r <= 0:
-                if gap > 0:
-                    flagged.append((j, float(r)))
-                continue
-            norm = gap / r
-            if norm > best[0]:
-                best = (float(norm), j, float(r))
-    max_disc = max(best[0], 0.0)
-    return VerificationReport(
-        kind="function-eps-approx",
-        passed=bool(max_disc <= eps + 1e-12) and not flagged,
-        max_discrepancy=max_disc,
-        argmax_x=best[1],
-        argmax_r=best[2],
-        params={"eps": eps, "n": n, "sample": s, **(params or {})},
-        seed=seed,
-        details={"flagged_zero_ranges": flagged},
-    )
+        gap = np.abs(cum_f[kf] / len(col) - cum_s[ks] / len(sub))
+        flagged.extend((j, float(x)) for x in r[(r <= 0) & (gap > 0)])
+        return np.divide(gap, r, out=np.full(r.shape, np.nan), where=r > 0)
+
+    rep = _threshold_scan("function-eps-approx", values, sample_idx, eps,
+                          params, seed, score)
+    rep.passed = rep.passed and not flagged
+    rep.details = {"flagged_zero_ranges": flagged}
+    return rep

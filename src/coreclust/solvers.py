@@ -185,23 +185,25 @@ def solve_weighted(data, k: int, candidates, z: float = 1.0,
 
 def constant_factor_metric_kmedian(P, k: int, eps: float, delta: float,
                                    seed: int, c: float = 1.0,
-                                   beta: int | None = None) -> SolveResult:
+                                   beta: int | None = None,
+                                   z: float = 1.0) -> SolveResult:
     """Constant-factor k centers: bicriteria, project, solve on the anchors.
 
     The projection of the data onto the bicriteria centers has at most |B|
     distinct weighted points; the weighted k-median on those (brute force when
     feasible, local search otherwise) is returned and re-costed on the full
-    input.
+    input.  Every step, and the returned cost, uses the power z.
     """
     points, weights, metric = coerce_weighted(P)
     bic = metric_kmedian_bicriteria((points, weights, metric), k, eps, delta,
-                                    seed, z=1.0, c=c, beta=beta)
+                                    seed, z=z, c=c, beta=beta)
     masses = np.bincount(bic.assignment, weights=weights, minlength=len(bic.B))
     used = np.flatnonzero(masses > 0)
     proj_pts, proj_w = bic.B[used], masses[used]
-    inner = solve_weighted((proj_pts, proj_w, metric), k, proj_pts, seed=seed)
+    inner = solve_weighted((proj_pts, proj_w, metric), k, proj_pts, z=z,
+                           seed=seed)
     return SolveResult(centers=inner.centers,
-                       cost=cost((points, weights, metric), inner.centers),
+                       cost=cost((points, weights, metric), inner.centers, z),
                        method="bicriteria_project",
                        evaluations=inner.evaluations)
 

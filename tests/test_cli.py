@@ -345,6 +345,29 @@ class TestSolve:
         assert costs["brute"] <= costs["constant-factor"] + 1e-9
 
 
+    def test_constant_factor_reports_the_cost_at_z(self, tmp_path, data_file):
+        # --z used to be echoed in config while the centers and the reported
+        # cost stayed at z = 1
+        from coreclust.geometry import PointSet, cost
+        from coreclust.io import load_points
+        from coreclust.solvers import constant_factor_metric_kmedian
+        P = PointSet(load_points(data_file))
+        sols = {}
+        for z in ("1", "2"):
+            out = tmp_path / f"z{z}.json"
+            assert main(["solve", "--input", str(data_file), "--k", "2",
+                         "--method", "constant-factor", "--z", z, "--seed", "5",
+                         "--out", str(out)]) == 0
+            sols[z] = read(out)["results"]["solution"]
+            centers = np.array(sols[z]["centers"])
+            assert sols[z]["cost"] == cost(P, centers, float(z))
+        # z = 1 is still the anchors static_coreset builds
+        anchors = constant_factor_metric_kmedian(P, 2, 0.2, 0.1, 5)
+        assert sols["1"]["centers"] == anchors.centers.tolist()
+        assert sols["1"]["cost"] == anchors.cost
+        assert sols["2"]["cost"] != sols["1"]["cost"]
+
+
 class TestBicriteriaCommand:
     def test_report_fields(self, tmp_path, data_file):
         out = tmp_path / "bic.json"
@@ -387,6 +410,150 @@ class TestStream:
                      block_size, "--seed", "3"])
         assert code == 2
         assert f"<stdin>: {message}" in capsys.readouterr().err
+
+
+class TestRowRules:
+    """Point rows follow one rule whether they come from a point file,
+    `stream --input` or `stream` on standard input."""
+
+    @pytest.mark.parametrize("payload", [
+        b"1,2\n , \n3,4\n",
+        b'"1","2"\n3,4\n',
+        b"1,2\r\n3,4\r\n",
+        b"1,2,\n3,4\n",
+        b"1,2\n3\n4,5\n",
+        b"1,2\nx,3\n",
+        b"1,2\n3\x00,4\n",
+        b"1,2\n" + b"3" * 200_000 + b",4\n",
+    ], ids=["blank-cells", "quoted", "crlf", "trailing-comma", "ragged",
+            "non-number", "nul", "oversize-cell"])
+    def test_file_and_stream_agree(self, tmp_path, monkeypatch, capsys,
+                                   payload):
+        import io
+        import coreclust.cli as cli
+        from coreclust.geometry import LoadError
+        from coreclust.io import load_points
+        path = tmp_path / "rows.csv"
+        path.write_bytes(payload)
+        try:
+            expected = ("points", load_points(path).tolist())
+        except LoadError as exc:
+            expected = ("exit 2", str(exc).removeprefix(f"{path}: "))
+        pushed = []
+        push = cli.stream_push
+        monkeypatch.setattr(cli, "stream_push",
+                            lambda state, row: pushed.append(row) or push(state, row))
+        argv = ["stream", "--k", "1", "--eps", "0.4", "--block-size", "64",
+                "--seed", "3", "--out", str(tmp_path / "r.json")]
+        for source, name in ((["--input", str(path)], str(path)),
+                             ([], "<stdin>")):
+            monkeypatch.setattr("sys.stdin",
+                                io.TextIOWrapper(io.BytesIO(payload)))
+            pushed.clear()
+            capsys.readouterr()
+            code = main(argv + source)
+            if expected[0] == "points":
+                assert code == 0 and pushed == expected[1]
+            else:
+                assert code == 2
+                assert capsys.readouterr().err == (
+                    f"coreclust: {name}: {expected[1]}\n")
+        if expected[0] == "exit 2":
+            assert re.match(r"row \d+", expected[1])
+
+
+# the long flags of every subcommand: each one is read by its command, so a
+# dead flag or an alias cannot come back unnoticed
+FLAGS = {
+    "build-coreset": {"--help", "--input", "--metric", "--seed", "--out",
+                      "--strict", "--c", "--k", "--eps", "--z", "--t",
+                      "--delta", "--coreset-out"},
+    "bicriteria": {"--help", "--input", "--metric", "--seed", "--out",
+                   "--strict", "--c", "--k", "--eps", "--delta", "--beta"},
+    "solve": {"--help", "--input", "--metric", "--seed", "--out", "--c",
+              "--k", "--method", "--eps", "--z", "--delta"},
+    "verify": {"--help", "--input", "--metric", "--seed", "--out", "--strict",
+               "--coreset", "--k", "--eps", "--queries", "--query-file"},
+    "stream": {"--help", "--input", "--seed", "--out", "--c", "--k", "--eps",
+               "--z", "--block-size", "--query-file"},
+    "bench": {"--help", "--seed", "--out", "--c", "--n-grid", "--k-grid",
+              "--eps-grid", "--d", "--delta", "--queries", "--csv-out"},
+}
+
+# enough of each command for its parser to accept it
+REQUIRED = {
+    "build-coreset": ["--input", "p", "--seed", "1", "--k", "2", "--eps", "0.3",
+                      "--coreset-out", "c"],
+    "bicriteria": ["--input", "p", "--seed", "1", "--k", "2", "--eps", "0.3"],
+    "solve": ["--input", "p", "--seed", "1", "--k", "2", "--method", "brute"],
+    "verify": ["--input", "p", "--seed", "1", "--coreset", "c"],
+    "stream": ["--seed", "1", "--k", "2", "--eps", "0.3"],
+    "bench": ["--seed", "1", "--n-grid", "50", "--k-grid", "2",
+              "--eps-grid", "0.3"],
+}
+
+
+def _subparsers():
+    import argparse
+    from coreclust.cli import build_parser
+    parser = build_parser()
+    action, = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return parser, action.choices
+
+
+class TestCliSurface:
+    def test_each_command_has_exactly_its_flags(self):
+        parser, commands = _subparsers()
+        assert {s for a in parser._actions for s in a.option_strings
+                if s.startswith("--")} == {"--help", "--version"}
+        assert set(commands) == set(FLAGS)
+        for name, sp in commands.items():
+            flags = {s for a in sp._actions for s in a.option_strings
+                     if s.startswith("--")}
+            assert flags == FLAGS[name], name
+
+    def test_every_flag_prefix_is_a_usage_error(self, capsys):
+        _, commands = _subparsers()
+        for name, sp in commands.items():
+            # the minimal command line parses
+            sp.parse_args(REQUIRED[name])
+            for flag in FLAGS[name]:
+                for end in range(3, len(flag)):
+                    if flag[:end] in FLAGS[name]:
+                        continue
+                    with pytest.raises(SystemExit) as exc:
+                        sp.parse_args(REQUIRED[name] + [flag[:end], "1"])
+                    assert exc.value.code == 1, (name, flag[:end])
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["bench", "--n", "60", "--k", "2", "--eps", "0.3", "--seed", "1"],
+         "--n"),
+        (["verify", "--in", "{data}", "--coreset", "{core}", "--seed", "1"],
+         "--in"),
+        (["verify", "--input", "{data}", "--coreset", "{core}", "--seed", "1",
+          "--c", "1"], "--c"),
+        (["stream", "--k", "2", "--eps", "0.3", "--seed", "1", "--strict"],
+         "--strict"),
+        (["solve", "--input", "{data}", "--k", "2", "--method", "brute",
+          "--seed", "1", "--strict"], "--strict"),
+        (["bench", "--n-grid", "50", "--k-grid", "2", "--eps-grid", "0.3",
+          "--seed", "1", "--strict"], "--strict"),
+    ])
+    def test_abbreviated_or_dead_flag_is_one_usage_error(
+            self, tmp_path, data_file, capsys, argv, flag):
+        core = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(data_file), "--k", "2",
+                     "--eps", "0.3", "--seed", "1", "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        capsys.readouterr()
+        argv = [a.format(data=data_file, core=core) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0], captured.err
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreclust.geometry import InputError, PointSet, pairwise_dist
 from coreclust.sampling import (
@@ -149,6 +151,99 @@ class TestFunctionApprox:
             eps_range = verify_range_eps_approx(values, idx, 1.0).max_discrepancy
             func = verify_function_eps_approx(values, idx, 1.0).max_discrepancy
             assert func <= 5.0 * max(eps_range, 1e-12) + 1e-9
+
+
+def _range_loop(values, sample_idx):
+    """The per-column loop verify_range_eps_approx used before the shared
+    threshold scan: (max discrepancy, column, threshold)."""
+    v = values[:, None] if values.ndim == 1 else values
+    n, q = v.shape
+    s = len(sample_idx)
+    best = (-1.0, 0, 0.0)
+    for j in range(q):
+        col = np.sort(v[:, j])
+        sub = np.sort(v[sample_idx, j])
+        thresholds = np.unique(col)
+        thresholds = np.concatenate([[thresholds[0] - 1.0], thresholds])
+        cf = np.searchsorted(col, thresholds, side="right") / n
+        cs = np.searchsorted(sub, thresholds, side="right") / s
+        disc = np.abs(cf - cs)
+        i = int(disc.argmax())
+        if disc[i] > best[0]:
+            best = (float(disc[i]), j, float(thresholds[i]))
+    return best
+
+
+def _function_loop(values, sample_idx):
+    """The per-threshold loop verify_function_eps_approx used before the
+    shared threshold scan: (max discrepancy, column, threshold, flagged)."""
+    v = values[:, None] if values.ndim == 1 else values
+    n, q = v.shape
+    s = len(sample_idx)
+    best = (-1.0, 0, 0.0)
+    flagged = []
+    for j in range(q):
+        col = np.sort(v[:, j])
+        sub = np.sort(v[sample_idx, j])
+        cum_f = np.concatenate([[0.0], np.cumsum(col)])
+        cum_s = np.concatenate([[0.0], np.cumsum(sub)])
+        for r in np.unique(col):
+            costf = cum_f[np.searchsorted(col, r, side="right")] / n
+            costs = cum_s[np.searchsorted(sub, r, side="right")] / s
+            gap = abs(costf - costs)
+            if r <= 0:
+                if gap > 0:
+                    flagged.append((j, float(r)))
+                continue
+            norm = gap / r
+            if norm > best[0]:
+                best = (float(norm), j, float(r))
+    return (max(best[0], 0.0), best[1], best[2], flagged)
+
+
+@st.composite
+def value_tables(draw):
+    """Small tables of tied, zero, negative and fractional values (one column
+    as a 1-d array half the time) with a sample of their rows."""
+    n = draw(st.integers(1, 12))
+    q = draw(st.integers(1, 4))
+    cell = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.0, -1.0]),
+                     st.floats(-5, 5, allow_nan=False))
+    values = np.array(draw(st.lists(cell, min_size=n * q, max_size=n * q)),
+                      dtype=float).reshape(n, q)
+    if q == 1 and draw(st.booleans()):
+        values = values[:, 0]
+    sample = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=10)), dtype=np.intp)
+    return values, sample
+
+
+class TestThresholdScan:
+    """Both verifiers share one column scan; every report field matches the
+    loops each verifier used to run on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=value_tables(), eps=st.sampled_from([0.0, 0.1, 0.5]))
+    def test_matches_the_old_loops(self, table, eps):
+        values, sample = table
+        rep = verify_range_eps_approx(values, sample, eps)
+        disc, col, r = _range_loop(values, sample)
+        assert (rep.max_discrepancy, rep.argmax_x, rep.argmax_r) == (disc, col, r)
+        assert rep.passed == (disc <= eps + 1e-12)
+        # a subnormal threshold overflows gap / r to inf in both
+        with np.errstate(over="ignore"):
+            rep = verify_function_eps_approx(values, sample, eps)
+            disc, col, r, flagged = _function_loop(values, sample)
+        assert (rep.max_discrepancy, rep.argmax_x, rep.argmax_r) == (disc, col, r)
+        assert rep.details["flagged_zero_ranges"] == flagged
+        assert rep.passed == (disc <= eps + 1e-12 and not flagged)
+
+    def test_negative_values_are_flagged(self):
+        # a range at r <= 0 whose cost sums differ breaks the invariant
+        rep = verify_function_eps_approx(np.array([-1.0, 0.0, 2.0]),
+                                         np.array([2]), 0.5)
+        assert rep.details["flagged_zero_ranges"] == [(0, -1.0), (0, 0.0)]
+        assert not rep.passed
 
 
 class TestStatisticalGuarantee:
