@@ -23,6 +23,7 @@ import numpy as np
 from .geometry import (
     InputError,
     Metric,
+    center_index,
     check_power,
     coerce_weighted,
     nearest_center,
@@ -90,6 +91,18 @@ def _distinct_rows(arr: np.ndarray) -> np.ndarray:
     return arr[np.sort(idx)]
 
 
+def _nearest_center(metric: Metric, points, centers, z: float):
+    """nearest_center(metric, points, centers, z) bit for bit, with only the
+    points that are not centers sent through the kernel: a point that is
+    center j is at distance 0 from it (geometry.center_index)."""
+    idx = center_index(metric, points, centers)
+    rest = np.flatnonzero(idx < 0)
+    dz = np.zeros(len(points))
+    if rest.size:
+        idx[rest], dz[rest] = nearest_center(metric, points[rest], centers, z)
+    return idx, dz
+
+
 def _terminal(k: int, beta: int, z: float) -> Callable:
     """Residue finisher: the residue if it fits in beta, else solve_weighted's
     k centers among its distinct points."""
@@ -132,7 +145,7 @@ def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
         best = None
         for _ in range(i):   # amplification: keep the best of i draws
             Y = provider.draw(sub_pts, sub_w, metric, rng)
-            _, dY = nearest_center(metric, sub_pts, Y, z)
+            _, dY = _nearest_center(metric, sub_pts, Y, z)
             taken = take_smallest(dY, sub_w, trim)
             c = float(weighted_sum(dY, taken))
             if best is None or c < best[0]:
@@ -167,7 +180,7 @@ def bicriteria(P, eps: float, provider: MedianProvider, seed: int,
     points, weights, metric = coerce_weighted(P)
     rng = rng_for(seed, 1)
     res = peel_bicriteria(points, weights, metric, eps / 100.0, provider, rng, z)
-    res.assignment, dz = nearest_center(metric, points, res.B, z)
+    res.assignment, dz = _nearest_center(metric, points, res.B, z)
     res.total_cost = float(weighted_sum(dz, weights))
     return res
 

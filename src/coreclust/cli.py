@@ -206,7 +206,10 @@ def cmd_stream(args):
     state = StreamState(k=args.k, eps_bar=args.eps, seed=args.seed,
                         block_size=args.block_size, z=args.z, c=args.c)
     checkpoints = []
-    with (open(args.input, newline="") if args.input
+    if not args.input and hasattr(sys.stdin, "reconfigure"):
+        # decoded as a point file is (io.open_points), whatever the locale
+        sys.stdin.reconfigure(errors="surrogateescape")
+    with (cio.open_points(args.input) if args.input
           else contextlib.nullcontext(sys.stdin)) as source:
         for row in cio.csv_rows(source, args.input or "<stdin>"):
             stream_push(state, row)
@@ -224,6 +227,10 @@ def cmd_stream(args):
 
 
 def cmd_bench(args):
+    for flag, grid in (("--n-grid", args.n_grid), ("--k-grid", args.k_grid),
+                       ("--eps-grid", args.eps_grid)):
+        if not grid:
+            raise InputError(f"bench: {flag} lists no value")
     rows, cell_timings = [], []
     for n in args.n_grid:
         for k in args.k_grid:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,14 @@ class Metric:
     @property
     def size(self) -> int | None:
         return None if self.matrix is None else self.matrix.shape[0]
+
+    @cached_property
+    def isolated(self) -> np.ndarray:
+        """Per id of the matrix: its row's only entry that is not positive is
+        its own +0.0 diagonal, so no other id lies at distance 0 from it."""
+        diag = np.diagonal(self.matrix)
+        return ((np.count_nonzero(~(self.matrix > 0), axis=1) == 1)
+                & (diag == 0) & ~np.signbit(diag))
 
     @staticmethod
     def from_matrix(matrix) -> "Metric":
@@ -217,50 +226,67 @@ def _check_dims(P, C) -> None:
             f"dimension mismatch: points are {P.shape[1]}-D, centers {C.shape[1]}-D")
 
 
-def pairwise_dist(metric: Metric, points, centers) -> np.ndarray:
+def pairwise_dist(metric: Metric, points, centers, width=None) -> np.ndarray:
     """Base (unpowered) distances of one block, an (n_points, n_centers)
     array; callers pass blocks of about CHUNK_CELLS distances.
 
     The exact form (_sq_dist) up to row width m*d = EXACT_MAX_WIDTH, the
     dot-product expansion (fewer passes at large m*d, but it cancels digits)
-    above it; an entry depends only on its point, its center and m*d.  The
-    exact form's block is the transposed view of a center-major array.
+    above it; an entry depends only on its point, its center and m*d.  A
+    slab of a larger center set passes that set's m*d as `width`, so its
+    entries are the whole set's.  The block is the transposed view of a
+    center-major array, except a dot-form block of fewer points than
+    centers, which is point-major.
     """
     if not metric.is_euclidean:
         return metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
     P = np.atleast_2d(np.asarray(points, dtype=float))
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     _check_dims(P, C)
+    # the passes run along the points, over center-major (m, rows) arrays
+    # whose (rows, m) view is the block; a dot-form block of fewer points
+    # than centers (a row block of a large set) runs along the centers.
+    # Points that are already a view of coordinate-major memory are used in
+    # place.  Both arrays are allocated before the passes: an array
+    # allocated after them let glibc trim the heap, and every query faulted
+    # in again
+    m, rows = len(C), len(P)
+    dot_form = (C.size if width is None else width) > EXACT_MAX_WIDTH
+    along_points = rows >= m or not dot_form
     CT = np.ascontiguousarray(C.T)
+    PT = P.T if P.strides[0] == P.itemsize else np.ascontiguousarray(P.T)
+    shape = (m, rows) if along_points else (rows, m)
+    acc, sq = _aligned_empty(shape), _aligned_empty(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        if C.size > EXACT_MAX_WIDTH:
-            # einsum and sum add strided operands in another order
+        if dot_form:
+            # |p|^2 + |c|^2 - 2 p.c, with every p.c added left to right.
+            # einsum does so when its passes run along more than one entry (a
+            # single pair takes its vectorised dot); numpy's row sums add
+            # strided operands in another order
             P = np.ascontiguousarray(P)
-            # einsum sums every dot product in the same order, wherever its
-            # row and column fall; BLAS's order depends on the block shape
-            dot2 = np.einsum("ik,kj->ij", P, CT)
-            dot2 *= 2.0
-            pp = (P * P).sum(axis=1)
-            sq = pp[:, None] + (C * C).sum(axis=1)[None, :]
-            sq -= dot2
+            pp, cc = (P * P).sum(axis=1), (C * C).sum(axis=1)
+            A, BT, aa, bb = (C, PT, cc, pp) if along_points else (P, CT, pp, cc)
+            if acc.size != 1:
+                np.einsum("ak,kb->ab", A, BT, out=acc)
+            else:
+                acc.fill(0.0)
+                for a_k, b_k in zip(A[0], BT[:, 0]):
+                    acc += a_k * b_k
+            acc *= 2.0
+            np.add.outer(aa, bb, out=sq)
+            sq -= acc
             # near a center the expansion is rounding noise, even below 0 (a
             # point's distance to itself would not be 0): redo those exactly
-            near = np.flatnonzero(sq <= pp[:, None] * 2.0 ** -20)
-            i, j = np.divmod(near, len(C))
+            bound = pp * 2.0 ** -20
+            near = np.flatnonzero(sq <= (bound if along_points else bound[:, None]))
+            a, b = np.divmod(near, sq.shape[1])
+            i, j = (b, a) if along_points else (a, b)
             np.put(sq, near, _sq_dist(P[i].T, C[j].T, np.empty(len(near)),
                                       np.empty(len(near))))
-            return np.sqrt(sq, out=sq)
-        # coordinate-major (m, rows) arrays: every pass runs along the rows,
-        # and the block is the (rows, m) view of the center-major result.
-        # Points that are already a view of coordinate-major memory are used
-        # in place.  Both arrays are allocated before the passes: an array
-        # allocated after them let glibc trim the heap, and every query
-        # faulted in again
-        m, rows = len(C), len(P)
-        PT = P.T if P.strides[0] == P.itemsize else np.ascontiguousarray(P.T)
-        diff, sq = _aligned_empty((m, rows)), _aligned_empty((m, rows))
-        _sq_dist(CT[:, :, None], PT[:, None, :], diff, sq)
-        return np.sqrt(sq, out=sq).T
+        else:
+            _sq_dist(CT[:, :, None], PT[:, None, :], acc, sq)
+        np.sqrt(sq, out=sq)
+    return sq.T if along_points else sq
 
 
 def check_centers(metric: Metric, centers) -> np.ndarray:
@@ -275,6 +301,42 @@ def dist_pow(p, centers, z=1.0, metric: Metric | None = None) -> float:
     metric = metric or Metric()
     p_arr = as_points(metric, [p] if not metric.is_euclidean else p)
     return float(nearest_center(metric, p_arr, centers, z)[1][0])
+
+
+def center_index(metric: Metric, points, centers) -> np.ndarray:
+    """For each point that is one of the centers, the first center equal to
+    it; -1 for every other point.  nearest_center gives a point with index
+    j >= 0 index j and distance 0, so a pass can skip it.
+
+    A point that another center could tie with at distance 0 is -1 too:
+    every point when a center has a coordinate of magnitude in (0, 2^-480)
+    (the squared difference of two distinct coordinates can underflow to 0)
+    or of at least 2^480 (a sum of squares can overflow), and an id whose
+    matrix row is not `isolated`.  Euclidean points match by value, so -0.0
+    equals 0.0.
+    """
+    c = check_centers(metric, centers)
+    idx = np.full(len(points), -1, dtype=np.intp)
+    if metric.is_euclidean:
+        _check_dims(points, c)
+        a = np.abs(c)
+        if not np.all((a == 0) | ((a >= 2.0 ** -480) & (a < 2.0 ** 480))):
+            return idx
+        keys, pkeys = _row_keys(c), _row_keys(points)
+    else:
+        keys = c
+        pkeys = np.where(metric.isolated[points], points, -1)
+    order = np.argsort(keys, kind="stable")
+    pos = np.minimum(np.searchsorted(keys[order], pkeys), len(c) - 1)
+    hit = keys[order[pos]] == pkeys
+    idx[hit] = order[pos[hit]]
+    return idx
+
+
+def _row_keys(rows) -> np.ndarray:
+    """One opaque key per row: equal keys are rows of equal value."""
+    rows = np.ascontiguousarray(rows, dtype=float) + 0.0   # -0.0 -> 0.0
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def nearest_center(metric: Metric, points, centers, z=1.0):
@@ -306,14 +368,17 @@ def distance_table(metric: Metric, points, centers, z=1.0) -> np.ndarray:
     """Center-major d**z, shape (n_centers, n_points): row j holds every
     point's powered distance to centers[j].
 
-    Filled by row blocks of about CHUNK_CELLS distances, so memory beyond the
-    table is O(CHUNK_CELLS); the bits are those of pairwise_dist(...) ** z.
+    Filled by slabs of centers against every point, about CHUNK_CELLS
+    distances each, written straight into the table's rows, so memory beyond
+    the table is O(CHUNK_CELLS).  Every slab takes the whole center set's
+    form, so the bits are those of pairwise_dist(...) ** z.
     """
     DT = np.empty((len(centers), len(points)))
-    rows = max(1, CHUNK_CELLS // len(centers))
-    for s in range(0, len(points), rows):
-        block = pairwise_dist(metric, points[s:s + rows], centers)
-        DT[:, s:s + rows] = np.power(block, z, out=block).T
+    cols = max(1, CHUNK_CELLS // max(1, len(points)))
+    for s in range(0, len(centers), cols):
+        block = pairwise_dist(metric, points, centers[s:s + cols],
+                              width=np.size(centers))
+        np.power(block.T, z, out=DT[s:s + cols])
     return DT
 
 

@@ -58,14 +58,21 @@ def csv_rows(lines, path):
         raise LoadError(f"{path}: row {reader.line_num}: {exc}") from exc
 
 
+def open_points(path):
+    """A point file opened as text.  Bytes the encoding cannot decode
+    become lone surrogates, as on stdin under the C locale, so the row that
+    holds them fails to parse and its LoadError names it."""
+    return open(path, newline="", errors="surrogateescape")
+
+
 def load_points_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
+    with open_points(path) as fh:
         return _as_points(path, list(csv_rows(fh, path)))
 
 
 def load_points_jsonl(path) -> np.ndarray:
     rows = []
-    with open(path) as fh:
+    with open_points(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

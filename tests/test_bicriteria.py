@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from coreclust.geometry import (
     cost,
     metric_from_points,
     nearest_center,
+    weighted_sum,
 )
 from coreclust.sampling import rng_for
 from coreclust.solvers import brute_force_k_median, constant_factor_metric_kmedian
@@ -174,7 +176,14 @@ class TestMetricKMedian:
 
 class TestAssignment:
     """bicriteria() keeps the nearest-center pass that gives total_cost, and
-    the constant-factor step projects with it instead of a second pass."""
+    the constant-factor step projects with it instead of a second pass.
+    Points that are centers skip the kernel in both passes, with the bits of
+    the full pass."""
+
+    # the tie kinds put two sites at computed distance 0 (a zero between two
+    # ids of the matrix, a coordinate that squares to 0), or write one site
+    # with both signs of zero; their many copies bring both sites into B
+    KINDS = ["euclidean", "explicit-matrix", "matrix-tie", "tiny", "signed-zero"]
 
     @staticmethod
     def repeated_points(kind):
@@ -183,36 +192,79 @@ class TestAssignment:
         rng = np.random.default_rng(31)
         coords = rng.normal(size=(200, 2))
         rows = np.concatenate([np.arange(200), rng.integers(0, 200, 1300)])
-        if kind == "euclidean":
+        if kind in ("matrix-tie", "tiny", "signed-zero"):
+            rows = np.concatenate([rows, np.repeat([0, 1], 300)])
+            rng.shuffle(rows)
+            coords[0], coords[1] = {"matrix-tie": (coords[1], coords[1]),
+                                    "tiny": ((1e-300, 0.0), (0.0, 0.0)),
+                                    "signed-zero": ((0.0, 0.5), (-0.0, 0.5))}[kind]
+        if kind in ("euclidean", "tiny", "signed-zero"):
             return PointSet(coords[rows])
         return PointSet(rows, metric=metric_from_points(coords))
 
-    @pytest.mark.parametrize("kind", ["euclidean", "explicit-matrix"])
+    @staticmethod
+    def full_pass(monkeypatch, P, z):
+        """The run with every point sent through the kernel."""
+        # the package exports the function bicriteria under the module's name
+        module = importlib.import_module("coreclust.bicriteria")
+        with monkeypatch.context() as m:
+            m.setattr(module, "center_index",
+                      lambda metric, points, centers: np.full(len(points), -1))
+            return metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1, seed=2,
+                                             z=z, beta=12)
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("z", [1.0, 2.0])
-    def test_assignment_is_the_nearest_center_pass(self, kind, z):
+    def test_assignment_is_the_nearest_center_pass(self, kind, z, monkeypatch):
         P = self.repeated_points(kind)
         res = metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1, seed=2,
                                         z=z, beta=12)
         assert len(res.rounds) > 1 and len(res.B) < len(P)
-        idx, _ = nearest_center(P.metric, P.points, res.B, z)
+        idx, dz = nearest_center(P.metric, P.points, res.B, z)
         assert res.assignment.dtype == idx.dtype
         assert np.array_equal(res.assignment, idx)
+        assert res.total_cost == float(weighted_sum(dz, P.multiplicity.astype(float)))
         assert res.total_cost == cost(P, res.B, z)
+        full = self.full_pass(monkeypatch, P, z)
+        assert res.total_cost == full.total_cost
+        assert np.array_equal(res.B, full.B)
+        assert len(res.rounds) == len(full.rounds)
+        for r, f in zip(res.rounds, full.rounds):
+            assert np.array_equal(r.indices, f.indices)
+            assert r.amounts.tobytes() == f.amounts.tobytes()
+            assert np.array_equal(r.centers, f.centers)
+        # the tie kinds reach their case: a center point whose nearest center
+        # is an earlier one, or a center point written with the other zero
+        if kind in ("matrix-tie", "tiny"):
+            same = P.points[:, None] == res.B[None]
+            same = same if same.ndim == 2 else same.all(axis=2)
+            own = np.where(same.any(axis=1), same.argmax(axis=1), -1)
+            assert np.any(idx < own)
+        if kind == "signed-zero":
+            assert len(np.unique(np.signbit(P.points[:, 0]))) == 2
+            assert np.any((res.B == (0.0, 0.5)).all(axis=1))
+
+    @pytest.mark.parametrize("Y, message", [
+        (np.zeros((2, 3)), "dimension mismatch: points are 2-D, centers 3-D"),
+        (np.empty((0, 2)), "center set must be nonempty")])
+    def test_a_bad_draw_raises_what_the_full_pass_raised(self, Y, message):
+        provider = MedianProvider(draw=lambda points, weights, metric, rng: Y,
+                                  alpha=1.0, beta=2)
+        with pytest.raises(InputError, match=message):
+            bicriteria(self.repeated_points("euclidean"), eps=1.0,
+                       provider=provider, seed=1)
 
     def test_constant_factor_makes_one_pass_over_the_input(self, monkeypatch):
         import coreclust.geometry as geometry
         import coreclust.solvers as solvers
 
         P = self.repeated_points("euclidean")
-        bics, rows = [], []
+        bics, calls = [], []
         pairwise, bicrit = geometry.pairwise_dist, solvers.metric_kmedian_bicriteria
 
-        def counting(metric, points, centers):
-            out = pairwise(metric, points, centers)
-            # blocks of the input itself are views of its array
-            if np.shares_memory(points, P.points):
-                rows.append((len(points), np.asarray(centers).copy()))
-            return out
+        def counting(metric, points, centers, **kwargs):
+            calls.append((np.array(points), np.array(centers)))
+            return pairwise(metric, points, centers, **kwargs)
 
         def capture(*args, **kwargs):
             bics.append(bicrit(*args, **kwargs))
@@ -223,9 +275,16 @@ class TestAssignment:
         constant_factor_metric_kmedian(P, k=3, eps=1.0, delta=0.1, seed=2,
                                        beta=12)
         (bic,) = bics
-        against_B = sum(n for n, c in rows
-                        if len(c) == len(bic.B) and np.array_equal(c, bic.B))
-        assert against_B == len(P)
+
+        def is_center(rows):
+            return (rows[:, None, :] == bic.B[None]).all(axis=2).any(axis=1)
+
+        # the input's pass against B; the solver's tables hold only centers
+        against_B = [p for p, c in calls
+                     if np.array_equal(c, bic.B) and not is_center(p).all()]
+        assert not any(is_center(p).any() for p in against_B)
+        assert (sum(len(p) for p in against_B)
+                == np.count_nonzero(~is_center(P.points)) > 0)
 
 
 class TestGenericProvider:

@@ -173,6 +173,9 @@ class TestExitCodes:
           "--c", "0", "--input", "{data}"], "c"),
         (["bench", "--k-grid", "2", "--n-grid", "50", "--eps-grid", "0.3",
           "--c", "-1"], "c"),
+        *[(["bench", "--n-grid", "50", "--k-grid", "2", "--eps-grid", "0.3",
+            grid, ""], grid.strip("-"))
+          for grid in ("--n-grid", "--k-grid", "--eps-grid")],
         (["verify", "--k", "0", "--coreset", "{core}", "--input", "{data}"],
          "k"),
         (["verify", "--k", "0", "--query-file", "{data}", "--coreset", "{core}",
@@ -425,8 +428,9 @@ class TestRowRules:
         b"1,2\nx,3\n",
         b"1,2\n3\x00,4\n",
         b"1,2\n" + b"3" * 200_000 + b",4\n",
+        b"1,2\n\xff\xfe,3\n",
     ], ids=["blank-cells", "quoted", "crlf", "trailing-comma", "ragged",
-            "non-number", "nul", "oversize-cell"])
+            "non-number", "nul", "oversize-cell", "not-utf8"])
     def test_file_and_stream_agree(self, tmp_path, monkeypatch, capsys,
                                    payload):
         import io

@@ -122,6 +122,32 @@ def test_pairwise_rows_do_not_depend_on_chunking(kind, shape, n, seed, z, chunk)
         assert np.array_equal(pairwise_dist(metric, P[i:i + 1], C)[0], whole[i])
 
 
+@FEW
+@given(kind=st.sampled_from(["exact", "dot", MATRIX]),
+       d=st.sampled_from([1, 2, 16, 64]), n=st.integers(1, 300),
+       extra=st.integers(0, 40), seed=seeds, z=powers, chunk=chunks)
+def test_table_slabs_are_the_whole_call(kind, d, n, extra, seed, z, chunk):
+    # distance_table fills slabs of centers against every point, each one
+    # pairwise_dist call of the whole set's form; the matrix is not
+    # symmetric, so a slab that read D[c, p] would differ
+    rng = np.random.default_rng(seed)
+    wide = EXACT_MAX_WIDTH // d
+    m = max(1, wide - extra) if kind == "exact" else wide + 1 + extra
+    if kind == MATRIX:
+        D = rng.uniform(0.5, 9.0, size=(60, 60))
+        np.fill_diagonal(D, 0.0)
+        metric, P, C = (Metric(kind=MATRIX, matrix=D), rng.integers(0, 60, n),
+                        rng.integers(0, 60, min(m, 90)))
+    else:
+        scale = 10.0 ** rng.integers(-3, 4)
+        metric, P, C = (Metric(), rng.normal(size=(n, d)) * scale,
+                        rng.normal(size=(m, d)) * scale)
+    whole = pairwise_dist(metric, P, C) ** z
+    with mock.patch.object(geometry, "CHUNK_CELLS", chunk):
+        table = distance_table(metric, P, C, z)
+    assert table.flags.c_contiguous and table.tobytes() == whole.T.tobytes()
+
+
 @pytest.mark.parametrize("m, d", [(1, 1), (5, 16), (300, 16), (2_100, 2)])
 def test_pairwise_rows_do_not_depend_on_the_points_layout(m, d):
     # costs hands pairwise_dist a view of coordinate-major memory; the dot
@@ -191,12 +217,13 @@ def test_peak_memory_is_the_outputs_plus_a_few_blocks(n, m, d):
 
 
 def test_every_pairwise_call_is_one_block(monkeypatch):
-    # only nearest_center, distance_table and costs walk rows: every caller
-    # hands pairwise_dist about CHUNK_CELLS distances, one row when m is larger
+    # only nearest_center, distance_table and costs walk blocks: every caller
+    # hands pairwise_dist about CHUNK_CELLS distances, one row when m is
+    # larger (distance_table's slabs: one center when n is larger)
     pairwise, widths = geometry.pairwise_dist, []
 
-    def recording(metric, points, centers):
-        out = pairwise(metric, points, centers)
+    def recording(metric, points, centers, **kwargs):
+        out = pairwise(metric, points, centers, **kwargs)
         widths.append(out.shape)
         return out
 
