@@ -30,7 +30,7 @@ from .geometry import (
     take_smallest,
     weighted_sum,
 )
-from .sampling import check_sample_constant, rng_for
+from .sampling import check_delta, check_sample_constant, rng_for
 from .robust import check_beta, snap_alpha
 
 
@@ -92,9 +92,9 @@ def _distinct_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _nearest_center(metric: Metric, points, centers, z: float):
-    """nearest_center(metric, points, centers, z) bit for bit, with only the
-    points that are not centers sent through the kernel: a point that is
-    center j is at distance 0 from it (geometry.center_index)."""
+    """nearest_center(metric, points, centers, z) bit for bit, with the
+    Euclidean points that are centers kept out of the kernel: a point that
+    is center j is at distance 0 from it (geometry.center_index)."""
     idx = center_index(metric, points, centers)
     rest = np.flatnonzero(idx < 0)
     dz = np.zeros(len(points))
@@ -224,8 +224,7 @@ def metric_kmedian_bicriteria(P, k: int, eps: float, delta: float, seed: int,
     n = float(weights.sum())
     if k < 1 or k > n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0 < delta < 1:
-        raise InputError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     check_sample_constant(c)
     if beta is None:
         beta = metric_kmedian_beta(k, eps, delta, c)

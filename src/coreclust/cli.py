@@ -183,7 +183,7 @@ def cmd_verify(args):
     if eps is None:
         raise InputError("verify: eps not recorded in coreset; pass --eps")
     if args.query_file:
-        queries = [cio.load_points(args.query_file)]
+        queries = [cio.load_centers(args.query_file, P.metric)]
     else:
         queries = _query_grid(P, int(k), args.queries, args.seed)
     worst, arg = _max_rel_error(P, core, queries)
@@ -366,6 +366,8 @@ def main(argv=None) -> int:
         check_seed(args.seed)
         if hasattr(args, "eps") and args.eps is not None and not 0 < args.eps <= 1:
             raise InputError(f"eps must lie in (0, 1], got {args.eps}")
+        if getattr(args, "queries", 0) < 0:
+            raise InputError(f"queries must be >= 0, got {args.queries}")
         t0 = time.perf_counter()
         results, timings, broken = args.func(args)
         timings["total_s"] = time.perf_counter() - t0

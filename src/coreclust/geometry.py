@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -73,14 +72,6 @@ class Metric:
     @property
     def size(self) -> int | None:
         return None if self.matrix is None else self.matrix.shape[0]
-
-    @cached_property
-    def isolated(self) -> np.ndarray:
-        """Per id of the matrix: its row's only entry that is not positive is
-        its own +0.0 diagonal, so no other id lies at distance 0 from it."""
-        diag = np.diagonal(self.matrix)
-        return ((np.count_nonzero(~(self.matrix > 0), axis=1) == 1)
-                & (diag == 0) & ~np.signbit(diag))
 
     @staticmethod
     def from_matrix(matrix) -> "Metric":
@@ -234,9 +225,9 @@ def pairwise_dist(metric: Metric, points, centers, width=None) -> np.ndarray:
     dot-product expansion (fewer passes at large m*d, but it cancels digits)
     above it; an entry depends only on its point, its center and m*d.  A
     slab of a larger center set passes that set's m*d as `width`, so its
-    entries are the whole set's.  The block is the transposed view of a
-    center-major array, except a dot-form block of fewer points than
-    centers, which is point-major.
+    entries are the whole set's.  Both forms run along the longer side: the
+    block is the transposed view of a center-major array, or point-major
+    when it holds fewer points than centers.
     """
     if not metric.is_euclidean:
         return metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
@@ -244,15 +235,14 @@ def pairwise_dist(metric: Metric, points, centers, width=None) -> np.ndarray:
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     _check_dims(P, C)
     # the passes run along the points, over center-major (m, rows) arrays
-    # whose (rows, m) view is the block; a dot-form block of fewer points
-    # than centers (a row block of a large set) runs along the centers.
-    # Points that are already a view of coordinate-major memory are used in
-    # place.  Both arrays are allocated before the passes: an array
-    # allocated after them let glibc trim the heap, and every query faulted
-    # in again
+    # whose (rows, m) view is the block; a block of fewer points than
+    # centers (a row block of a large set) runs along the centers.  Points
+    # that are already a view of coordinate-major memory are used in place.
+    # Both arrays are allocated before the passes: an array allocated after
+    # them let glibc trim the heap, and every query faulted in again
     m, rows = len(C), len(P)
     dot_form = (C.size if width is None else width) > EXACT_MAX_WIDTH
-    along_points = rows >= m or not dot_form
+    along_points = rows >= m
     CT = np.ascontiguousarray(C.T)
     PT = P.T if P.strides[0] == P.itemsize else np.ascontiguousarray(P.T)
     shape = (m, rows) if along_points else (rows, m)
@@ -284,7 +274,9 @@ def pairwise_dist(metric: Metric, points, centers, width=None) -> np.ndarray:
             np.put(sq, near, _sq_dist(P[i].T, C[j].T, np.empty(len(near)),
                                       np.empty(len(near))))
         else:
-            _sq_dist(CT[:, :, None], PT[:, None, :], acc, sq)
+            # (c_j - p_j)^2 and (p_j - c_j)^2 are the same bits
+            A, BT = (CT, PT) if along_points else (PT, CT)
+            _sq_dist(A[:, :, None], BT[:, None, :], acc, sq)
         np.sqrt(sq, out=sq)
     return sq.T if along_points else sq
 
@@ -304,28 +296,26 @@ def dist_pow(p, centers, z=1.0, metric: Metric | None = None) -> float:
 
 
 def center_index(metric: Metric, points, centers) -> np.ndarray:
-    """For each point that is one of the centers, the first center equal to
-    it; -1 for every other point.  nearest_center gives a point with index
-    j >= 0 index j and distance 0, so a pass can skip it.
+    """For each Euclidean point that is one of the centers, the first center
+    equal to it; -1 for every other point.  nearest_center gives a point with
+    index j >= 0 index j and distance 0, so a pass can skip it.
 
-    A point that another center could tie with at distance 0 is -1 too:
-    every point when a center has a coordinate of magnitude in (0, 2^-480)
-    (the squared difference of two distinct coordinates can underflow to 0)
-    or of at least 2^480 (a sum of squares can overflow), and an id whose
-    matrix row is not `isolated`.  Euclidean points match by value, so -0.0
-    equals 0.0.
+    Explicit-metric ids are all -1: their kernel is a gather.  Every point
+    is -1 when a center could tie with another point at distance 0: when a
+    center has a coordinate of magnitude in (0, 2^-480) (the squared
+    difference of two distinct coordinates can underflow to 0) or of at
+    least 2^480 (a sum of squares can overflow).  Points match by value, so
+    -0.0 equals 0.0.
     """
     c = check_centers(metric, centers)
     idx = np.full(len(points), -1, dtype=np.intp)
-    if metric.is_euclidean:
-        _check_dims(points, c)
-        a = np.abs(c)
-        if not np.all((a == 0) | ((a >= 2.0 ** -480) & (a < 2.0 ** 480))):
-            return idx
-        keys, pkeys = _row_keys(c), _row_keys(points)
-    else:
-        keys = c
-        pkeys = np.where(metric.isolated[points], points, -1)
+    if not metric.is_euclidean:
+        return idx
+    _check_dims(points, c)
+    a = np.abs(c)
+    if not np.all((a == 0) | ((a >= 2.0 ** -480) & (a < 2.0 ** 480))):
+        return idx
+    keys, pkeys = _row_keys(c), _row_keys(points)
     order = np.argsort(keys, kind="stable")
     pos = np.minimum(np.searchsorted(keys[order], pkeys), len(c) - 1)
     hit = keys[order[pos]] == pkeys
@@ -396,11 +386,11 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
 
     Euclidean points are laid out coordinate-major once, in 64-byte aligned
     memory, and pairwise_dist takes them in place.  Each block's minimum
-    over its centers is each point's nearest distance (a center-major
-    reduction in the exact form), and **z runs once a point, so every entry
-    has the bits of weighted_sum(nearest_center(...)[1], weights).  Memory
-    beyond the output is the copy, one n-long row and a few blocks, whatever
-    the number of sets; a d**z that overflows raises.
+    over its centers is each point's nearest distance, in either layout of
+    the block, and **z runs once a point, so every entry has the bits of
+    weighted_sum(nearest_center(...)[1], weights).  Memory beyond the output
+    is the copy, one n-long row and a few blocks, whatever the number of
+    sets; a d**z that overflows raises.
     """
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:

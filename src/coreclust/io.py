@@ -95,6 +95,25 @@ def load_points(path) -> np.ndarray:
     return load_points_csv(path)
 
 
+def load_centers(path, metric: Metric) -> np.ndarray:
+    """A center file: a point file, or under an explicit metric one integer
+    id per row.  An id that is not a whole number is a LoadError naming its
+    row (rows count the file's point rows); an id outside the matrix stays
+    outside it, for as_points to reject."""
+    rows = load_points(path)
+    if metric.is_euclidean:
+        return rows
+    if rows.shape[1] != 1:
+        raise LoadError(f"{path}: an id file holds one id per row, got "
+                        f"{rows.shape[1]} columns")
+    ids = rows[:, 0]
+    bad = np.flatnonzero(~np.isfinite(ids) | (ids != np.floor(ids)))
+    if bad.size:
+        raise LoadError(f"{path}: row {bad[0] + 1}: id {float(ids[bad[0]])} "
+                        "is not a whole number")
+    return np.clip(ids, -1, metric.size).astype(np.intp)
+
+
 def load_metric_csv(path) -> Metric:
     return Metric.from_matrix(load_points_csv(path))
 

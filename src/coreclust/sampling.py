@@ -40,6 +40,14 @@ def check_sample_constant(c) -> float:
     return c
 
 
+def check_delta(delta) -> float:
+    """The failure probability delta: 0 < delta < 1."""
+    delta = float(delta)
+    if not 0 < delta < 1:
+        raise InputError(f"delta must lie in (0, 1), got {delta}")
+    return delta
+
+
 @dataclass(frozen=True)
 class SampleParams:
     """Inputs to the epsilon-approximation sample-size bound."""
@@ -52,8 +60,7 @@ class SampleParams:
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise InputError(f"eps must lie in (0, 1), got {self.eps}")
-        if not 0 < self.delta < 1:
-            raise InputError(f"delta must lie in (0, 1), got {self.delta}")
+        check_delta(self.delta)
         if self.dim < 1 or int(self.dim) != self.dim:
             raise InputError(f"dim must be a positive integer, got {self.dim}")
         check_sample_constant(self.c)

@@ -25,7 +25,7 @@ from .geometry import (
     distance_table,
     weighted_sum,
 )
-from .sampling import check_sample_constant, rng_for
+from .sampling import check_delta, check_sample_constant, rng_for
 from .bicriteria import metric_kmedian_bicriteria
 from .construction import check_sample_args, k_median_coreset
 
@@ -233,11 +233,12 @@ def static_coreset(data, k: int, eps: float, delta: float, seed: int,
     The anchors are found on the absolute measure |w|: merged stream coresets
     carry signed corrections, and anchor quality only affects the error, not
     the estimator's validity.  t defaults to strong_coreset_sample_size at
-    n = round(sum |w|).  z, eps and t are checked before the anchors are
-    built.  The provenance records k, delta, c and the anchors' cost.
+    n = round(sum |w|).  z, eps, t and delta are checked before the anchors
+    are built.  The provenance records k, delta, c and the anchors' cost.
     """
     z = check_power(z)
     check_sample_args(t, eps)
+    check_delta(delta)
     points, weights, metric = coerce_weighted(data)
     if t is None:
         dim = points.shape[1] if metric.is_euclidean else None

@@ -57,6 +57,8 @@ class StreamState:
     builds: int = 0
 
     def __post_init__(self):
+        if self.k < 1:
+            raise InputError(f"k must be >= 1, got {self.k}")
         check_power(self.z)
         check_sample_constant(self.c)
         if not 0 < self.eps_bar < 1:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from coreclust.cli import main
-from coreclust.io import gaussian_mixture, load_coreset, save_coreset
+from coreclust.geometry import PointSet, costs
+from coreclust.io import (gaussian_mixture, load_coreset, load_metric_csv,
+                          save_coreset)
 
 
 @pytest.fixture
@@ -139,6 +141,9 @@ class TestExitCodes:
         ["bench", "--k-grid", "0", "--n-grid", "50", "--eps-grid", "0.3"],
         ["bench", "--k-grid", "2", "--n-grid", "50", "--eps-grid", "0.3",
          "--d", "-1"],
+        # the 60 rows are fewer than the default block, so no build runs
+        ["stream", "--k", "0", "--eps", "0.3", "--input", "{data}",
+         "--query-file", "{data}"],
     ])
     def test_bad_k_or_d_is_a_validation_error(self, tmp_path, data_file,
                                               capsys, argv):
@@ -182,6 +187,14 @@ class TestExitCodes:
           "--input", "{data}"], "k"),
         (["verify", "--eps", "0", "--coreset", "{core}", "--input", "{data}"],
          "eps"),
+        (["verify", "--queries", "-5", "--coreset", "{core}", "--input",
+          "{data}"], "queries"),
+        (["bench", "--k-grid", "2", "--n-grid", "50", "--eps-grid", "0.3",
+          "--queries", "-4"], "queries"),
+        (["solve", "--method", "coreset", "--k", "2", "--delta", "0",
+          "--input", "{data}"], "delta"),
+        (["bench", "--k-grid", "2", "--n-grid", "50", "--eps-grid", "0.3",
+          "--delta", "0"], "delta"),
     ])
     def test_bad_sample_constant_beta_t_k_or_eps_is_a_validation_error(
             self, tmp_path, data_file, capsys, argv, flag):
@@ -201,7 +214,8 @@ class TestExitCodes:
         assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("flag, value", [("--z", "0.5"), ("--t", "0"),
-                                             ("--eps", "1")])
+                                             ("--eps", "1"), ("--delta", "0"),
+                                             ("--delta", "-0.5")])
     def test_bad_build_value_fails_before_the_anchors(
             self, tmp_path, data_file, capsys, monkeypatch, flag, value):
         # these used to pay the whole anchor build before exit 3
@@ -612,6 +626,39 @@ class TestExplicitMetricCli:
                      str(metric_file), "--metric", str(metric_file), "--seed", "2",
                      "--queries", "25"])
         assert code == 0
+        # a query file under --metric holds one id per row
+        ids = np.array([3, 17, 31])
+        query, report = tmp_path / "ids.csv", tmp_path / "verify.json"
+        np.savetxt(query, ids, fmt="%d")
+        assert main(["verify", "--coreset", str(core_path), "--input",
+                     str(metric_file), "--metric", str(metric_file), "--seed",
+                     "2", "--query-file", str(query), "--out", str(report)]) == 0
+        metric = load_metric_csv(metric_file)
+        core = load_coreset(core_path, metric)
+        data = PointSet(np.arange(metric.size), metric=metric)
+        true = costs(data, [ids], z=core.z)[0]
+        want = abs(true - core.cost(ids)) / true
+        assert read(report)["results"]["max_relative_error"] == want
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("3\n2.5\n", 2, "row 2: id 2.5 is not a whole number"),
+        ("3\n40\n", 3, "point ids out of range"),
+    ])
+    def test_verify_id_query_file_errors(self, tmp_path, metric_file, capsys,
+                                         text, code, message):
+        core = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(metric_file), "--metric",
+                     str(metric_file), "--k", "2", "--eps", "0.3", "--seed", "2",
+                     "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        query = tmp_path / "ids.csv"
+        query.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", "--coreset", str(core), "--input",
+                     str(metric_file), "--metric", str(metric_file), "--seed",
+                     "2", "--query-file", str(query)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
     def test_verify_rejects_another_matrix(self, tmp_path, data_file,
                                           metric_file, capsys):

@@ -86,6 +86,27 @@ class TestGenericBCoreset:
             want = float(np.abs(vals - x).sum())
             assert core.cost(x) == pytest.approx(want, rel=1e-13)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_identity_collapse_is_exact_on_any_family(self, data):
+        # under the identity sample S = G, the cost is the paired value of
+        # every item past its threshold plus the value of every other item
+        n = data.draw(st.integers(1, 30))
+        reals = st.floats(-1e6, 1e6)
+        vals = data.draw(st.lists(reals, min_size=n, max_size=n))
+        m = data.draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+        tau = data.draw(st.none() | st.lists(
+            st.floats(0, 1e6) | st.just(np.inf), min_size=n, max_size=n))
+        proj = data.draw(st.none() | st.lists(reals, min_size=n, max_size=n))
+        core = b_coreset(line_family(vals, thresholds=tau, m=np.asarray(m),
+                                     pair_to=proj), eps=0.5)
+        for x in data.draw(st.lists(reals, min_size=1, max_size=5)):
+            f = np.abs(np.asarray(vals) - x)
+            fp = f if proj is None else np.abs(np.asarray(proj) - x)
+            over = fp > (np.inf if tau is None else np.asarray(tau))
+            want = float(fp[over].sum() + f[~over].sum())
+            assert abs(core.cost(x) - want) <= 1e-12 * want
+
     def test_all_mass_to_thresholded_part(self):
         vals = np.array([1.0, 2.0, 5.0])
         fam = line_family(vals, thresholds=np.zeros(3))
