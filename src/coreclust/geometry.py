@@ -25,10 +25,13 @@ MATRIX = "explicit-matrix"
 
 # Distances per block, walked by nearest_center, distance_table and costs:
 # the exact form holds two blocks of CHUNK_CELLS float64 (1 MiB) at a time,
-# which stay in a 2 MiB per-core L2.  Rows whose width m*d is at most
-# EXACT_MAX_WIDTH get the exact difference form.
+# which stay in a 2 MiB per-core L2.  A center set gets the exact difference
+# form when its row width m*d is at most EXACT_MAX_WIDTH or its dimension d
+# is at most EXACT_MAX_DIM: there its d passes cost less per cell than the
+# dot-product expansion, whatever m.
 CHUNK_CELLS = 1 << 16
 EXACT_MAX_WIDTH = 4096
+EXACT_MAX_DIM = 3
 
 FULL_CHECK_LIMIT = 128
 SAMPLED_PAIRS = 2000
@@ -194,9 +197,14 @@ def coerce_weighted(obj):
 def _sq_dist(a, b, diff, out) -> np.ndarray:
     """The one exact squared distance, over the first axis of broadcast
     (d, ...) arrays: (a_j - b_j)^2 added one coordinate at a time, left to
-    right, into out.  diff is scratch space of out's shape."""
-    out.fill(0.0)
-    for a_j, b_j in zip(a, b):
+    right, into out.  The first square is written, not added to 0 (the same
+    bits).  diff is scratch space of out's shape."""
+    if len(a) == 0:
+        out.fill(0.0)
+        return out
+    np.subtract(a[0], b[0], out=out)
+    np.multiply(out, out, out=out)
+    for a_j, b_j in zip(a[1:], b[1:]):
         np.subtract(a_j, b_j, out=diff)
         out += np.multiply(diff, diff, out=diff)
     return out
@@ -211,26 +219,68 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[skip:skip + size].reshape(shape)
 
 
+def _scratch(cells, have=None) -> np.ndarray:
+    """Room for pairwise_dist's two block arrays of up to `cells` entries,
+    each 64-byte aligned: `have` when it is large enough.  A walker keeps one
+    for all its blocks.  Blocks that each allocated their own arrays let
+    glibc trim the freed heap top between blocks, and every block faulted
+    its pages in again."""
+    size = 2 * (-(-cells // 8) * 8)
+    return have if have is not None and have.size >= size else _aligned_empty((size,))
+
+
 def _check_dims(P, C) -> None:
     if P.shape[1] != C.shape[1]:
         raise InputError(
             f"dimension mismatch: points are {P.shape[1]}-D, centers {C.shape[1]}-D")
 
 
-def pairwise_dist(metric: Metric, points, centers, width=None) -> np.ndarray:
+def _coordinate_major(points) -> np.ndarray:
+    """Euclidean points as an (n, d) view of coordinate-major memory, which
+    pairwise_dist takes in place.  Rows are padded to whole 64-byte lines,
+    so every coordinate's row, and every block of a multiple of 8 points,
+    starts aligned."""
+    points = np.atleast_2d(points)
+    n = len(points)
+    PT = _aligned_empty((points.shape[1], -(-n // 8) * 8))[:, :n]
+    PT[...] = points.T
+    return PT.T
+
+
+def _center_terms(C, width=None):
+    """What every block against one (m, d) center set shares: the set
+    coordinate-major, and |c|^2 when the set takes the dot-product form
+    (None for the exact form).  The walkers make them once a set."""
+    width = C.size if width is None else width
+    dot_form = width > EXACT_MAX_WIDTH and C.shape[1] > EXACT_MAX_DIM
+    return np.ascontiguousarray(C.T), (C * C).sum(axis=1) if dot_form else None
+
+
+def pairwise_dist(metric: Metric, points, centers, width=None, out=None,
+                  terms=None, scratch=None) -> np.ndarray:
     """Base (unpowered) distances of one block, an (n_points, n_centers)
     array; callers pass blocks of about CHUNK_CELLS distances.
 
-    The exact form (_sq_dist) up to row width m*d = EXACT_MAX_WIDTH, the
-    dot-product expansion (fewer passes at large m*d, but it cancels digits)
-    above it; an entry depends only on its point, its center and m*d.  A
-    slab of a larger center set passes that set's m*d as `width`, so its
-    entries are the whole set's.  Both forms run along the longer side: the
-    block is the transposed view of a center-major array, or point-major
-    when it holds fewer points than centers.
+    The exact form (_sq_dist) when the row width m*d is at most
+    EXACT_MAX_WIDTH or d is at most EXACT_MAX_DIM, the dot-product expansion
+    (fewer passes at large m*d and d, but it cancels digits) otherwise; an
+    entry depends only on its point, its center, m*d and d.  A slab of a
+    larger center set passes that set's m*d as `width`, so its entries are
+    the whole set's.  Both forms run along the longer side: the block is
+    the transposed view of a center-major array, or point-major when it
+    holds fewer points than centers.  `out`, a C-ordered (n_centers,
+    n_points) array, receives the distances, and the block is then its
+    transposed view.  From a walker that sends many blocks, `terms` is
+    _center_terms(centers) and `scratch` is _scratch(cells) for blocks of up
+    to that many cells; the block returned is then a view of the scratch,
+    valid until the walker's next call.
     """
     if not metric.is_euclidean:
-        return metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
+        block = metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
+        if out is None:
+            return block
+        out[...] = block.T
+        return out.T
     P = np.atleast_2d(np.asarray(points, dtype=float))
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     _check_dims(P, C)
@@ -238,23 +288,31 @@ def pairwise_dist(metric: Metric, points, centers, width=None) -> np.ndarray:
     # whose (rows, m) view is the block; a block of fewer points than
     # centers (a row block of a large set) runs along the centers.  Points
     # that are already a view of coordinate-major memory are used in place.
-    # Both arrays are allocated before the passes: an array allocated after
+    # Both arrays are taken before the passes: an array allocated after
     # them let glibc trim the heap, and every query faulted in again
     m, rows = len(C), len(P)
-    dot_form = (C.size if width is None else width) > EXACT_MAX_WIDTH
+    CT, cc = _center_terms(C, width) if terms is None else terms
     along_points = rows >= m
-    CT = np.ascontiguousarray(C.T)
     PT = P.T if P.strides[0] == P.itemsize else np.ascontiguousarray(P.T)
     shape = (m, rows) if along_points else (rows, m)
-    acc, sq = _aligned_empty(shape), _aligned_empty(shape)
+
+    def array(i):
+        # a call of its own allocates its arrays apart, so the block it
+        # returns does not keep the other one alive
+        if scratch is None:
+            return _aligned_empty(shape)
+        return scratch[i * (scratch.size // 2):][:m * rows].reshape(shape)
+
+    acc = array(0)
+    sq = out if out is not None and along_points else array(1)
     with np.errstate(over="ignore", invalid="ignore"):
-        if dot_form:
+        if cc is not None:
             # |p|^2 + |c|^2 - 2 p.c, with every p.c added left to right.
             # einsum does so when its passes run along more than one entry (a
             # single pair takes its vectorised dot); numpy's row sums add
             # strided operands in another order
             P = np.ascontiguousarray(P)
-            pp, cc = (P * P).sum(axis=1), (C * C).sum(axis=1)
+            pp = (P * P).sum(axis=1)
             A, BT, aa, bb = (C, PT, cc, pp) if along_points else (P, CT, pp, cc)
             if acc.size != 1:
                 np.einsum("ak,kb->ab", A, BT, out=acc)
@@ -278,7 +336,12 @@ def pairwise_dist(metric: Metric, points, centers, width=None) -> np.ndarray:
             A, BT = (CT, PT) if along_points else (PT, CT)
             _sq_dist(A[:, :, None], BT[:, None, :], acc, sq)
         np.sqrt(sq, out=sq)
-    return sq.T if along_points else sq
+    if along_points:
+        return sq.T
+    if out is None:
+        return sq
+    out[...] = sq.T
+    return out.T
 
 
 def check_centers(metric: Metric, centers) -> np.ndarray:
@@ -340,10 +403,14 @@ def nearest_center(metric: Metric, points, centers, z=1.0):
     z = check_power(z)
     c = check_centers(metric, centers)
     points = np.atleast_2d(points) if metric.is_euclidean else np.asarray(points)
+    terms = _center_terms(c) if metric.is_euclidean else None
     idx, dz = np.empty(len(points), dtype=np.intp), np.empty(len(points))
     rows = max(1, CHUNK_CELLS // len(c))
+    # every block is built in the one scratch, over the previous block
+    scratch = _scratch(min(rows, len(points)) * len(c))
     for s in range(0, len(points), rows):
-        d = pairwise_dist(metric, points[s:s + rows], c)
+        d = pairwise_dist(metric, points[s:s + rows], c, terms=terms,
+                          scratch=scratch)
         i = d.argmin(axis=1)
         idx[s:s + rows] = i
         with np.errstate(over="ignore"):
@@ -358,17 +425,24 @@ def distance_table(metric: Metric, points, centers, z=1.0) -> np.ndarray:
     """Center-major d**z, shape (n_centers, n_points): row j holds every
     point's powered distance to centers[j].
 
-    Filled by slabs of centers against every point, about CHUNK_CELLS
-    distances each, written straight into the table's rows, so memory beyond
-    the table is O(CHUNK_CELLS).  Every slab takes the whole center set's
-    form, so the bits are those of pairwise_dist(...) ** z.
+    Euclidean points are laid out coordinate-major once.  Slabs of centers,
+    about CHUNK_CELLS distances each against every point, are computed in
+    the table's own rows and powered there (at z = 1 not at all: x**1 is x),
+    so memory beyond the table is the copy and O(CHUNK_CELLS).  Every slab
+    takes the whole center set's form, so the bits are those of
+    pairwise_dist(...) ** z.
     """
+    if metric.is_euclidean:
+        points = _coordinate_major(points)
     DT = np.empty((len(centers), len(points)))
     cols = max(1, CHUNK_CELLS // max(1, len(points)))
+    scratch = _scratch(min(cols, len(centers)) * len(points))
     for s in range(0, len(centers), cols):
-        block = pairwise_dist(metric, points, centers[s:s + cols],
-                              width=np.size(centers))
-        np.power(block.T, z, out=DT[s:s + cols])
+        slab = DT[s:s + cols]
+        pairwise_dist(metric, points, centers[s:s + cols],
+                      width=np.size(centers), out=slab, scratch=scratch)
+        if z != 1:
+            np.power(slab, z, out=slab)
     return DT
 
 
@@ -398,21 +472,19 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
     z = check_power(z)
     n = len(points)
     if metric.is_euclidean:
-        points = np.atleast_2d(points)
-        # rows padded to whole 64-byte lines, so every coordinate's row, and
-        # every block of a multiple of 8 rows, starts aligned
-        PT = _aligned_empty((points.shape[1], -(-n // 8) * 8))[:, :n]
-        PT[...] = points.T
-        points = PT.T
-    dz, out = np.empty(n), np.empty(len(center_sets))
+        points = _coordinate_major(points)
+    dz, out, scratch = np.empty(n), np.empty(len(center_sets)), None
     for q, centers in enumerate(center_sets):
         c = check_centers(metric, centers)
+        terms = _center_terms(c) if metric.is_euclidean else None
         rows = max(1, CHUNK_CELLS // len(c))
         rows = rows - rows % 8 or rows
+        scratch = _scratch(min(rows, n) * len(c), scratch)
         with np.errstate(over="ignore"):
             for s in range(0, n, rows):
                 near = dz[s:s + rows]
-                block = pairwise_dist(metric, points[s:s + rows], c)
+                block = pairwise_dist(metric, points[s:s + rows], c,
+                                      terms=terms, scratch=scratch)
                 np.minimum.reduce(block, axis=1, out=near)
                 np.power(near, z, out=near)
         if not np.all(np.isfinite(dz)):
@@ -449,20 +521,23 @@ def take_smallest(values, weights, count) -> np.ndarray:
 
     Items are ordered by value (ties: lowest index); weight mass is consumed
     in that order until exactly `count` has been taken, splitting the boundary
-    item if needed.  Returns an array aligned with `values`.
+    item if needed.  Returns an array aligned with `values`: (n,) values, or
+    (b, n) values and one such row of taken weights per row.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     count = float(count)
     if count < 0:
         raise InputError("trim count must be nonnegative")
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values, axis=-1, kind="stable")
     w_sorted = weights[order]
-    upper = np.cumsum(w_sorted)
-    taken_sorted = np.clip(count - (upper - w_sorted), 0.0, w_sorted)
-    taken = np.zeros_like(weights)
-    taken[order] = taken_sorted
-    return taken
+    taken_sorted = np.cumsum(w_sorted, axis=-1)
+    np.subtract(taken_sorted, w_sorted, out=taken_sorted)
+    np.subtract(count, taken_sorted, out=taken_sorted)
+    np.clip(taken_sorted, 0.0, w_sorted, out=taken_sorted)
+    # every item is written once: w_sorted becomes the taken weights
+    np.put_along_axis(w_sorted, order, taken_sorted, axis=-1)
+    return w_sorted
 
 
 def trimmed_cost(values, weights, count) -> float:

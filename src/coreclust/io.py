@@ -119,7 +119,13 @@ def load_metric_csv(path) -> Metric:
 
 
 def load_point_set(path, metric_path=None) -> PointSet:
+    """The points of `path`, or under an explicit metric the ids of its
+    matrix.  There a `path` given is opened but not parsed, so an input that
+    cannot be opened is an OSError either way."""
     if metric_path is not None:
+        if path is not None:
+            with open(path, "rb"):
+                pass
         metric = load_metric_csv(metric_path)
         return PointSet(points=np.arange(metric.size, dtype=np.intp), metric=metric)
     return PointSet(points=load_points(path))

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import (
+    CHUNK_CELLS,
     InputError,
     Metric,
     PointSet,
@@ -25,6 +26,7 @@ from .geometry import (
     coerce_weighted,
     distance_table,
     nearest_center,
+    take_smallest,
     trimmed_cost,
 )
 from .sampling import SampleParams, VerificationReport, rng_for
@@ -67,10 +69,18 @@ def _trim_count(fraction: float, total: float) -> float:
 
 def candidate_trimmed_costs(metric: Metric, points, weights, candidates,
                             gamma: float, z: float) -> np.ndarray:
-    """gamma-trimmed cost of every candidate as a single center."""
+    """gamma-trimmed cost of every candidate as a single center: trimmed_cost
+    of each row of the distance table, bit for bit, with one sort per block
+    of rows (about CHUNK_CELLS entries)."""
     count = _trim_count(gamma, float(np.sum(weights)))
-    return np.array([trimmed_cost(d, weights, count) for d in
-                     distance_table(metric, points, candidates, z)])
+    DT = distance_table(metric, points, candidates, z)
+    out = np.empty(len(DT))
+    rows = max(1, CHUNK_CELLS // max(1, DT.shape[1]))
+    for s in range(0, len(DT), rows):
+        block = DT[s:s + rows]
+        out[s:s + rows] = np.einsum("ij,ij->i", block,
+                                    take_smallest(block, weights, count))
+    return out
 
 
 def verify_robust_median(P, Y, params: RobustParams, candidates,

@@ -660,6 +660,24 @@ class TestExplicitMetricCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    def test_missing_input_is_an_io_error(self, tmp_path, metric_file, capsys):
+        # the ids come from the matrix, but --input must still open
+        core, missing = tmp_path / "core.json", str(tmp_path / "nope.csv")
+        assert main(["build-coreset", "--input", missing, "--metric",
+                     str(metric_file), "--k", "2", "--eps", "0.3", "--seed",
+                     "2", "--coreset-out", str(core)]) == 2
+        assert not core.exists()
+        assert main(["build-coreset", "--input", str(metric_file), "--metric",
+                     str(metric_file), "--k", "2", "--eps", "0.3", "--seed",
+                     "2", "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--coreset", str(core), "--input", missing,
+                     "--metric", str(metric_file), "--seed", "2",
+                     "--queries", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and missing in err
+
     def test_verify_rejects_another_matrix(self, tmp_path, data_file,
                                           metric_file, capsys):
         core = tmp_path / "core.json"

@@ -2,8 +2,8 @@
 
 Every property is bitwise: a row's nearest center and its d**z must not
 depend on how many rows share the call, on the row block it falls in, or on
-the chunk budget.  Shapes cover both sides of EXACT_MAX_WIDTH and the
-explicit-matrix metric.
+the chunk budget.  Shapes cover both sides of EXACT_MAX_WIDTH and of
+EXACT_MAX_DIM, and the explicit-matrix metric.
 """
 
 import tracemalloc
@@ -11,11 +11,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coreclust.geometry as geometry
 from coreclust.geometry import (
+    EXACT_MAX_DIM,
     EXACT_MAX_WIDTH,
     MATRIX,
     InputError,
@@ -26,15 +27,24 @@ from coreclust.geometry import (
     metric_from_points,
     nearest_center,
     pairwise_dist,
+    trimmed_cost,
     weighted_sum,
 )
-from coreclust.robust import candidate_trimmed_costs
+from coreclust.robust import _trim_count, candidate_trimmed_costs
 from coreclust.solvers import brute_force_k_median, weighted_local_search
 
-# (m, d): exact form up to the boundary, dot-product form above it
-SHAPES = [(1, 1), (3, 2), (40, 16), (256, 16), (257, 16), (2049, 2), (2, 3000)]
+
+def dot_form(m, d):
+    return m * d > EXACT_MAX_WIDTH and d > EXACT_MAX_DIM
+
+
+# (m, d): the exact form up to the width boundary, and for wide sets of
+# d <= EXACT_MAX_DIM; the dot-product form for wide sets of larger d
+SHAPES = [(1, 1), (3, 2), (40, 16), (256, 16), (257, 16), (2049, 2), (1025, 4),
+          (2, 3000)]
 assert any(m * d == EXACT_MAX_WIDTH for m, d in SHAPES)
-assert any(m * d > EXACT_MAX_WIDTH for m, d in SHAPES)
+assert any(m * d > EXACT_MAX_WIDTH and not dot_form(m, d) for m, d in SHAPES)
+assert any(dot_form(m, d) and d == EXACT_MAX_DIM + 1 for m, d in SHAPES)
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -123,16 +133,18 @@ def test_pairwise_rows_do_not_depend_on_chunking(kind, shape, n, seed, z, chunk)
 
 
 @FEW
-@given(kind=st.sampled_from(["exact", "dot", MATRIX]),
-       d=st.sampled_from([1, 2, 16, 64]), n=st.integers(1, 300),
-       extra=st.integers(0, 40), seed=seeds, z=powers, chunk=chunks)
+@given(kind=st.sampled_from(["narrow", "wide", MATRIX]),
+       d=st.sampled_from([1, 2, EXACT_MAX_DIM + 1, 16, 64]),
+       n=st.integers(1, 300), extra=st.integers(0, 40), seed=seeds, z=powers,
+       chunk=chunks)
 def test_table_slabs_are_the_whole_call(kind, d, n, extra, seed, z, chunk):
     # distance_table fills slabs of centers against every point, each one
-    # pairwise_dist call of the whole set's form; the matrix is not
-    # symmetric, so a slab that read D[c, p] would differ
+    # pairwise_dist call of the whole set's form (a wide set takes the dot
+    # form above EXACT_MAX_DIM); the matrix is not symmetric, so a slab that
+    # read D[c, p] would differ
     rng = np.random.default_rng(seed)
     wide = EXACT_MAX_WIDTH // d
-    m = max(1, wide - extra) if kind == "exact" else wide + 1 + extra
+    m = max(1, wide - extra) if kind == "narrow" else wide + 1 + extra
     if kind == MATRIX:
         D = rng.uniform(0.5, 9.0, size=(60, 60))
         np.fill_diagonal(D, 0.0)
@@ -148,7 +160,8 @@ def test_table_slabs_are_the_whole_call(kind, d, n, extra, seed, z, chunk):
     assert table.flags.c_contiguous and table.tobytes() == whole.T.tobytes()
 
 
-@pytest.mark.parametrize("m, d", [(1, 1), (5, 16), (300, 16), (2_100, 2)])
+@pytest.mark.parametrize("m, d", [(1, 1), (5, 16), (300, 16), (2_100, 2),
+                                  (1_025, 4)])
 def test_pairwise_rows_do_not_depend_on_the_points_layout(m, d):
     # costs hands pairwise_dist a view of coordinate-major memory; the dot
     # form's sums add Fortran-ordered rows in another order unless copied
@@ -177,7 +190,7 @@ def test_ties_go_to_the_lowest_center_index(kind, shape, n, seed, data):
 
 
 @FEW
-@given(shape=st.sampled_from([(m, d) for m, d in SHAPES if m * d > EXACT_MAX_WIDTH]),
+@given(shape=st.sampled_from([(m, d) for m, d in SHAPES if dot_form(m, d)]),
        n=st.integers(1, 100), seed=seeds)
 def test_dot_product_form_agrees_with_the_difference_form(shape, n, seed):
     metric, P, C = instance("euclidean", n, shape, seed)
@@ -286,7 +299,7 @@ def test_costs_raise_what_cost_raised():
     assert costs(data, []).shape == (0,)
 
 
-@pytest.mark.parametrize("m, d", [(3, 2), (5, 16), (2_100, 2)])
+@pytest.mark.parametrize("m, d", [(3, 2), (5, 16), (2_100, 2), (257, 16)])
 def test_costs_memory_does_not_grow_with_the_queries(m, d):
     rng = np.random.default_rng(7)
     n = 20_000
@@ -321,6 +334,22 @@ def test_trimmed_costs_hold_one_table_plus_a_few_blocks():
     # the (m, n) table of d**z is 8*n*m bytes; a second (n, m) array of
     # unpowered distances would double it
     assert peak < 8 * n * m + 4 * 8 * geometry.CHUNK_CELLS
+
+
+@FEW
+@given(n=st.integers(1, 3000), m=st.integers(1, 60), seed=seeds, z=powers,
+       gamma=st.floats(0.01, 1.0), signed=st.booleans())
+def test_trimmed_costs_are_trimmed_cost_row_by_row(n, m, seed, z, gamma, signed):
+    # blocks of table rows sort at once; coarse points make ties
+    rng = np.random.default_rng(seed)
+    P = np.round(rng.normal(size=(n, 2)), 1)
+    w = rng.uniform(-2.0, 10.0, n) if signed else rng.integers(0, 5, n)
+    assume(np.sum(w) >= 0)
+    C = P[rng.integers(0, n, m)]
+    count = _trim_count(gamma, float(np.sum(w)))
+    ref = [trimmed_cost(row, w, count) for row in distance_table(Metric(), P, C, z)]
+    got = candidate_trimmed_costs(Metric(), P, w, C, gamma, z)
+    assert got.tobytes() == np.array(ref).tobytes()
 
 
 @pytest.mark.parametrize("n", [17, 100, 1200, 5000])
@@ -383,7 +412,9 @@ def test_every_exact_entry_is_the_left_to_right_sum(d, n, seed, data):
         # numpy's own reduction over the last axis adds in order below 8 terms
         diff = P[:, None, :] - C[None, :, :]
         assert np.array_equal(D, np.sqrt((diff * diff).sum(axis=2)))
-    # dot-product form: points placed on or next to centers get recomputed
+    # dot-product form (a wide set above EXACT_MAX_DIM): points placed on or
+    # next to centers get recomputed
+    d = max(d, EXACT_MAX_DIM + 1)
     m = EXACT_MAX_WIDTH // d + 1 + data.draw(st.integers(0, 40))
     C = rng.normal(size=(m, d)) * scale
     on = rng.integers(0, m, n)
@@ -396,6 +427,47 @@ def test_every_exact_entry_is_the_left_to_right_sum(d, n, seed, data):
     if d <= 7:
         diff = P - C[on]
         assert np.array_equal(near, np.sqrt((diff * diff).sum(axis=1)))
+
+
+@FEW
+@given(d=st.integers(1, EXACT_MAX_DIM), n=st.integers(1, 6),
+       extra=st.integers(0, 3000), seed=seeds)
+def test_wide_low_d_sets_are_the_left_to_right_sum(d, n, extra, seed):
+    # wider than EXACT_MAX_WIDTH, but at d <= EXACT_MAX_DIM every entry is
+    # the exact form's; far from the origin the dot form would cancel digits
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4)
+    m = EXACT_MAX_WIDTH // d + 1 + extra
+    C = (rng.normal(size=(m, d)) + 50.0) * scale
+    P = (rng.normal(size=(n, d)) + 50.0) * scale
+    P[: n // 2] = C[rng.integers(0, m, n // 2)]
+    ref = np.array([[left_to_right(p, c) for c in C.tolist()] for p in P.tolist()])
+    assert np.array_equal(pairwise_dist(Metric(), P, C), np.sqrt(ref))
+
+
+@pytest.mark.parametrize("kind, n, shape", [
+    ("euclidean", 700, (300, 2)), ("euclidean", 3, (300, 2)),
+    ("euclidean", 700, (1025, 4)), ("euclidean", 400, (257, 16)),
+    (MATRIX, 700, (12, 1)), (MATRIX, 3, (12, 1))])
+@pytest.mark.parametrize("z", [1.0, 2.0])
+def test_tables_are_filled_in_place(monkeypatch, kind, n, shape, z):
+    # every slab is computed in the table's own rows: each block that
+    # pairwise_dist returns is a view of the table, and the table holds the
+    # bits of the whole call powered
+    metric, P, C = instance(kind, n, shape, seed=8)
+    pairwise, blocks = geometry.pairwise_dist, []
+
+    def recording(metric, points, centers, **kwargs):
+        blocks.append(pairwise(metric, points, centers, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(geometry, "pairwise_dist", recording)
+    monkeypatch.setattr(geometry, "CHUNK_CELLS", 5 * n)
+    table = distance_table(metric, P, C, z)
+    monkeypatch.undo()
+    assert table.tobytes() == (pairwise_dist(metric, P, C) ** z).T.tobytes()
+    assert len(blocks) > 1 and sum(b.shape[1] for b in blocks) == len(C)
+    assert all(np.shares_memory(b, table) for b in blocks)
 
 
 def test_cost_does_not_depend_on_the_blas_thread_count():
