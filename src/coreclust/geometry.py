@@ -247,12 +247,21 @@ def _coordinate_major(points) -> np.ndarray:
     return PT.T
 
 
+def exact_form(width, d) -> bool:
+    """Whether a center set of row width m*d and dimension d takes the exact
+    difference form.  Each of its distances is within a relative
+    (d + 3) * machine epsilon of the true distance between the stored
+    coordinates, however far they lie from the origin (unless a square
+    underflows or overflows)."""
+    return width <= EXACT_MAX_WIDTH or d <= EXACT_MAX_DIM
+
+
 def _center_terms(C, width=None):
     """What every block against one (m, d) center set shares: the set
     coordinate-major, and |c|^2 when the set takes the dot-product form
     (None for the exact form).  The walkers make them once a set."""
     width = C.size if width is None else width
-    dot_form = width > EXACT_MAX_WIDTH and C.shape[1] > EXACT_MAX_DIM
+    dot_form = not exact_form(width, C.shape[1])
     return np.ascontiguousarray(C.T), (C * C).sum(axis=1) if dot_form else None
 
 

@@ -35,6 +35,14 @@ BRUTE_GUARD = 10 ** 6
 # combination count; exhaustive search stays available up to BRUTE_GUARD
 PIPELINE_BRUTE_LIMIT = 20_000
 
+# Per reference, the triangle-inequality bound of weighted_local_search
+# costs about what a plain scan pays to read BOUND_CELLS table cells for
+# each of the m candidates and n points (26 to 41 measured at n = m = 300
+# to 8,000, d = 2; 37 inside the `build` searches).  A scan takes it only
+# when the rest of the scan would read BOUND_PAYOFF times what it costs.
+BOUND_CELLS = 40
+BOUND_PAYOFF = 4
+
 
 @dataclass
 class SolveResult:
@@ -99,6 +107,79 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0) -> SolveResul
                      best_cost)
 
 
+def _ramps(keys, weights, at):
+    """sum_p weights_p max(0, x - keys_p) for every x of the sorted array
+    `at`, from running sums over the sorted keys."""
+    order = np.argsort(keys)
+    keys, weights = keys[order], weights[order]
+    cum_w, cum_wk = np.zeros(len(keys) + 1), np.zeros(len(keys) + 1)
+    np.cumsum(weights, out=cum_w[1:])
+    np.cumsum(np.multiply(weights, keys, out=weights), out=cum_wk[1:])
+    i = np.searchsorted(keys, at)
+    return at * cum_w[i] - cum_wk[i]
+
+
+class _TriangleBound:
+    """Lower bounds on every candidate's trial cost in a slot scan of
+    weighted_local_search (its docstring states them), one reference per
+    current center.  Only the current centers are kept, each with O(m)
+    floats, so the cache holds O(k m) floats.
+    """
+
+    def __init__(self, metric, cand, DT, weights):
+        self.metric, self.cand, self.DT, self.weights = metric, cand, DT, weights
+        self.total = float(weights.sum())
+        n, d = DT.shape[1], cand.shape[1]
+        self.rel = 16 * (n + d + 8) * np.finfo(float).eps
+        self.refs = {}
+
+    def _reference(self, r):
+        """What a reference keeps across scans: its distances to the
+        candidates in sorted order, that order, sum_p w_p d(r, p), and the
+        terms of the bound that do not depend on b (the middle ramp less
+        the slack's d(c, r) term)."""
+        delta = geometry.pairwise_dist(self.metric, self.cand,
+                                       self.cand[r:r + 1])[:, 0]
+        # in sorted order each binary search of _ramps starts near the last
+        # one, about 3 times faster
+        order = np.argsort(delta)
+        delta, a, w = delta[order], self.DT[r], self.weights
+        fixed = 2.0 * _ramps(a, w, delta) - self.rel * self.total * delta
+        return delta, order, float(w @ a), fixed
+
+    def lower(self, chosen, base) -> np.ndarray:
+        """A lower bound on every candidate's trial cost against base, less
+        the rounding slack: -inf where no reference gives one."""
+        self.refs = {r: self.refs.get(r) or self._reference(r) for r in chosen}
+        w, W = self.weights, self.total
+        B = float(w @ base)
+        out = np.full(len(self.cand), -np.inf)
+        for r, (delta, order, A, fixed) in self.refs.items():
+            if not W * delta[-1] + A + B < 2.0 ** 1000:
+                continue        # a running sum could overflow
+            a = self.DT[r]
+            bound = fixed - _ramps(a - base, w, delta)
+            bound -= _ramps(a + base, w, delta)
+            bound += B - self.rel * (A + B) - W * 2.0 ** -500
+            out[order] = np.maximum(out[order], bound)
+        return out
+
+
+def _first_improving(DT, ids, base, weights, bar, buf):
+    """The position in ids of the first candidate whose trial cost against
+    base is below bar, and that cost; (None, None) when there is none.
+    Candidates are costed in blocks of len(buf) table rows."""
+    for s in range(0, len(ids), len(buf)):
+        block = ids[s:s + len(buf)]
+        # mode="clip" writes straight into buf; "raise" copies first
+        trial = np.take(DT, block, axis=0, out=buf[:len(block)], mode="clip")
+        costs = weighted_sum(np.minimum(trial, base, out=trial), weights)
+        hit = np.flatnonzero(costs < bar)
+        if hit.size:
+            return s + int(hit[0]), float(costs[hit[0]])
+    return None, None
+
+
 def weighted_local_search(data, k: int, candidates, z: float = 1.0,
                           seed: int = 0, max_iters: int = 200,
                           init=None) -> SolveResult:
@@ -107,16 +188,49 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     Swap slots and replacement candidates are scanned in a seeded random
     order; the first improving swap is accepted.  The cost strictly decreases
     at every accepted swap and the search stops at a local optimum or after
-    max_iters sweeps.
+    max_iters sweeps.  `init`, when given, lists k candidate indices in
+    [0, m) to start from; repeats are allowed.
 
     Every d**z is computed once into the candidate-major (m, n)
     distance_table.  A swap slot's candidates are costed in scan order, in
     blocks of about CHUNK_CELLS (2^16) distances, and the scan stops after
     the first block that holds an improving candidate; the first such
-    candidate is the one a full scan would pick.  `evaluations` counts the
-    candidate costs actually computed: k for the start plus every candidate
-    in every block costed, so it depends on CHUNK_CELLS while the centers and
-    the cost do not.
+    candidate is the one a full scan would pick.  A candidate c is costed
+    as sum_p w_p min(d(c, p), b_p), where b is the distance to the slot's
+    other centers, and it improves when that is below `bar`, just under the
+    current cost.
+
+    A long scan rules candidates out without reading their rows.  For any
+    current center r, the triangle inequality gives d(c, p) >=
+    |d(c, r) - d(r, p)|, so with nonnegative weights the trial cost is at
+    least sum_p w_p min(|d(c, r) - d(r, p)|, b_p).  That sum is a piecewise
+    linear function of d(c, r) with kinks at d(r, p) - b_p, d(r, p) and
+    d(r, p) + b_p; sorted prefix sums of those three keys give it for every
+    candidate at once, in O((m + n) log n) per reference.  A candidate is
+    dropped when, for some r, that bound less a rounding slack is at least
+    `bar`, so the costed candidates, the first improving one and every bit
+    of the result are those of the plain scan.  The slack is
+    16 (n + d + 8) eps M + W 2^-500, with eps the float64 machine epsilon,
+    W = sum w and M = W d(c, r) + sum_p w_p d(r, p) + sum_p w_p b_p.  It is
+    over five times the rounding it covers, at most 3 (n + d + 8) eps M +
+    4 W 2^-531: each distance of the exact form is within a relative
+    (d + 3) eps of the true one (2^-531 absolute where its squares
+    underflow), and the trial cost and the bound are sums of n terms that
+    never exceed 4 M.
+
+    The bound engages only where it holds and pays: Euclidean points,
+    z = 1, nonnegative weights, k >= 2 and a table in the exact form
+    (geometry.exact_form; then a relative slack is enough).  It costs about
+    what a plain scan pays to read k (m + n) BOUND_CELLS table cells.  A
+    scan reads plain blocks until it has read that many cells, then takes
+    the bound if the rest of the scan would read BOUND_PAYOFF times as
+    many.
+
+    `evaluations` counts the candidates of every block scanned, costed or
+    ruled out: k for the start plus every candidate in every block up to
+    the one with the first improving candidate, so it depends on
+    CHUNK_CELLS while the centers and the cost do not, and the bound
+    changes none of the three.
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
@@ -126,18 +240,31 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
         raise InputError(f"need k >= 1, got k={k}")
     k = min(k, m)
     rng = rng_for(seed, 6)
-    DT = distance_table(metric, points, cand, z)
 
     if init is None:
         chosen = list(rng.choice(m, size=k, replace=False))
     else:
-        chosen = list(np.asarray(init, dtype=int))
-        if len(chosen) != k:
+        ids = np.asarray(init, dtype=int)
+        if ids.shape != (k,):
             raise InputError("init must list exactly k candidate indices")
+        bad = ids[(ids < 0) | (ids >= m)]
+        if bad.size:
+            raise InputError(f"init id {bad[0]} is outside [0, {m})")
+        chosen = ids.tolist()
+    DT = distance_table(metric, points, cand, z)
     cur_cost = float(weighted_sum(DT[chosen].min(axis=0), weights))
     evals = len(chosen)
     step = max(1, geometry.CHUNK_CELLS // max(n, 1))
     buf = np.empty((min(step, m), n))
+    # every scan costs its first `plain` candidates without the bound
+    plain, bound = m, None
+    if (metric.is_euclidean and z == 1 and k >= 2 and n > 0
+            and np.all(weights >= 0)
+            and geometry.exact_form(cand.size, cand.shape[1])):
+        bound_cells = k * (m + n) * BOUND_CELLS
+        start = -(-bound_cells // (n * step)) * step
+        if (m - start) * n >= BOUND_PAYOFF * bound_cells:
+            plain, bound = start, _TriangleBound(metric, cand, DT, weights)
 
     for _ in range(max_iters):
         improved = False
@@ -146,19 +273,19 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
             base = DT[rest].min(axis=0) if rest else np.full(n, np.inf)
             order = rng.permutation(m)
             bar = cur_cost * (1 - 1e-12) - 1e-15
-            for s in range(0, m, step):
-                ids = order[s:s + step]
-                # mode="clip" writes straight into buf; "raise" copies first
-                trial = np.take(DT, ids, axis=0, out=buf[:len(ids)], mode="clip")
-                costs = weighted_sum(np.minimum(trial, base, out=trial), weights)
-                evals += len(ids)
-                hit = np.flatnonzero(costs < bar)
-                if hit.size:
-                    chosen[slot] = int(ids[hit[0]])
-                    cur_cost = float(costs[hit[0]])
-                    improved = True
-                    break
-            if improved:
+            pos, trial_cost = _first_improving(DT, order[:plain], base,
+                                               weights, bar, buf)
+            if pos is None and bound is not None:
+                later = order[plain:]
+                live = np.flatnonzero(bound.lower(chosen, base)[later] < bar)
+                j, trial_cost = _first_improving(DT, later[live], base,
+                                                 weights, bar, buf)
+                pos = None if j is None else plain + int(live[j])
+            evals += m if pos is None else min(m, (pos // step + 1) * step)
+            if pos is not None:
+                chosen[slot] = int(order[pos])
+                cur_cost = trial_cost
+                improved = True
                 break
         if not improved:
             break
