@@ -39,7 +39,6 @@ from .robust import (
 from .bicriteria import (
     BicriteriaResult,
     MedianProvider,
-    bicriteria,
     metric_kmedian_bicriteria,
 )
 from .construction import (

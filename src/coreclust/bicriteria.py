@@ -52,8 +52,8 @@ class BicriteriaResult:
     alpha: float
     n: float
     # nearest center in B of every input point (ties: lowest index), from the
-    # pass that gives total_cost; None until bicriteria() fills it
-    assignment: np.ndarray | None = None
+    # pass that gives total_cost
+    assignment: np.ndarray
 
     @property
     def n_centers(self) -> int:
@@ -121,13 +121,16 @@ def _terminal(k: int, beta: int, z: float) -> Callable:
 def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
                     provider: MedianProvider, rng: np.random.Generator,
                     z: float = 1.0) -> BicriteriaResult:
-    """Run the peeling loop at the given internal eps (no rescaling)."""
+    """Run the peeling loop at the given internal eps (no rescaling), then
+    assign every input point to its nearest center in B and cost it at the
+    input's weights."""
     z = check_power(z)
     if not 0 < eps_internal < 0.2:
         raise InputError(
             "internal eps must lie in (0, 0.2) so every round removes a "
             "positive fraction")
-    weights = np.asarray(weights, dtype=float).copy()
+    given = np.asarray(weights, dtype=float)
+    weights = given.copy()
     n_total = float(weights.sum())
     if n_total <= 0:
         raise InputError("bicriteria needs positive total weight")
@@ -164,8 +167,11 @@ def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
         center_blocks.append(Y)
 
     B = _distinct_rows(np.concatenate(center_blocks))
-    return BicriteriaResult(rounds=rounds, B=B, total_cost=math.nan,
-                            beta=provider.beta, alpha=provider.alpha, n=n_total)
+    assignment, dz = _nearest_center(metric, points, B, z)
+    return BicriteriaResult(rounds=rounds, B=B,
+                            total_cost=float(weighted_sum(dz, given)),
+                            beta=provider.beta, alpha=provider.alpha, n=n_total,
+                            assignment=assignment)
 
 
 def bicriteria(P, eps: float, provider: MedianProvider, seed: int,
@@ -178,11 +184,8 @@ def bicriteria(P, eps: float, provider: MedianProvider, seed: int,
     if not 0 < eps <= 1:
         raise InputError(f"eps must lie in (0, 1], got {eps}")
     points, weights, metric = coerce_weighted(P)
-    rng = rng_for(seed, 1)
-    res = peel_bicriteria(points, weights, metric, eps / 100.0, provider, rng, z)
-    res.assignment, dz = _nearest_center(metric, points, res.B, z)
-    res.total_cost = float(weighted_sum(dz, weights))
-    return res
+    return peel_bicriteria(points, weights, metric, eps / 100.0, provider,
+                           rng_for(seed, 1), z)
 
 
 def metric_kmedian_beta(k: int, eps: float, delta: float, c: float = 1.0) -> int:

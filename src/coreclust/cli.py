@@ -74,13 +74,16 @@ def _query_grid(P: PointSet, k: int, n_queries: int, seed: int,
 
 def _max_rel_error(P: PointSet, core, queries) -> tuple[float, int]:
     """Worst |true - coreset| / true over the queries; where the true cost is
-    0 the error is 0 if the coreset's cost is 0 too, else infinite.  The true
-    costs come from one walk over the data; the coreset is queried one set at
-    a time."""
+    0 the error is 0 if the coreset's cost is 0 too, else infinite.  A NaN
+    error is the worst of all: the first one is returned.  The true costs
+    come from one walk over the data; the coreset is queried one set at a
+    time."""
     worst, arg = -1.0, -1
     for i, (x, true) in enumerate(zip(queries, costs(P, queries, z=core.z))):
         true, est = float(true), core.cost(x)
         err = abs(true - est) / true if true > 0 else (0.0 if est == 0 else math.inf)
+        if math.isnan(err):
+            return err, i
         if err > worst:
             worst, arg = err, i
     return worst, arg
@@ -231,6 +234,9 @@ def cmd_bench(args):
                        ("--eps-grid", args.eps_grid)):
         if not grid:
             raise InputError(f"bench: {flag} lists no value")
+    for eps in args.eps_grid:
+        if not 0 < eps < 1:
+            raise InputError(f"bench: --eps-grid value {eps} must lie in (0, 1)")
     rows, cell_timings = [], []
     for n in args.n_grid:
         for k in args.k_grid:

@@ -296,7 +296,7 @@ def _importance_sample(weights, dzB, t: int, seed, draws, stream: int):
 
 
 def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
-                     seed: int | None = None, draws=None) -> StaticCoreset:
+                     seed: int | None = None) -> StaticCoreset:
     """Static coreset: importance sample plus anchor centers with corrections.
 
     Cluster the input by nearest anchor in B, importance-sample t points, give
@@ -319,7 +319,7 @@ def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
         return StaticCoreset(points=Bc, weights=cluster_mass, metric=metric,
                              z=z, eps=eps, provenance=prov)
 
-    draws, w_sample = _importance_sample(weights, dzB, t, seed, draws, 3)
+    draws, w_sample = _importance_sample(weights, dzB, t, seed, None, 3)
 
     inflation = 1.0 + 10.0 * (eps / INFLATION_SCALE)
     w_anchor = inflation * cluster_mass - np.bincount(

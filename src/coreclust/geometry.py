@@ -259,30 +259,32 @@ def exact_form(width, d) -> bool:
 def _center_terms(C, width=None):
     """What every block against one (m, d) center set shares: the set
     coordinate-major, and |c|^2 when the set takes the dot-product form
-    (None for the exact form).  The walkers make them once a set."""
+    (None for the exact form).  The walkers make them once a set.  A slab
+    of a larger set passes that set's m*d as `width` to take its form."""
     width = C.size if width is None else width
     dot_form = not exact_form(width, C.shape[1])
     return np.ascontiguousarray(C.T), (C * C).sum(axis=1) if dot_form else None
 
 
-def pairwise_dist(metric: Metric, points, centers, width=None, out=None,
-                  terms=None, scratch=None) -> np.ndarray:
+def pairwise_dist(metric: Metric, points, centers, out=None, terms=None,
+                  scratch=None) -> np.ndarray:
     """Base (unpowered) distances of one block, an (n_points, n_centers)
     array; callers pass blocks of about CHUNK_CELLS distances.
 
     The exact form (_sq_dist) when the row width m*d is at most
     EXACT_MAX_WIDTH or d is at most EXACT_MAX_DIM, the dot-product expansion
     (fewer passes at large m*d and d, but it cancels digits) otherwise; an
-    entry depends only on its point, its center, m*d and d.  A slab of a
-    larger center set passes that set's m*d as `width`, so its entries are
-    the whole set's.  Both forms run along the longer side: the block is
-    the transposed view of a center-major array, or point-major when it
-    holds fewer points than centers.  `out`, a C-ordered (n_centers,
-    n_points) array, receives the distances, and the block is then its
-    transposed view.  From a walker that sends many blocks, `terms` is
-    _center_terms(centers) and `scratch` is _scratch(cells) for blocks of up
-    to that many cells; the block returned is then a view of the scratch,
-    valid until the walker's next call.
+    entry depends only on its point, its center, m*d and d.  Both forms run
+    along the longer side: the block is the transposed view of a
+    center-major array, or point-major when it holds fewer points than
+    centers.  `out`, a C-ordered (n_centers, n_points) array, receives the
+    distances, and the block is then its transposed view.  From a walker
+    that sends many blocks, `terms` is _center_terms(centers) and `scratch`
+    is _scratch(cells) for blocks of up to that many cells; the block
+    returned is then a view of the scratch, valid until the walker's next
+    call.  A slab of a larger center set passes
+    _center_terms(slab, m*d of the whole set), so its entries are the whole
+    set's.
     """
     if not metric.is_euclidean:
         block = metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
@@ -300,7 +302,7 @@ def pairwise_dist(metric: Metric, points, centers, width=None, out=None,
     # Both arrays are taken before the passes: an array allocated after
     # them let glibc trim the heap, and every query faulted in again
     m, rows = len(C), len(P)
-    CT, cc = _center_terms(C, width) if terms is None else terms
+    CT, cc = _center_terms(C) if terms is None else terms
     along_points = rows >= m
     PT = P.T if P.strides[0] == P.itemsize else np.ascontiguousarray(P.T)
     shape = (m, rows) if along_points else (rows, m)
@@ -437,19 +439,22 @@ def distance_table(metric: Metric, points, centers, z=1.0) -> np.ndarray:
     Euclidean points are laid out coordinate-major once.  Slabs of centers,
     about CHUNK_CELLS distances each against every point, are computed in
     the table's own rows and powered there (at z = 1 not at all: x**1 is x),
-    so memory beyond the table is the copy and O(CHUNK_CELLS).  Every slab
-    takes the whole center set's form, so the bits are those of
+    so memory beyond the table is the copy and O(CHUNK_CELLS).  Every slab's
+    terms take the whole center set's form, so the bits are those of
     pairwise_dist(...) ** z.
     """
-    if metric.is_euclidean:
+    euclid = metric.is_euclidean
+    if euclid:
         points = _coordinate_major(points)
+        centers = np.asarray(centers, dtype=float)
     DT = np.empty((len(centers), len(points)))
     cols = max(1, CHUNK_CELLS // max(1, len(points)))
     scratch = _scratch(min(cols, len(centers)) * len(points))
     for s in range(0, len(centers), cols):
-        slab = DT[s:s + cols]
-        pairwise_dist(metric, points, centers[s:s + cols],
-                      width=np.size(centers), out=slab, scratch=scratch)
+        slab, C = DT[s:s + cols], centers[s:s + cols]
+        terms = _center_terms(C, centers.size) if euclid else None
+        pairwise_dist(metric, points, C, out=slab, terms=terms,
+                      scratch=scratch)
         if z != 1:
             np.power(slab, z, out=slab)
     return DT

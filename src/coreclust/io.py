@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -178,33 +179,60 @@ def coreset_to_dict(core) -> dict:
     return {**doc, "type": "threshold", "points": points, "projected": projected}
 
 
+def _finite(values, field) -> np.ndarray:
+    """JSON numbers as float64.  A string, a bool, null or a number that is
+    not finite is a LoadError naming its field, field.format(i) for entry
+    i."""
+    out = np.empty(len(values))
+    for i, v in enumerate(values):
+        try:
+            ok = type(v) in (int, float) and math.isfinite(v)
+        except OverflowError:       # an int beyond float64
+            ok = False
+        if not ok:
+            raise LoadError(f"field {field.format(i)!r} holds {v!r}, not a "
+                            "finite number")
+        out[i] = v
+    return out
+
+
 def coreset_from_dict(obj: dict, metric: Metric = Metric()):
     """A coreset from its JSON document.  The document names only the kind of
-    its metric; `metric` is the one its points (or ids) live in."""
+    its metric; `metric` is the one its points (or ids) live in.  Every
+    weight, threshold, mass and z, and eps unless it is null, must be a
+    finite number."""
     if obj["metric"]["kind"] != metric.kind:
         raise LoadError(f"coreset metric {obj['metric']['kind']!r} does not "
                         f"match the data's {metric.kind!r}")
+    _finite([obj["z"]], "z")
+    if obj["eps"] is not None:
+        _finite([obj["eps"]], "eps")
 
     def as_pts(items):
         return as_points(metric, [it["coords"] for it in items])
 
+    def numbers(key):
+        return _finite([it[key] for it in obj["points"]],
+                       "points[{}]." + key)
+
     if obj["type"] == "static":
         pts = as_pts(obj["points"])
-        w = np.asarray([it["weight"] for it in obj["points"]], dtype=float)
-        return StaticCoreset(points=pts, weights=w, metric=metric, z=obj["z"],
-                             eps=obj["eps"], provenance=obj.get("provenance", {}))
+        return StaticCoreset(points=pts, weights=numbers("weight"),
+                             metric=metric, z=obj["z"], eps=obj["eps"],
+                             provenance=obj.get("provenance", {}))
     if obj["type"] == "threshold":
         pts = (as_pts(obj["points"]) if obj["points"] else
                (np.empty((0, len(obj["projected"][0]["coords"])))
                 if metric.is_euclidean else np.empty(0, dtype=np.intp)))
-        w = np.asarray([it["weight"] for it in obj["points"]], dtype=float)
-        tau = np.asarray([it["threshold"] for it in obj["points"]], dtype=float)
+        w, tau = numbers("weight"), numbers("threshold")
         cen = np.asarray([it["center"] for it in obj["points"]], dtype=np.intp)
         proj = as_pts(obj["projected"])
-        proj_tau = [np.asarray(it["thresholds"], dtype=float)
-                    for it in obj["projected"]]
-        proj_cum = [np.concatenate([[0.0], np.cumsum(it["masses"])])
-                    for it in obj["projected"]]
+        proj_tau, proj_cum = [], []
+        for j, it in enumerate(obj["projected"]):
+            proj_tau.append(_finite(it["thresholds"],
+                                    f"projected[{j}].thresholds[{{}}]"))
+            masses = _finite(it["masses"], f"projected[{j}].masses[{{}}]")
+            proj_cum.append(np.concatenate([[0.0], np.cumsum(masses)]))
         if np.any((cen < 0) | (cen >= len(proj))) or any(
                 len(c) != len(t) + 1 for t, c in zip(proj_tau, proj_cum)):
             raise LoadError("threshold centers or masses do not match the "

@@ -188,8 +188,7 @@ def exhaustive_provider(sample: PointSet, params: RobustParams,
     return exhaustive_robust_median(sample, params, candidates=sample.points, z=z)
 
 
-def metric_snap_median(S: PointSet, params: RobustParams | None = None,
-                       z=1.0) -> RobustMedian:
+def metric_snap_median(S: PointSet, z=1.0) -> RobustMedian:
     """Return the whole sample as centers with a factor-2 certificate.
 
     Snapping any center to its nearest sample point at most doubles each

@@ -188,8 +188,9 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     Swap slots and replacement candidates are scanned in a seeded random
     order; the first improving swap is accepted.  The cost strictly decreases
     at every accepted swap and the search stops at a local optimum or after
-    max_iters sweeps.  `init`, when given, lists k candidate indices in
-    [0, m) to start from; repeats are allowed.
+    max_iters sweeps.  k must lie in [1, m], as for brute force
+    (solve_weighted lowers a larger k to m).  `init`, when given, lists k
+    candidate indices in [0, m) to start from; repeats are allowed.
 
     Every d**z is computed once into the candidate-major (m, n)
     distance_table.  A swap slot's candidates are costed in scan order, in
@@ -236,9 +237,8 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     points, weights, metric = coerce_weighted(data)
     cand = check_centers(metric, candidates)
     m, n = len(cand), len(points)
-    if k < 1:
-        raise InputError(f"need k >= 1, got k={k}")
-    k = min(k, m)
+    if k < 1 or k > m:
+        raise InputError(f"need 1 <= k <= {m} candidates, got k={k}")
     rng = rng_for(seed, 6)
 
     if init is None:
@@ -380,14 +380,13 @@ def static_coreset(data, k: int, eps: float, delta: float, seed: int,
 
 
 def solve_on_coreset(P, k: int, eps: float, seed: int, delta: float = 0.1,
-                     c: float = 1.0, z: float = 1.0,
-                     t: int | None = None):
+                     c: float = 1.0, z: float = 1.0):
     """Build a static coreset, solve on it, re-audit on the full input.
 
     Returns (SolveResult, audit) where the audit carries both the coreset
     cost and the true cost at the returned centers plus the build parameters.
     """
-    core, anchors = static_coreset(P, k, eps, delta, seed, z=z, t=t, c=c)
+    core, anchors = static_coreset(P, k, eps, delta, seed, z=z, c=c)
     uniq = np.unique(core.points, axis=0)
     inner = solve_weighted(core, k, uniq, z=z, seed=seed)
     true_cost = cost(P, inner.centers, z)

@@ -29,6 +29,10 @@ from .construction import StaticCoreset
 from .solvers import static_coreset
 
 
+# failure probability of every block build
+DELTA = 0.1
+
+
 def level_eps(eps_bar: float, level: int) -> float:
     return eps_bar / (2.0 * (level + 1) ** 2)
 
@@ -36,7 +40,7 @@ def level_eps(eps_bar: float, level: int) -> float:
 def default_block_size(k: int, eps_bar: float, c: float = 1.0) -> int:
     """Blocks are never smaller than the level-0 statistical floor."""
     floor = eps_approx_sample_size(
-        SampleParams(eps=level_eps(eps_bar, 0), delta=0.1, dim=max(k, 1), c=c))
+        SampleParams(eps=level_eps(eps_bar, 0), delta=DELTA, dim=max(k, 1), c=c))
     return max(64, floor)
 
 
@@ -48,13 +52,13 @@ class StreamState:
     metric: Metric = field(default_factory=Metric)
     z: float = 1.0
     block_size: int | None = None
-    delta: float = 0.1
     c: float = 1.0
-    buffer: list = field(default_factory=list)
-    buckets: dict[int, StaticCoreset] = field(default_factory=dict)
-    ledger: dict[int, float] = field(default_factory=dict)  # expected weights
-    points_seen: int = 0
-    builds: int = 0
+    buffer: list = field(init=False, default_factory=list)
+    buckets: dict[int, StaticCoreset] = field(init=False, default_factory=dict)
+    # expected weight of each level's bucket, inflation included
+    ledger: dict[int, float] = field(init=False, default_factory=dict)
+    points_seen: int = field(init=False, default=0)
+    builds: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.k < 1:
@@ -91,7 +95,7 @@ def _reduce(state: StreamState, points, weights, level: int) -> StaticCoreset:
     seed = int(rng_for(state.seed, 9, state.builds).integers(2 ** 63))
     state.builds += 1
     core, _ = static_coreset((points, weights, state.metric), state.k,
-                             level_eps(state.eps_bar, level), state.delta, seed,
+                             level_eps(state.eps_bar, level), DELTA, seed,
                              z=state.z, t=state.block_size - state.k, c=state.c)
     return core
 

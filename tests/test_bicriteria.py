@@ -1,9 +1,11 @@
-import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 
+import coreclust
+import coreclust.bicriteria as bicriteria_module
 from coreclust.bicriteria import (
     MedianProvider,
     bicriteria,
@@ -57,6 +59,32 @@ class TestPeelEngine:
             assert r.amounts.sum() == pytest.approx(expected)
             remaining -= expected
         assert remaining < 10 / eps  # guard stops the loop
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_the_result_is_whole(self, explicit):
+        # the final nearest-center pass runs at the input's weights, which
+        # the peeling leaves as they were
+        rng = np.random.default_rng(5)
+        coords = rng.normal(size=(400, 2))
+        metric = metric_from_points(coords) if explicit else Metric()
+        pts = np.arange(400) if explicit else coords
+        weights = rng.integers(1, 4, 400).astype(float)
+        given = weights.copy()
+        res = peel_bicriteria(pts, weights, metric, eps_internal=0.05,
+                              provider=make_metric_provider(k=2, beta=20),
+                              rng=rng_for(3, 1))
+        assert len(res.rounds) >= 2
+        assert np.array_equal(weights, given)
+        idx, dz = nearest_center(metric, pts, res.B)
+        assert np.array_equal(res.assignment, idx)
+        assert res.total_cost == float(weighted_sum(dz, given))
+
+
+def test_the_package_keeps_the_module_name():
+    # the package used to export the function under the module's name
+    assert isinstance(coreclust.bicriteria, types.ModuleType)
+    assert coreclust.bicriteria is bicriteria_module
+    assert bicriteria_module.bicriteria is bicriteria
 
 
 class TestBicriteria:
@@ -205,10 +233,8 @@ class TestAssignment:
     @staticmethod
     def full_pass(monkeypatch, P, z):
         """The run with every point sent through the kernel."""
-        # the package exports the function bicriteria under the module's name
-        module = importlib.import_module("coreclust.bicriteria")
         with monkeypatch.context() as m:
-            m.setattr(module, "center_index",
+            m.setattr(bicriteria_module, "center_index",
                       lambda metric, points, centers: np.full(len(points), -1))
             return metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1, seed=2,
                                              z=z, beta=12)

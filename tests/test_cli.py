@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -97,6 +98,46 @@ class TestBuildVerify:
         assert not rep["results"]["pass"]
         assert rep["results"]["argmax_query"] >= 0
 
+    def test_nan_coreset_cost_fails(self, tmp_path, data_file, capsys):
+        # finite weights whose terms overflow to +inf and -inf cost NaN; the
+        # audit used to skip a NaN error and pass with max_relative_error -1
+        core = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(data_file), "--k", "2",
+                     "--eps", "0.3", "--seed", "7",
+                     "--coreset-out", str(core)]) == 0
+        doc = read(core)
+        doc["points"] = [{"coords": [50.0, 50.0], "weight": 1e308},
+                         {"coords": [90.0, 90.0], "weight": -1e308}]
+        core.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--coreset", str(core), "--input",
+                     str(data_file), "--seed", "7", "--queries", "20",
+                     "--strict", "--out", str(out)]) == 4
+        res = read(out)["results"]
+        assert math.isnan(res["max_relative_error"]) and not res["pass"]
+        assert res["argmax_query"] == 0
+        assert "max_relative_error nan" in capsys.readouterr().err
+
+    def test_a_nan_error_is_the_worst(self, data_file):
+        from coreclust.cli import _max_rel_error
+
+        class Answers:
+            z = 1.0
+
+            def __init__(self, answers):
+                self.answers = iter(answers)
+
+            def cost(self, centers):
+                return next(self.answers)
+
+        P = PointSet(np.loadtxt(data_file, delimiter=","))
+        queries = [P.points[:2], P.points[2:4], P.points[4:6]]
+        true = costs(P, queries)
+        core = Answers([true[0] * 1.5, math.nan, true[2] * 4.0])
+        worst, arg = _max_rel_error(P, core, queries)
+        assert math.isnan(worst) and arg == 1
+
     def test_provenance_hash_mismatch(self, tmp_path, data_file):
         core_path = tmp_path / "core.json"
         assert main(["build-coreset", "--input", str(data_file), "--k", "2",
@@ -181,6 +222,9 @@ class TestExitCodes:
         *[(["bench", "--n-grid", "50", "--k-grid", "2", "--eps-grid", "0.3",
             grid, ""], grid.strip("-"))
           for grid in ("--n-grid", "--k-grid", "--eps-grid")],
+        # a non-finite eps used to fail in the cell seed with a traceback
+        *[(["bench", "--n-grid", "50", "--k-grid", "2", "--eps-grid",
+            f"0.3,{eps}"], "eps-grid") for eps in ("nan", "inf", "1")],
         (["verify", "--k", "0", "--coreset", "{core}", "--input", "{data}"],
          "k"),
         (["verify", "--k", "0", "--query-file", "{data}", "--coreset", "{core}",
@@ -267,6 +311,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(core) in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight", float("nan")), ("z", "z"), ("eps", "eps")])
+    def test_broken_coreset_field_is_an_io_error(self, tmp_path, capsys,
+                                                 field, value):
+        # a NaN weight used to pass verify (exit 0 under --strict); a string
+        # z or eps ended in a traceback (exit 1)
+        data, core = tmp_path / "pts.csv", tmp_path / "core.json"
+        np.savetxt(data, gaussian_mixture(300, 2, 2, seed=3), delimiter=",")
+        assert main(["build-coreset", "--input", str(data), "--k", "2",
+                     "--eps", "0.3", "--seed", "1", "--coreset-out", str(core),
+                     "--out", str(tmp_path / "build.json")]) == 0
+        doc = read(core)
+        if field == "weight":
+            doc["points"][5]["weight"] = value
+        else:
+            doc[field] = value
+        core.write_text(json.dumps(doc))
+        capsys.readouterr()
+        report = tmp_path / "verify.json"
+        assert main(["verify", "--input", str(data), "--coreset", str(core),
+                     "--seed", "1", "--queries", "20", "--strict",
+                     "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(core) in err and field in err
+        assert not report.exists()
+
     def test_no_partial_output_on_failure(self, tmp_path, data_file):
         target = tmp_path / "sub" / "report.json"
         code = main(["bicriteria", "--input", str(data_file), "--k", "999",
@@ -338,6 +408,22 @@ class TestZeroCostQueries:
 
 
 class TestSolve:
+    def test_local_search_refuses_k_above_the_candidates(self, tmp_path,
+                                                          capsys):
+        # local search used to lower k to the 300 points silently (cost 0)
+        data = tmp_path / "pts.csv"
+        np.savetxt(data, gaussian_mixture(300, 2, 2, seed=3), delimiter=",")
+        errors = []
+        for method in ("brute", "local"):
+            out = tmp_path / f"{method}.json"
+            assert main(["solve", "--input", str(data), "--k", "400",
+                         "--method", method, "--seed", "1",
+                         "--out", str(out)]) == 3
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1] == (
+            "coreclust: need 1 <= k <= 300 candidates, got k=400\n")
+
     @pytest.mark.parametrize("method", ["brute", "local", "constant-factor",
                                         "coreset"])
     def test_methods_run(self, tmp_path, data_file, method):

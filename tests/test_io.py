@@ -147,6 +147,44 @@ class TestCoresetFiles:
         with pytest.raises(LoadError, match="do not match the projected"):
             load_coreset(path)
 
+    @pytest.mark.parametrize("kind, part, field, value", [
+        ("static", "points", "weight", float("nan")),
+        ("static", "points", "weight", float("-inf")),
+        ("static", "points", "weight", "1.5"),
+        ("static", "points", "weight", True),
+        ("static", "points", "weight", None),
+        ("static", "points", "weight", 10 ** 400),
+        ("static", None, "z", "z"),
+        ("static", None, "z", None),
+        ("static", None, "eps", "eps"),
+        ("threshold", "points", "weight", float("nan")),
+        ("threshold", "points", "threshold", float("inf")),
+        ("threshold", "projected", "thresholds", [float("nan")]),
+        ("threshold", "projected", "masses", ["1.0"]),
+        ("threshold", None, "eps", float("inf")),
+    ])
+    def test_a_field_that_is_not_a_finite_number_is_rejected(
+            self, tmp_path, kind, part, field, value):
+        # a NaN weight used to load and then pass verify; a string z or eps
+        # ended in a ValueError or TypeError traceback
+        pts = np.random.default_rng(4).normal(size=(20, 2))
+        build = k_median_coreset if kind == "static" else metric_b_coreset
+        doc = coreset_to_dict(build(PointSet(pts), pts[:2], t=9, eps=0.3,
+                                    seed=5))
+        target = doc if part is None else doc[part][-1]
+        target[field] = value
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LoadError, match=rf"^{path}: field '\S*{field}\b"):
+            load_coreset(path)
+
+    def test_a_null_eps_loads(self, tmp_path):
+        pts = np.random.default_rng(4).normal(size=(20, 2))
+        doc = coreset_to_dict(k_median_coreset(PointSet(pts), pts[:2], t=9,
+                                               eps=0.3, seed=5))
+        doc["eps"] = None
+        assert coreset_from_dict(doc).eps is None
+
     def test_byte_identical_reserialization(self, tmp_path):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(15, 2))

@@ -163,6 +163,15 @@ class TestLocalSearch:
         with pytest.raises(InputError, match=rf"init id {bad} is outside \[0, 30\)"):
             weighted_local_search(PointSet(pts), 2, pts, init=init)
 
+    @pytest.mark.parametrize("k", [0, 31, 400])
+    def test_k_outside_the_candidates_is_an_input_error(self, k):
+        # k above m used to be lowered to m in silence; brute force refuses it
+        pts = np.random.default_rng(3).normal(size=(30, 2))
+        message = rf"need 1 <= k <= 30 candidates, got k={k}"
+        for solver in (weighted_local_search, brute_force_k_median):
+            with pytest.raises(InputError, match=message):
+                solver(PointSet(pts), k, pts)
+
     def test_repeated_init_ids_are_allowed(self):
         pts = np.random.default_rng(3).normal(size=(30, 2))
         res = weighted_local_search(PointSet(pts), 2, pts, seed=1, init=[4, 4])

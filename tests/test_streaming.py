@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coreclust.geometry import InputError, PointSet, cost
+from coreclust.geometry import (
+    InputError,
+    PointSet,
+    cost,
+    metric_from_points,
+)
 from coreclust.io import gaussian_mixture
 from coreclust.streaming import (
     StreamState,
@@ -99,6 +104,15 @@ class TestLedger:
         assert actual_total_weight(state) == pytest.approx(
             expected_total_weight(state), rel=1e-9)
 
+    def test_the_constructor_takes_only_configuration(self):
+        for state_field in ("buffer", "buckets", "ledger", "points_seen",
+                            "builds", "delta"):
+            with pytest.raises(TypeError, match=state_field):
+                StreamState(k=1, eps_bar=0.4, seed=1, **{state_field: 0})
+        state = StreamState(k=1, eps_bar=0.4, seed=1, block_size=16)
+        assert (state.buffer, state.buckets, state.ledger) == ([], {}, {})
+        assert state.points_seen == state.builds == 0
+
     def test_eps_schedule(self):
         assert level_eps(0.3, 0) == pytest.approx(0.15)
         assert level_eps(0.3, 1) == pytest.approx(0.3 / 8)
@@ -143,3 +157,30 @@ class TestAccuracy:
                 worst = max(worst, abs(stream_query(state, x) - batch) / batch)
             ok += worst <= 0.5
         assert ok >= 5
+
+
+class TestExplicitMetric:
+    def test_ids_stream_through_carries(self):
+        # the id path of stream_push and stream_query: 5 blocks of 40 ids
+        # make 8 builds, so 3 carries
+        coords = gaussian_mixture(200, 2, 2, seed=21)
+        metric = metric_from_points(coords)
+        ids = np.random.default_rng(22).permutation(200)
+        state = StreamState(k=2, eps_bar=0.3, seed=23, metric=metric,
+                            block_size=40)
+        for i in ids:
+            stream_push(state, i)
+        assert state.points_seen == 200 and state.builds == 8
+        assert state.levels == [0, 2]
+        assert all(len(b) <= 40 for b in state.buckets.values())
+        assert state.stored_points < 40 * (len(state.levels) + 1)
+        for core in state.buckets.values():
+            assert np.issubdtype(core.points.dtype, np.integer)
+        assert actual_total_weight(state) == pytest.approx(
+            expected_total_weight(state), rel=1e-9)
+        P = PointSet(np.arange(200), metric=metric)
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            x = rng.choice(200, 2, replace=False)
+            true = cost(P, x)
+            assert abs(stream_query(state, x) - true) <= 0.3 * true
