@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import sys
 import time
@@ -220,7 +219,7 @@ def cmd_stream(args):
                 cp = state.checkpoint()
                 checkpoints.append(cp)
                 if not args.out:
-                    sys.stdout.write(json.dumps(cp, sort_keys=True) + "\n")
+                    sys.stdout.write(cio.json_text(cp) + "\n")
     results = {"checkpoints": checkpoints, "final": state.checkpoint(),
                "block_size": state.block_size}
     if args.query_file:
@@ -388,7 +387,7 @@ def main(argv=None) -> int:
         if args.out:
             cio.dump_json(args.out, report)
         else:
-            sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(cio.json_text(report, indent=2) + "\n")
     except (OSError, LoadError) as exc:
         print(f"coreclust: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -5,8 +5,8 @@ Point files are CSV (one point per row, d columns) or JSON lines with a
 are a load error.  Explicit metrics are square CSV matrices.  Coresets
 round-trip losslessly through a single JSON document that names its metric's
 kind but not its matrix: the loader takes the metric the ids refer to.  All
-writes go through a temp file plus atomic rename so failures never leave
-partial output.
+JSON is strict, written by json_text, and all writes go through a temp file
+plus atomic rename so failures never leave partial output.
 """
 
 from __future__ import annotations
@@ -154,8 +154,28 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _spell_nonfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            return "NaN"
+        return "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, dict):
+        return {k: _spell_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_spell_nonfinite(v) for v in obj]
+    return obj
+
+
+def json_text(obj, indent=None) -> str:
+    """The one JSON writer of reports, stream checkpoints and coreset files:
+    strict JSON with sorted keys, where a NaN, +inf or -inf float is the
+    string "NaN", "Infinity" or "-Infinity"."""
+    return json.dumps(_spell_nonfinite(obj), indent=indent, sort_keys=True,
+                      allow_nan=False)
+
+
 def dump_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(obj, indent=2) + "\n")
 
 
 def coreset_to_dict(core) -> dict:
@@ -196,11 +216,23 @@ def _finite(values, field) -> np.ndarray:
     return out
 
 
+def _ids(values, field) -> np.ndarray:
+    """JSON integers as intp.  A float (0.7, and 1.0 too), a bool, a string,
+    null or an integer beyond 64 bits is a LoadError naming its field, as in
+    _finite."""
+    for i, v in enumerate(values):
+        if not (type(v) is int and abs(v) < 2 ** 63):
+            raise LoadError(f"field {field.format(i)!r} holds {v!r}, not an "
+                            "integer id")
+    return np.asarray(values, dtype=np.intp)
+
+
 def coreset_from_dict(obj: dict, metric: Metric = Metric()):
     """A coreset from its JSON document.  The document names only the kind of
     its metric; `metric` is the one its points (or ids) live in.  Every
-    weight, threshold, mass and z, and eps unless it is null, must be a
-    finite number."""
+    Euclidean coordinate, weight, threshold, mass and z, and eps unless it
+    is null, must be a finite number; every id and threshold center must be
+    an integer."""
     if obj["metric"]["kind"] != metric.kind:
         raise LoadError(f"coreset metric {obj['metric']['kind']!r} does not "
                         f"match the data's {metric.kind!r}")
@@ -208,25 +240,32 @@ def coreset_from_dict(obj: dict, metric: Metric = Metric()):
     if obj["eps"] is not None:
         _finite([obj["eps"]], "eps")
 
-    def as_pts(items):
-        return as_points(metric, [it["coords"] for it in items])
+    def as_pts(part):
+        items = obj[part]
+        if metric.is_euclidean:
+            return as_points(metric, [
+                _finite(it["coords"], f"{part}[{i}].coords[{{}}]")
+                for i, it in enumerate(items)])
+        return as_points(metric, _ids([it["coords"] for it in items],
+                                      part + "[{}].coords"))
 
     def numbers(key):
         return _finite([it[key] for it in obj["points"]],
                        "points[{}]." + key)
 
     if obj["type"] == "static":
-        pts = as_pts(obj["points"])
+        pts = as_pts("points")
         return StaticCoreset(points=pts, weights=numbers("weight"),
                              metric=metric, z=obj["z"], eps=obj["eps"],
                              provenance=obj.get("provenance", {}))
     if obj["type"] == "threshold":
-        pts = (as_pts(obj["points"]) if obj["points"] else
+        pts = (as_pts("points") if obj["points"] else
                (np.empty((0, len(obj["projected"][0]["coords"])))
                 if metric.is_euclidean else np.empty(0, dtype=np.intp)))
         w, tau = numbers("weight"), numbers("threshold")
-        cen = np.asarray([it["center"] for it in obj["points"]], dtype=np.intp)
-        proj = as_pts(obj["projected"])
+        cen = _ids([it["center"] for it in obj["points"]],
+                   "points[{}].center")
+        proj = as_pts("projected")
         proj_tau, proj_cum = [], []
         for j, it in enumerate(obj["projected"]):
             proj_tau.append(_finite(it["thresholds"],

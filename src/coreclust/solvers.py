@@ -145,14 +145,14 @@ class _TriangleBound:
         order = np.argsort(delta)
         delta, a, w = delta[order], self.DT[r], self.weights
         fixed = 2.0 * _ramps(a, w, delta) - self.rel * self.total * delta
-        return delta, order, float(w @ a), fixed
+        return delta, order, float(weighted_sum(a, w)), fixed
 
     def lower(self, chosen, base) -> np.ndarray:
         """A lower bound on every candidate's trial cost against base, less
         the rounding slack: -inf where no reference gives one."""
         self.refs = {r: self.refs.get(r) or self._reference(r) for r in chosen}
         w, W = self.weights, self.total
-        B = float(w @ base)
+        B = float(weighted_sum(base, w))
         out = np.full(len(self.cand), -np.inf)
         for r, (delta, order, A, fixed) in self.refs.items():
             if not W * delta[-1] + A + B < 2.0 ** 1000:

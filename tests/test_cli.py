@@ -115,9 +115,38 @@ class TestBuildVerify:
                      str(data_file), "--seed", "7", "--queries", "20",
                      "--strict", "--out", str(out)]) == 4
         res = read(out)["results"]
-        assert math.isnan(res["max_relative_error"]) and not res["pass"]
+        assert res["max_relative_error"] == "NaN" and res["pass"] is False
         assert res["argmax_query"] == 0
         assert "max_relative_error nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights, error, weight_sum", [
+        ((1e308, -1e308), "NaN", 0.0),
+        ((-1e308, -1e308), "Infinity", "-Infinity")])
+    def test_reports_are_strict_json(self, tmp_path, data_file, capsys,
+                                     weights, error, weight_sum):
+        # json.dumps used to write the bare tokens NaN, Infinity and
+        # -Infinity, which a strict parser rejects; each has its own string
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        core = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(data_file), "--k", "2",
+                     "--eps", "0.3", "--seed", "7",
+                     "--coreset-out", str(core)]) == 0
+        doc = read(core)
+        doc["points"] = [{"coords": [50.0, 50.0], "weight": weights[0]},
+                         {"coords": [90.0, 90.0], "weight": weights[1]}]
+        core.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--coreset", str(core), "--input", str(data_file),
+                "--seed", "7", "--queries", "20"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv) == 0
+        for text in (out.read_text(), capsys.readouterr().out):
+            rep = json.loads(text, parse_constant=reject)
+            assert rep["results"]["max_relative_error"] == error
+            assert rep["results"]["weight_sum"] == weight_sum
 
     def test_a_nan_error_is_the_worst(self, data_file):
         from coreclust.cli import _max_rel_error
@@ -403,7 +432,7 @@ class TestZeroCostQueries:
         core.write_text(json.dumps(doc))
         code, res = self.verify(tmp_path, data, core)
         assert code == 4
-        assert res["max_relative_error"] == float("inf") and not res["pass"]
+        assert res["max_relative_error"] == "Infinity" and res["pass"] is False
         assert "max_relative_error inf" in capsys.readouterr().err
 
 
@@ -782,25 +811,18 @@ class TestExplicitMetricCli:
 
 
 class TestStdinStream:
-    def test_console_script_reads_stdin(self, tmp_path):
-        import os
+    def test_console_script_reads_stdin(self, tmp_path, child_env):
         import subprocess
         import sys
 
-        import coreclust
         pts = gaussian_mixture(128, 2, 2, seed=7)
         payload = "\n".join(",".join(str(v) for v in row) for row in pts)
         out = tmp_path / "stream.json"
-        # The child must import the same package as this process, whatever
-        # the working directory; the console script exists only after install.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(coreclust.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "coreclust", "stream", "--k", "2", "--eps", "0.4",
              "--block-size", "64", "--seed", "3", "--out", str(out)],
-            input=payload, text=True, capture_output=True, env=env, timeout=120)
+            input=payload, text=True, capture_output=True, env=child_env,
+            timeout=120)
         assert proc.returncode == 0, proc.stderr
         rep = read(out)
         assert rep["results"]["final"]["points_seen"] == 128
@@ -812,26 +834,93 @@ class TestOverflow:
         ["build-coreset", "--k", "3", "--eps", "0.3", "--coreset-out", "core.json"],
         ["solve", "--method", "coreset", "--k", "3"],
     ])
-    def test_overflowing_coordinates_exit_3(self, tmp_path, argv):
-        import os
+    def test_overflowing_coordinates_exit_3(self, tmp_path, argv, child_env):
         import subprocess
         import sys
 
-        import coreclust
         data = tmp_path / "big.csv"
         np.savetxt(data, gaussian_mixture(300, 2, 3, seed=11) * 1e154,
                    delimiter=",", fmt="%.17g")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(coreclust.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "coreclust", *argv, "--input", str(data),
              "--seed", "1", "--out", "report.json"],
-            cwd=tmp_path, text=True, capture_output=True, env=env, timeout=120)
+            cwd=tmp_path, text=True, capture_output=True, env=child_env,
+            timeout=120)
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "coreclust: distance to the nearest center overflows float64; "
             "rescale the coordinates"]
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "core.json").exists()
+
+
+class TestProcess:
+    """A bare import loads no numpy, and a CLI process starts OpenBLAS with
+    one thread unless the caller set OPENBLAS_NUM_THREADS."""
+
+    def test_import_loads_no_numpy(self, child_env):
+        import subprocess
+        import sys
+
+        code = ("import sys, coreclust\n"
+                "assert 'numpy' not in sys.modules, 'import coreclust loaded numpy'\n"
+                "from coreclust import cost\n"
+                "print(cost.__module__, 'numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "coreclust.geometry True\n"
+
+    @staticmethod
+    def waiting_stream_threads(env) -> int:
+        """The OS threads of a `stream` child that has written its first
+        checkpoint and waits on an open stdin pipe."""
+        import os
+        import subprocess
+        import sys
+        import threading
+        from pathlib import Path
+
+        if not Path("/proc/self/task").is_dir():
+            pytest.skip("no /proc")
+        rows = gaussian_mixture(16, 2, 2, seed=7)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coreclust", "stream", "--k", "2", "--eps",
+             "0.4", "--block-size", "16", "--seed", "3"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            env=dict(env, PYTHONUNBUFFERED="1"))
+        timer = threading.Timer(120, proc.kill)
+        timer.start()
+        try:
+            proc.stdin.write("".join(",".join(map(str, r)) + "\n" for r in rows))
+            proc.stdin.flush()
+            line = proc.stdout.readline()
+            if line:
+                maps = Path(f"/proc/{proc.pid}/maps").read_text()
+                threads = len(os.listdir(f"/proc/{proc.pid}/task"))
+        finally:
+            proc.stdin.close()
+            proc.wait()
+            timer.cancel()
+        err = proc.stderr.read()
+        proc.stdout.close()
+        proc.stderr.close()
+        assert proc.returncode == 0 and line, err
+        assert json.loads(line)["points_seen"] == 16
+        if "openblas" not in maps.lower():
+            pytest.skip("numpy does not use OpenBLAS here")
+        return threads
+
+    def test_the_cli_runs_one_thread(self, child_env):
+        child_env.pop("OPENBLAS_NUM_THREADS", None)
+        assert self.waiting_stream_threads(child_env) == 1
+
+    def test_a_thread_count_the_caller_set_is_kept(self, child_env):
+        import os
+
+        # OpenBLAS starts no more threads than it has processors
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fewer than 2 processors")
+        child_env["OPENBLAS_NUM_THREADS"] = "2"
+        assert self.waiting_stream_threads(child_env) == 2

@@ -1,23 +1,17 @@
 """Every demo script runs to completion against the package under test."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import coreclust
-
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(script, tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coreclust.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+def test_demo_runs(script, tmp_path, child_env):
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                          env=child_env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr

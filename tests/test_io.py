@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from coreclust.geometry import LoadError, Metric, PointSet, metric_from_points
 from coreclust.io import (
     coreset_from_dict,
     coreset_to_dict,
+    json_text,
     load_coreset,
     load_metric_csv,
     load_point_set,
@@ -178,6 +180,46 @@ class TestCoresetFiles:
         with pytest.raises(LoadError, match=rf"^{path}: field '\S*{field}\b"):
             load_coreset(path)
 
+    @pytest.mark.parametrize("coords, field", [
+        (["1.5", 2.0], "points[4].coords[0]"),
+        ([True, "3"], "points[4].coords[0]"),
+        ([1.0, None], "points[4].coords[1]")])
+    def test_a_coordinate_that_is_not_a_number_is_rejected(
+            self, tmp_path, coords, field):
+        # as_points converted strings and bools: ["1.5", "2"] loaded as
+        # (1.5, 2) and [true, "3"] as (1, 3)
+        pts = np.random.default_rng(4).normal(size=(20, 2))
+        doc = coreset_to_dict(k_median_coreset(PointSet(pts), pts[:2], t=9,
+                                               eps=0.3, seed=5))
+        doc["points"][4]["coords"] = coords
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LoadError, match=rf"^{path}: field "
+                           rf"'{re.escape(field)}' holds .*, not a finite"):
+            load_coreset(path)
+
+    @pytest.mark.parametrize("part, field, value", [
+        ("points", "center", 0.7),
+        ("points", "center", 1.0),
+        ("points", "center", True),
+        ("points", "coords", 3.5),
+        ("projected", "coords", False)])
+    def test_an_id_that_is_not_an_integer_is_rejected(self, tmp_path, part,
+                                                       field, value):
+        # np.asarray(..., dtype=np.intp) turned a threshold center of 0.7
+        # into center 0
+        coords = np.random.default_rng(6).normal(size=(30, 2))
+        metric = metric_from_points(coords)
+        core = metric_b_coreset(PointSet(np.arange(30), metric=metric),
+                                np.array([0, 9]), t=12, eps=0.3, seed=5)
+        doc = coreset_to_dict(core)
+        doc[part][1][field] = value
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LoadError, match=rf"^{path}: field "
+                           rf"'{part}\[1\]\.{field}' holds .*, not an integer"):
+            load_coreset(path, metric)
+
     def test_a_null_eps_loads(self, tmp_path):
         pts = np.random.default_rng(4).normal(size=(20, 2))
         doc = coreset_to_dict(k_median_coreset(PointSet(pts), pts[:2], t=9,
@@ -242,6 +284,11 @@ class TestCoresetFiles:
         for _ in range(5):
             x = pts[rng.choice(n, min(n, 3), replace=False)]
             assert loaded.cost(x) == core.cost(x)
+
+    def test_reports_spell_each_non_finite_float(self):
+        text = json_text({"v": [float("nan"), float("inf"), -float("inf"),
+                                np.float64("nan"), 1.5]})
+        assert text == '{"v": ["NaN", "Infinity", "-Infinity", "NaN", 1.5]}'
 
     def test_unknown_type_rejected(self):
         with pytest.raises(LoadError):

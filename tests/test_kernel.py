@@ -470,12 +470,10 @@ def test_tables_are_filled_in_place(monkeypatch, kind, n, shape, z):
     assert all(np.shares_memory(b, table) for b in blocks)
 
 
-def test_cost_does_not_depend_on_the_blas_thread_count():
-    import os
+def test_cost_does_not_depend_on_the_blas_thread_count(child_env):
     import subprocess
     import sys
 
-    import coreclust
     # BLAS dot splits long sums between threads, each adding its own part
     code = ("import numpy as np\n"
             "from coreclust.geometry import Metric, cost\n"
@@ -483,12 +481,9 @@ def test_cost_does_not_depend_on_the_blas_thread_count():
             "P = rng.normal(size=(20000, 2)) * 3.0\n"
             "w = rng.uniform(0.1, 10.0, 20000)\n"
             "print(cost((P, w, Metric()), rng.normal(size=(3, 2))).hex())\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coreclust.__file__)))
     out = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(child_env, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
