@@ -213,7 +213,9 @@ class StaticCoreset:
 
     @property
     def total_weight(self) -> float:
-        return float(self.weights.sum())
+        # weights that sum past float64 give -inf or inf, which reports spell
+        with np.errstate(over="ignore"):
+            return float(self.weights.sum())
 
     def cost(self, centers) -> float:
         return cost(self, centers, self.z)

@@ -23,7 +23,7 @@ REL_TOL = 1e-9
 EUCLIDEAN = "euclidean"
 MATRIX = "explicit-matrix"
 
-# Distances per block, walked by nearest_center, distance_table and costs:
+# Distances per block (block_rows sizes every walk's blocks with it):
 # the exact form holds two blocks of CHUNK_CELLS float64 (1 MiB) at a time,
 # which stay in a 2 MiB per-core L2.  A center set gets the exact difference
 # form when its row width m*d is at most EXACT_MAX_WIDTH or its dimension d
@@ -371,8 +371,9 @@ def dist_pow(p, centers, z=1.0, metric: Metric | None = None) -> float:
 
 def center_index(metric: Metric, points, centers) -> np.ndarray:
     """For each Euclidean point that is one of the centers, the first center
-    equal to it; -1 for every other point.  nearest_center gives a point with
-    index j >= 0 index j and distance 0, so a pass can skip it.
+    equal to it; -1 for every other point.  A point with index j >= 0 is at
+    distance 0 from center j and from no earlier center, so nearest_center
+    gives it j and 0 without the kernel.
 
     Explicit-metric ids are all -1: their kernel is a gather.  Every point
     is -1 when a center could tie with another point at distance 0: when a
@@ -403,32 +404,67 @@ def _row_keys(rows) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def block_rows(width) -> int:
+    """Rows of `width` cells in a block of about CHUNK_CELLS, at least one:
+    the size of every walk's blocks, slabs and batches."""
+    return max(1, CHUNK_CELLS // max(1, width))
+
+
+def _nearest_walk(metric: Metric, points, center_sets, z, reduce):
+    """The row-block walk of nearest_center and costs: each point's d**z to
+    its nearest center of every set, yielded as one n-long array that the
+    next set overwrites.  Euclidean points are laid out coordinate-major
+    once, for pairwise_dist to take in place; a block of a multiple of 8
+    rows (so it starts aligned) is built in the one scratch of all sets.
+    reduce(block, near, s) writes the nearest distances of rows s on into
+    near, which **z then powers in place; a d**z that overflows raises.
+    """
+    n = len(points)
+    if metric.is_euclidean:
+        points = _coordinate_major(points)
+    dz, scratch = np.empty(n), None
+    for centers in center_sets:
+        c = check_centers(metric, centers)
+        terms = _center_terms(c) if metric.is_euclidean else None
+        rows = block_rows(len(c))
+        rows = rows - rows % 8 or rows
+        scratch = _scratch(min(rows, n) * len(c), scratch)
+        with np.errstate(over="ignore"):
+            for s in range(0, n, rows):
+                near = dz[s:s + rows]
+                block = pairwise_dist(metric, points[s:s + rows], c,
+                                      terms=terms, scratch=scratch)
+                reduce(block, near, s)
+                np.power(near, z, out=near)
+        if not np.all(np.isfinite(dz)):
+            raise InputError("distance to the nearest center overflows float64; "
+                             "rescale the coordinates")
+        yield dz
+
+
 def nearest_center(metric: Metric, points, centers, z=1.0):
     """Nearest center of every point and its powered distance: (idx, d**z).
 
-    Ties go to the lowest center index.  Rows go through pairwise_dist in
-    blocks of about CHUNK_CELLS (2^16) distances, so the working set stays in
-    cache and memory beyond the outputs is O(CHUNK_CELLS); a d**z that
-    overflows raises.
+    Ties go to the lowest center index.  A Euclidean point equal to a center
+    takes center_index's center and distance 0, which is what the kernel
+    gives it; the other points go through pairwise_dist in row blocks of
+    _nearest_walk, so memory beyond the outputs is their coordinate-major
+    copy and O(CHUNK_CELLS).  A d**z that overflows raises.
     """
     z = check_power(z)
     c = check_centers(metric, centers)
-    points = np.atleast_2d(points) if metric.is_euclidean else np.asarray(points)
-    terms = _center_terms(c) if metric.is_euclidean else None
-    idx, dz = np.empty(len(points), dtype=np.intp), np.empty(len(points))
-    rows = max(1, CHUNK_CELLS // len(c))
-    # every block is built in the one scratch, over the previous block
-    scratch = _scratch(min(rows, len(points)) * len(c))
-    for s in range(0, len(points), rows):
-        d = pairwise_dist(metric, points[s:s + rows], c, terms=terms,
-                          scratch=scratch)
-        i = d.argmin(axis=1)
-        idx[s:s + rows] = i
-        with np.errstate(over="ignore"):
-            dz[s:s + rows] = d[np.arange(len(d)), i] ** z
-    if not np.all(np.isfinite(dz)):
-        raise InputError("distance to the nearest center overflows float64; "
-                         "rescale the coordinates")
+    points = (np.atleast_2d(np.asarray(points, dtype=float))
+              if metric.is_euclidean else np.asarray(points))
+    idx = center_index(metric, points, c)
+    rest = np.flatnonzero(idx < 0)
+    dz = np.zeros(len(points))
+
+    def gather(block, near, s):
+        i = block.argmin(axis=1)
+        idx[rest[s:s + len(i)]] = i
+        near[...] = block[np.arange(len(i)), i]
+
+    dz[rest] = next(_nearest_walk(metric, points[rest], [c], z, gather))
     return idx, dz
 
 
@@ -448,7 +484,7 @@ def distance_table(metric: Metric, points, centers, z=1.0) -> np.ndarray:
         points = _coordinate_major(points)
         centers = np.asarray(centers, dtype=float)
     DT = np.empty((len(centers), len(points)))
-    cols = max(1, CHUNK_CELLS // max(1, len(points)))
+    cols = block_rows(len(points))
     scratch = _scratch(min(cols, len(centers)) * len(points))
     for s in range(0, len(centers), cols):
         slab, C = DT[s:s + cols], centers[s:s + cols]
@@ -472,38 +508,23 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
     """Weighted sum of d**z to the nearest center over a PointSet, a coreset
     or a (points, weights, metric) tuple, for every center set in one walk.
 
-    Euclidean points are laid out coordinate-major once, in 64-byte aligned
-    memory, and pairwise_dist takes them in place.  Each block's minimum
-    over its centers is each point's nearest distance, in either layout of
-    the block, and **z runs once a point, so every entry has the bits of
-    weighted_sum(nearest_center(...)[1], weights).  Memory beyond the output
-    is the copy, one n-long row and a few blocks, whatever the number of
-    sets; a d**z that overflows raises.
+    _nearest_walk lays the points out once; each block's minimum over its
+    centers is each point's nearest distance, in either layout of the
+    block, so every entry has the bits of weighted_sum(nearest_center(...)[1],
+    weights).  Memory beyond the output is the copy, one n-long row and a
+    few blocks, whatever the number of sets; a d**z that overflows raises.
     """
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:
         raise InputError("cost of an empty point set is undefined")
     z = check_power(z)
-    n = len(points)
-    if metric.is_euclidean:
-        points = _coordinate_major(points)
-    dz, out, scratch = np.empty(n), np.empty(len(center_sets)), None
-    for q, centers in enumerate(center_sets):
-        c = check_centers(metric, centers)
-        terms = _center_terms(c) if metric.is_euclidean else None
-        rows = max(1, CHUNK_CELLS // len(c))
-        rows = rows - rows % 8 or rows
-        scratch = _scratch(min(rows, n) * len(c), scratch)
-        with np.errstate(over="ignore"):
-            for s in range(0, n, rows):
-                near = dz[s:s + rows]
-                block = pairwise_dist(metric, points[s:s + rows], c,
-                                      terms=terms, scratch=scratch)
-                np.minimum.reduce(block, axis=1, out=near)
-                np.power(near, z, out=near)
-        if not np.all(np.isfinite(dz)):
-            raise InputError("distance to the nearest center overflows float64; "
-                             "rescale the coordinates")
+
+    def nearest(block, near, s):
+        np.minimum.reduce(block, axis=1, out=near)
+
+    out = np.empty(len(center_sets))
+    for q, dz in enumerate(_nearest_walk(metric, points, center_sets, z,
+                                         nearest)):
         out[q] = weighted_sum(dz, weights)
     return out
 

@@ -17,10 +17,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import (
-    CHUNK_CELLS,
     InputError,
     Metric,
     PointSet,
+    block_rows,
     check_centers,
     check_power,
     coerce_weighted,
@@ -71,11 +71,11 @@ def candidate_trimmed_costs(metric: Metric, points, weights, candidates,
                             gamma: float, z: float) -> np.ndarray:
     """gamma-trimmed cost of every candidate as a single center: trimmed_cost
     of each row of the distance table, bit for bit, with one sort per block
-    of rows (about CHUNK_CELLS entries)."""
+    of rows (geometry.block_rows: about CHUNK_CELLS entries)."""
     count = _trim_count(gamma, float(np.sum(weights)))
     DT = distance_table(metric, points, candidates, z)
     out = np.empty(len(DT))
-    rows = max(1, CHUNK_CELLS // max(1, DT.shape[1]))
+    rows = block_rows(DT.shape[1])
     for s in range(0, len(DT), rows):
         block = DT[s:s + rows]
         out[s:s + rows] = np.einsum("ij,ij->i", block,

@@ -87,7 +87,7 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0) -> SolveResul
     DT = distance_table(metric, points, cand, z)
     best_cost, best_combo = math.inf, None
     combos = combinations(range(m), k)
-    size = max(1, geometry.CHUNK_CELLS // (k * max(1, len(points))))
+    size = geometry.block_rows(k * max(1, len(points)))
     evals = 0
     while True:
         batch = [c for _, c in zip(range(size), combos)]
@@ -254,7 +254,7 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     DT = distance_table(metric, points, cand, z)
     cur_cost = float(weighted_sum(DT[chosen].min(axis=0), weights))
     evals = len(chosen)
-    step = max(1, geometry.CHUNK_CELLS // max(n, 1))
+    step = geometry.block_rows(n)
     buf = np.empty((min(step, m), n))
     # every scan costs its first `plain` candidates without the bound
     plain, bound = m, None

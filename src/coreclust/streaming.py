@@ -59,6 +59,8 @@ class StreamState:
     ledger: dict[int, float] = field(init=False, default_factory=dict)
     points_seen: int = field(init=False, default=0)
     builds: int = field(init=False, default=0)
+    # coordinates of every Euclidean point: the first point's
+    width: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.k < 1:
@@ -100,13 +102,30 @@ def _reduce(state: StreamState, points, weights, level: int) -> StaticCoreset:
     return core
 
 
-def stream_push(state: StreamState, p) -> StreamState:
-    """Buffer one point; compress and carry when the buffer fills."""
-    if state.metric.is_euclidean:
+def _checked_point(state: StreamState, p):
+    """The point as the buffer stores it, or an InputError naming its place
+    in the stream (from 1): a finite row as wide as the stream's first, or
+    an id that as_points takes."""
+    where = f"stream point {state.points_seen + 1}"
+    try:
+        if not state.metric.is_euclidean:
+            return as_points(state.metric, [p])[0]
         row = np.asarray(p, dtype=float).reshape(-1)
-    else:
-        row = int(p)
-    state.buffer.append(row)
+    except (TypeError, ValueError) as exc:     # InputError is a ValueError
+        raise InputError(f"{where}: {exc}") from None
+    if state.width not in (None, len(row)):
+        raise InputError(f"{where} has {len(row)} coordinates; the stream's "
+                         f"points have {state.width}")
+    if not np.isfinite(row).all():
+        raise InputError(f"{where} has non-finite coordinates")
+    state.width = len(row)
+    return row
+
+
+def stream_push(state: StreamState, p) -> StreamState:
+    """Buffer one point; compress and carry when the buffer fills.  A bad
+    point raises before the state changes (_checked_point)."""
+    state.buffer.append(_checked_point(state, p))
     state.points_seen += 1
     if len(state.buffer) < state.block_size:
         return state

@@ -6,6 +6,7 @@ import pytest
 
 import coreclust
 import coreclust.bicriteria as bicriteria_module
+import coreclust.geometry as geometry
 from coreclust.bicriteria import (
     MedianProvider,
     bicriteria,
@@ -231,13 +232,37 @@ class TestAssignment:
         return PointSet(rows, metric=metric_from_points(coords))
 
     @staticmethod
-    def full_pass(monkeypatch, P, z):
+    def skip_none(m):
+        """Have nearest_center send every point through the kernel."""
+        m.setattr(geometry, "center_index",
+                  lambda metric, points, centers: np.full(len(points), -1))
+
+    def full_pass(self, monkeypatch, P, z):
         """The run with every point sent through the kernel."""
         with monkeypatch.context() as m:
-            m.setattr(bicriteria_module, "center_index",
-                      lambda metric, points, centers: np.full(len(points), -1))
+            self.skip_none(m)
             return metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1, seed=2,
                                              z=z, beta=12)
+
+    @pytest.mark.parametrize("kind", ["matrix-tie", "tiny", "signed-zero"])
+    @pytest.mark.parametrize("z", [1.0, 2.0])
+    def test_nearest_center_is_the_all_kernel_pass(self, kind, z, monkeypatch):
+        P = self.repeated_points(kind)
+        # the first 300 rows repeat sites, both tie sites among them
+        centers = P.points[:300]
+        if kind == "matrix-tie":
+            assert np.isin([0, 1], centers).all()
+        elif kind == "tiny":
+            assert {1e-300, 0.0} <= set(centers[centers[:, 1] == 0.0, 0])
+        else:
+            signs = np.signbit(centers[centers[:, 1] == 0.5, 0])
+            assert len(np.unique(signs)) == 2
+        idx, dz = nearest_center(P.metric, P.points, centers, z)
+        with monkeypatch.context() as m:
+            self.skip_none(m)
+            full = nearest_center(P.metric, P.points, centers, z)
+        assert np.array_equal(idx, full[0])
+        assert dz.tobytes() == full[1].tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("z", [1.0, 2.0])
@@ -281,7 +306,6 @@ class TestAssignment:
                        provider=provider, seed=1)
 
     def test_constant_factor_makes_one_pass_over_the_input(self, monkeypatch):
-        import coreclust.geometry as geometry
         import coreclust.solvers as solvers
 
         P = self.repeated_points("euclidean")

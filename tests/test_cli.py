@@ -148,6 +148,29 @@ class TestBuildVerify:
             assert rep["results"]["max_relative_error"] == error
             assert rep["results"]["weight_sum"] == weight_sum
 
+    def test_an_overflowing_weight_sum_writes_no_warning(self, tmp_path,
+                                                        data_file, child_env):
+        # numpy warned "overflow encountered in reduce" on stderr, with its
+        # own source path, when the weights summed past float64
+        import subprocess
+        import sys
+
+        core = tmp_path / "core.json"
+        assert main(["build-coreset", "--input", str(data_file), "--k", "2",
+                     "--eps", "0.3", "--seed", "7",
+                     "--coreset-out", str(core)]) == 0
+        doc = read(core)
+        doc["points"] = [{"coords": [50.0, 50.0], "weight": -1e308},
+                         {"coords": [90.0, 90.0], "weight": -1e308}]
+        core.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coreclust", "verify", "--coreset", str(core),
+             "--input", str(data_file), "--seed", "7", "--queries", "20"],
+            capture_output=True, text=True, env=child_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["results"]["weight_sum"] == "-Infinity"
+
     def test_a_nan_error_is_the_worst(self, data_file):
         from coreclust.cli import _max_rel_error
 
@@ -542,6 +565,26 @@ class TestStream:
                      block_size, "--seed", "3"])
         assert code == 2
         assert f"<stdin>: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", [False, True])
+    def test_a_non_finite_point_is_a_validation_error(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      query):
+        # the point was buffered: exit 0 with points_seen 3, or exit 3 from
+        # the query without naming the point
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2\nnan,3\n4,5\n"))
+        argv = ["stream", "--k", "1", "--eps", "0.4", "--block-size", "64",
+                "--seed", "3"]
+        if query:
+            qf = tmp_path / "q.csv"
+            qf.write_text("0,0\n")
+            argv += ["--query-file", str(qf)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("coreclust: stream point 2 has non-finite "
+                                "coordinates\n")
+        assert captured.out == ""
 
 
 class TestRowRules:

@@ -222,17 +222,20 @@ def test_peak_memory_is_the_outputs_plus_a_few_blocks(n, m, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # idx and d**z are 16 bytes a row; beyond them a few blocks of
-    # CHUNK_CELLS float64 (about 3.3: the previous block, the exact form's
-    # output, which is also its scratch, its sum, and ufunc buffers), where a
-    # full (n, m) matrix would be 8*n*m
+    # idx and d**z are 16 bytes a row; beyond them the walk's rows of the
+    # points that are not centers (their coordinate-major copy, d**z and
+    # index: 8*d + 16 bytes a row) and a few blocks of CHUNK_CELLS float64
+    # (the previous block, the exact form's output, which is also its
+    # scratch, its sum, and ufunc buffers), where a full (n, m) matrix would
+    # be 8*n*m
     assert peak < 16 * n + 4 * 8 * geometry.CHUNK_CELLS
 
 
 def test_every_pairwise_call_is_one_block(monkeypatch):
-    # only nearest_center, distance_table and costs walk blocks: every caller
-    # hands pairwise_dist about CHUNK_CELLS distances, one row when m is
-    # larger (distance_table's slabs: one center when n is larger)
+    # only the row-block walk of nearest_center and costs and the slab walk
+    # of distance_table call pairwise_dist: each hands it about CHUNK_CELLS
+    # distances, one row when m is larger (a slab: one center when n is
+    # larger)
     pairwise, widths = geometry.pairwise_dist, []
 
     def recording(metric, points, centers, **kwargs):
@@ -350,6 +353,27 @@ def test_trimmed_costs_are_trimmed_cost_row_by_row(n, m, seed, z, gamma, signed)
     ref = [trimmed_cost(row, w, count) for row in distance_table(Metric(), P, C, z)]
     got = candidate_trimmed_costs(Metric(), P, w, C, gamma, z)
     assert got.tobytes() == np.array(ref).tobytes()
+
+
+def test_trimmed_cost_blocks_follow_the_chunk_budget(monkeypatch):
+    # robust sizes its sorted blocks with geometry.block_rows, so a patched
+    # budget reaches them: 5 table rows of n entries a block
+    import coreclust.robust as robust
+    take, shapes = robust.take_smallest, []
+
+    def recording(values, weights, count):
+        shapes.append(np.shape(values))
+        return take(values, weights, count)
+
+    rng = np.random.default_rng(9)
+    n, m = 40, 23
+    P = rng.normal(size=(n, 2))
+    whole = candidate_trimmed_costs(Metric(), P, np.ones(n), P[:m], 0.7, 1.0)
+    monkeypatch.setattr(robust, "take_smallest", recording)
+    monkeypatch.setattr(geometry, "CHUNK_CELLS", 5 * n)
+    got = candidate_trimmed_costs(Metric(), P, np.ones(n), P[:m], 0.7, 1.0)
+    assert shapes == [(5, n)] * 4 + [(3, n)]
+    assert got.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("n", [17, 100, 1200, 5000])

@@ -26,6 +26,66 @@ def feed(state, pts):
     return state
 
 
+class TestBadPoints:
+    """A bad point raises, naming its position, before the state changes:
+    the buffer and points_seen stay as they were and the stream goes on."""
+
+    @staticmethod
+    def fill(state, count, rng):
+        feed(state, rng.normal(size=(count, 2)))
+
+    @pytest.mark.parametrize("point, message", [
+        ([np.nan, 3.0], "stream point 11 has non-finite coordinates"),
+        ([1.0, np.inf], "stream point 11 has non-finite coordinates"),
+        ([1.0, 2.0, 3.0], "stream point 11 has 3 coordinates; the stream's "
+                          "points have 2"),
+        ([1.0], "stream point 11 has 1 coordinates"),
+        (["x", 1.0], "stream point 11: could not convert string to float"),
+        ([[1.0, 2.0], [3.0]], "stream point 11: setting an array element")])
+    def test_a_bad_row_changes_nothing(self, point, message):
+        rng = np.random.default_rng(4)
+        state = StreamState(k=1, eps_bar=0.4, seed=2, block_size=11)
+        self.fill(state, 10, rng)
+        buffer = [row.copy() for row in state.buffer]
+        with pytest.raises(InputError, match=message):
+            stream_push(state, point)
+        assert state.points_seen == 10 and state.builds == 0
+        assert np.array_equal(state.buffer, buffer)
+        # the next good point completes the block
+        stream_push(state, [0.5, 0.5])
+        assert state.points_seen == 11 and state.buffer == []
+        assert state.levels == [0]
+
+    @pytest.mark.parametrize("point, message", [
+        (3.7, "stream point 6: explicit-metric points must be a 1-D integer"),
+        (8.0, "stream point 6: explicit-metric points must be a 1-D integer"),
+        ("x", "stream point 6: explicit-metric points must be a 1-D integer"),
+        ("3", "stream point 6: explicit-metric points must be a 1-D integer"),
+        (None, "stream point 6: explicit-metric points must be a 1-D integer"),
+        (20, "stream point 6: point ids out of range \\[0, 20\\)"),
+        (-1, "stream point 6: point ids out of range")])
+    def test_a_bad_id_changes_nothing(self, point, message):
+        metric = metric_from_points(gaussian_mixture(20, 2, 2, seed=5))
+        state = StreamState(k=1, eps_bar=0.4, seed=2, block_size=6,
+                            metric=metric)
+        feed(state, [0, 1, 2, 3, 4])
+        with pytest.raises(InputError, match=message):
+            stream_push(state, point)
+        assert state.points_seen == 5 and state.buffer == [0, 1, 2, 3, 4]
+        stream_push(state, np.int64(7))
+        stream_push(state, 8)
+        assert state.points_seen == 7 and state.buffer == [8]
+        assert state.levels == [0]
+
+    def test_the_first_bad_row_sets_no_width(self):
+        state = StreamState(k=1, eps_bar=0.4, seed=2, block_size=4)
+        with pytest.raises(InputError, match="stream point 1 has non-finite"):
+            stream_push(state, [np.nan, 1.0, 2.0])
+        stream_push(state, [1.0, 2.0])
+        with pytest.raises(InputError, match="stream point 2 has 3"):
+            stream_push(state, [1.0, 2.0, 3.0])
+
+
 class TestCounterLaw:
     def test_occupancy_matches_binary_representation(self):
         rng = np.random.default_rng(0)
