@@ -25,7 +25,7 @@ from .geometry import (
     Metric,
     check_power,
     coerce_weighted,
-    nearest_center,
+    nearest_own_center,
     take_smallest,
     weighted_sum,
 )
@@ -135,7 +135,7 @@ def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
         best = None
         for _ in range(i):   # amplification: keep the best of i draws
             Y = provider.draw(sub_pts, sub_w, metric, rng)
-            _, dY = nearest_center(metric, sub_pts, Y, z)
+            _, dY = nearest_own_center(metric, sub_pts, Y, z)
             taken = take_smallest(dY, sub_w, trim)
             c = float(weighted_sum(dY, taken))
             if best is None or c < best[0]:
@@ -154,7 +154,7 @@ def peel_bicriteria(points, weights, metric: Metric, eps_internal: float,
         center_blocks.append(Y)
 
     B = _distinct_rows(np.concatenate(center_blocks))
-    assignment, dz = nearest_center(metric, points, B, z)
+    assignment, dz = nearest_own_center(metric, points, B, z)
     return BicriteriaResult(rounds=rounds, B=B,
                             total_cost=float(weighted_sum(dz, given)),
                             beta=provider.beta, alpha=provider.alpha, n=n_total,

@@ -40,6 +40,7 @@ from .geometry import (
     coerce_weighted,
     cost,
     nearest_center,
+    nearest_own_center,
     weighted_sum,
 )
 from .sampling import rng_for
@@ -175,7 +176,7 @@ def metric_function_family(P, B, eps: float, z: float = 1.0) -> FunctionFamily:
     if np.any(weights != 1.0):
         raise InputError("function families require unit-multiplicity inputs")
     Bc = np.asarray(B)
-    idx, dzB = nearest_center(metric, points, Bc, z)
+    idx, dzB = nearest_own_center(metric, points, Bc, z)
     if float(weighted_sum(dzB, weights)) <= 0:
         raise InputError("degenerate family: every point lies on a center of B")
     m, _, _ = _importance_weights(weights, dzB)
@@ -272,7 +273,7 @@ def _nearest_anchor(P, B, t: int, eps: float, z: float):
     check_sample_args(t, eps)
     points, weights, metric = coerce_weighted(P)
     Bc = check_centers(metric, B)
-    idx, dzB = nearest_center(metric, points, Bc, z)
+    idx, dzB = nearest_own_center(metric, points, Bc, z)
     return points, weights, metric, Bc, idx, dzB
 
 

@@ -370,31 +370,35 @@ def dist_pow(p, centers, z=1.0, metric: Metric | None = None) -> float:
 
 
 def center_index(metric: Metric, points, centers) -> np.ndarray:
-    """For each Euclidean point that is one of the centers, the first center
-    equal to it; -1 for every other point.  A point with index j >= 0 is at
-    distance 0 from center j and from no earlier center, so nearest_center
-    gives it j and 0 without the kernel.
+    """For each Euclidean point that is one of the checked centers, the first
+    center equal to it; -1 for every other point.  A point with index j >= 0
+    is at distance 0 from center j and from no earlier center, so
+    nearest_own_center gives it j and 0 without the kernel.
 
     Explicit-metric ids are all -1: their kernel is a gather.  Every point
     is -1 when a center could tie with another point at distance 0: when a
     center has a coordinate of magnitude in (0, 2^-480) (the squared
     difference of two distinct coordinates can underflow to 0) or of at
     least 2^480 (a sum of squares can overflow).  Points match by value, so
-    -0.0 equals 0.0.
+    -0.0 equals 0.0.  They are keyed in blocks, so memory beyond the index
+    is O(CHUNK_CELLS).
     """
-    c = check_centers(metric, centers)
     idx = np.full(len(points), -1, dtype=np.intp)
     if not metric.is_euclidean:
         return idx
-    _check_dims(points, c)
-    a = np.abs(c)
+    _check_dims(points, centers)
+    a = np.abs(centers)
     if not np.all((a == 0) | ((a >= 2.0 ** -480) & (a < 2.0 ** 480))):
         return idx
-    keys, pkeys = _row_keys(c), _row_keys(points)
+    keys = _row_keys(centers)
     order = np.argsort(keys, kind="stable")
-    pos = np.minimum(np.searchsorted(keys[order], pkeys), len(c) - 1)
-    hit = keys[order[pos]] == pkeys
-    idx[hit] = order[pos[hit]]
+    keys = keys[order]
+    step = block_rows(points.shape[1])
+    for s in range(0, len(points), step):
+        pkeys = _row_keys(points[s:s + step])
+        pos = np.minimum(np.searchsorted(keys, pkeys), len(keys) - 1)
+        hit = keys[pos] == pkeys
+        idx[s:s + step][hit] = order[pos[hit]]
     return idx
 
 
@@ -410,61 +414,74 @@ def block_rows(width) -> int:
     return max(1, CHUNK_CELLS // max(1, width))
 
 
-def _nearest_walk(metric: Metric, points, center_sets, z, reduce):
-    """The row-block walk of nearest_center and costs: each point's d**z to
-    its nearest center of every set, yielded as one n-long array that the
-    next set overwrites.  Euclidean points are laid out coordinate-major
-    once, for pairwise_dist to take in place; a block of a multiple of 8
-    rows (so it starts aligned) is built in the one scratch of all sets.
-    reduce(block, near, s) writes the nearest distances of rows s on into
-    near, which **z then powers in place; a d**z that overflows raises.
+def _nearest_walk(metric: Metric, points, c, z, out, idx=None, take=None,
+                  scratch=None):
+    """The row-block walk of nearest_center and costs: the d**z of each
+    point in `take` (every point when None) to its nearest center of the
+    checked set c, written into out, and the center's index into idx when
+    one is given.  A block of about CHUNK_CELLS distances holds a multiple
+    of 8 rows, so a block of coordinate-major points starts aligned, and is
+    built in `scratch`, which the walk returns for the next set.  **z runs
+    once a point, and a d**z that overflows raises.
     """
-    n = len(points)
-    if metric.is_euclidean:
-        points = _coordinate_major(points)
-    dz, scratch = np.empty(n), None
-    for centers in center_sets:
-        c = check_centers(metric, centers)
-        terms = _center_terms(c) if metric.is_euclidean else None
-        rows = block_rows(len(c))
-        rows = rows - rows % 8 or rows
-        scratch = _scratch(min(rows, n) * len(c), scratch)
-        with np.errstate(over="ignore"):
-            for s in range(0, n, rows):
-                near = dz[s:s + rows]
-                block = pairwise_dist(metric, points[s:s + rows], c,
-                                      terms=terms, scratch=scratch)
-                reduce(block, near, s)
-                np.power(near, z, out=near)
-        if not np.all(np.isfinite(dz)):
-            raise InputError("distance to the nearest center overflows float64; "
-                             "rescale the coordinates")
-        yield dz
+    n = len(points) if take is None else len(take)
+    terms = _center_terms(c) if metric.is_euclidean else None
+    step = block_rows(len(c))
+    step = step - step % 8 or step
+    scratch = _scratch(min(step, n) * len(c), scratch)
+    near = np.empty(min(step, n))
+    with np.errstate(over="ignore"):
+        for s in range(0, n, step):
+            rows = slice(s, s + step) if take is None else take[s:s + step]
+            block = pairwise_dist(metric, points[rows], c, terms=terms,
+                                  scratch=scratch)
+            d = near[:len(block)]
+            if idx is None:
+                np.minimum.reduce(block, axis=1, out=d)
+            else:
+                i = block.argmin(axis=1)
+                idx[rows] = i
+                d[...] = block[np.arange(len(i)), i]
+            out[rows] = np.power(d, z, out=d)
+    if not np.all(np.isfinite(out)):
+        raise InputError("distance to the nearest center overflows float64; "
+                         "rescale the coordinates")
+    return scratch
+
+
+def _rows(metric: Metric, points) -> np.ndarray:
+    """Points as the walk takes them: (n, d) rows or 1-D ids."""
+    return np.atleast_2d(points) if metric.is_euclidean else np.asarray(points)
 
 
 def nearest_center(metric: Metric, points, centers, z=1.0):
     """Nearest center of every point and its powered distance: (idx, d**z).
 
-    Ties go to the lowest center index.  A Euclidean point equal to a center
-    takes center_index's center and distance 0, which is what the kernel
-    gives it; the other points go through pairwise_dist in row blocks of
-    _nearest_walk, so memory beyond the outputs is their coordinate-major
-    copy and O(CHUNK_CELLS).  A d**z that overflows raises.
+    Ties go to the lowest center index.  Rows go through pairwise_dist in
+    the blocks of _nearest_walk, so the working set stays in cache and
+    memory beyond the outputs is O(CHUNK_CELLS); a d**z that overflows
+    raises.
     """
-    z = check_power(z)
-    c = check_centers(metric, centers)
-    points = (np.atleast_2d(np.asarray(points, dtype=float))
-              if metric.is_euclidean else np.asarray(points))
-    idx = center_index(metric, points, c)
+    z, c = check_power(z), check_centers(metric, centers)
+    points = _rows(metric, points)
+    idx, dz = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+    _nearest_walk(metric, points, c, z, dz, idx)
+    return idx, dz
+
+
+def nearest_own_center(metric: Metric, points, centers, z=1.0):
+    """nearest_center bit for bit, for centers drawn from the points
+    themselves (bicriteria's draws and B, a builder's anchors): a Euclidean
+    point equal to a center takes center_index's center and distance 0,
+    which is what the kernel gives it, and only the other points take the
+    walk.  Memory beyond the outputs is an index of those and O(CHUNK_CELLS).
+    """
+    z, c = check_power(z), check_centers(metric, centers)
+    points = _rows(metric, points)
+    idx, dz = center_index(metric, points, c), np.zeros(len(points))
     rest = np.flatnonzero(idx < 0)
-    dz = np.zeros(len(points))
-
-    def gather(block, near, s):
-        i = block.argmin(axis=1)
-        idx[rest[s:s + len(i)]] = i
-        near[...] = block[np.arange(len(i)), i]
-
-    dz[rest] = next(_nearest_walk(metric, points[rest], [c], z, gather))
+    _nearest_walk(metric, points, c, z, dz, idx,
+                  None if len(rest) == len(points) else rest)
     return idx, dz
 
 
@@ -508,23 +525,24 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
     """Weighted sum of d**z to the nearest center over a PointSet, a coreset
     or a (points, weights, metric) tuple, for every center set in one walk.
 
-    _nearest_walk lays the points out once; each block's minimum over its
-    centers is each point's nearest distance, in either layout of the
-    block, so every entry has the bits of weighted_sum(nearest_center(...)[1],
-    weights).  Memory beyond the output is the copy, one n-long row and a
-    few blocks, whatever the number of sets; a d**z that overflows raises.
+    Euclidean points are laid out coordinate-major once, in 64-byte aligned
+    memory, and pairwise_dist takes them in place.  Each block's minimum
+    over its centers is each point's nearest distance, in either layout of
+    the block, so every entry has the bits of weighted_sum(nearest_center(
+    ...)[1], weights).  Memory beyond the output is the copy, one n-long row
+    and a few blocks, whatever the number of sets; a d**z that overflows
+    raises.
     """
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:
         raise InputError("cost of an empty point set is undefined")
     z = check_power(z)
-
-    def nearest(block, near, s):
-        np.minimum.reduce(block, axis=1, out=near)
-
-    out = np.empty(len(center_sets))
-    for q, dz in enumerate(_nearest_walk(metric, points, center_sets, z,
-                                         nearest)):
+    if metric.is_euclidean:
+        points = _coordinate_major(points)
+    dz, out, scratch = np.empty(len(points)), np.empty(len(center_sets)), None
+    for q, centers in enumerate(center_sets):
+        scratch = _nearest_walk(metric, points, check_centers(metric, centers),
+                                z, dz, scratch=scratch)
         out[q] = weighted_sum(dz, weights)
     return out
 

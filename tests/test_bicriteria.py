@@ -22,6 +22,7 @@ from coreclust.geometry import (
     cost,
     metric_from_points,
     nearest_center,
+    nearest_own_center,
     weighted_sum,
 )
 from coreclust.sampling import rng_for
@@ -246,7 +247,7 @@ class TestAssignment:
 
     @pytest.mark.parametrize("kind", ["matrix-tie", "tiny", "signed-zero"])
     @pytest.mark.parametrize("z", [1.0, 2.0])
-    def test_nearest_center_is_the_all_kernel_pass(self, kind, z, monkeypatch):
+    def test_the_center_skip_is_the_all_kernel_pass(self, kind, z, monkeypatch):
         P = self.repeated_points(kind)
         # the first 300 rows repeat sites, both tie sites among them
         centers = P.points[:300]
@@ -257,10 +258,19 @@ class TestAssignment:
         else:
             signs = np.signbit(centers[centers[:, 1] == 0.5, 0])
             assert len(np.unique(signs)) == 2
-        idx, dz = nearest_center(P.metric, P.points, centers, z)
-        with monkeypatch.context() as m:
-            self.skip_none(m)
-            full = nearest_center(P.metric, P.points, centers, z)
+        lookup, hits = geometry.center_index, []
+
+        def recording(metric, points, centers):
+            hits.append(int((lookup(metric, points, centers) >= 0).sum()))
+            return lookup(metric, points, centers)
+
+        monkeypatch.setattr(geometry, "center_index", recording)
+        idx, dz = nearest_own_center(P.metric, P.points, centers, z)
+        # the explicit metric and a center coordinate of 1e-300 keep every
+        # point in the kernel; the signed-zero kind skips 1,677 of 2,100
+        assert (hits[0] > 0) == (kind == "signed-zero")
+        # nearest_center sends every point through the kernel
+        full = nearest_center(P.metric, P.points, centers, z)
         assert np.array_equal(idx, full[0])
         assert dz.tobytes() == full[1].tobytes()
 

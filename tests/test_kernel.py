@@ -26,6 +26,7 @@ from coreclust.geometry import (
     distance_table,
     metric_from_points,
     nearest_center,
+    nearest_own_center,
     pairwise_dist,
     trimmed_cost,
     weighted_sum,
@@ -222,13 +223,29 @@ def test_peak_memory_is_the_outputs_plus_a_few_blocks(n, m, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # idx and d**z are 16 bytes a row; beyond them the walk's rows of the
-    # points that are not centers (their coordinate-major copy, d**z and
-    # index: 8*d + 16 bytes a row) and a few blocks of CHUNK_CELLS float64
-    # (the previous block, the exact form's output, which is also its
-    # scratch, its sum, and ufunc buffers), where a full (n, m) matrix would
-    # be 8*n*m
+    # idx and d**z are 16 bytes a row; beyond them a few blocks of
+    # CHUNK_CELLS float64 (about 3.3: the previous block, the exact form's
+    # output, which is also its scratch, its sum, and ufunc buffers), where a
+    # full (n, m) matrix would be 8*n*m
     assert peak < 16 * n + 4 * 8 * geometry.CHUNK_CELLS
+
+
+@pytest.mark.parametrize("n, m, d", [(20_000, 2_000, 2), (20_000, 300, 16)])
+def test_the_center_skip_holds_an_index_plus_a_few_blocks(n, m, d):
+    rng = np.random.default_rng(4)
+    P = rng.normal(size=(n, d))
+    drawn = rng.choice(n, m, replace=False)
+    C = P[drawn]
+    tracemalloc.start()
+    try:
+        idx, _ = nearest_own_center(Metric(), P, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(idx[drawn], np.arange(m))
+    # the outputs, the index of the points that are not centers (8 bytes a
+    # row; the lookup keys its points a block at a time) and a few blocks
+    assert peak < 24 * n + 4 * 8 * geometry.CHUNK_CELLS
 
 
 def test_every_pairwise_call_is_one_block(monkeypatch):
@@ -253,6 +270,7 @@ def test_every_pairwise_call_is_one_block(monkeypatch):
     brute_force_k_median(data, 2, P[:150])
     weighted_local_search(data, 3, P[:300], seed=1, max_iters=2)
     nearest_center(Metric(), P, P[:300])
+    nearest_own_center(Metric(), P, P[:300])
     nearest_center(Metric(), P[:3, :1], rng.normal(size=(70_000, 1)))
     # cost sets of both forms, one walk
     costs(data, [P[:300], rng.normal(size=(2_100, 2))])
