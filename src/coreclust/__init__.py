@@ -31,10 +31,8 @@ _EXPORTS = {
         "SampleParams",
         "VerificationReport",
         "eps_approx_sample_size",
-        "iid_sample",
         "verify_function_eps_approx",
         "verify_range_eps_approx",
-        "weighted_iid_sample",
     ),
     "robust": (
         "RobustMedian",

@@ -223,22 +223,29 @@ def _ids(values, field) -> np.ndarray:
     for i, v in enumerate(values):
         if not (type(v) is int and abs(v) < 2 ** 63):
             raise LoadError(f"field {field.format(i)!r} holds {v!r}, not an "
-                            "integer id")
+                            "integer")
     return np.asarray(values, dtype=np.intp)
 
 
 def coreset_from_dict(obj: dict, metric: Metric = Metric()):
     """A coreset from its JSON document.  The document names only the kind of
     its metric; `metric` is the one its points (or ids) live in.  Every
-    Euclidean coordinate, weight, threshold, mass and z, and eps unless it
-    is null, must be a finite number; every id and threshold center must be
-    an integer."""
+    Euclidean coordinate, weight, threshold, mass and z must be a finite
+    number, and eps, unless it is null, a number in (0, 1) as every builder
+    takes; every id, threshold center and provenance k must be an integer,
+    and the provenance an object."""
     if obj["metric"]["kind"] != metric.kind:
         raise LoadError(f"coreset metric {obj['metric']['kind']!r} does not "
                         f"match the data's {metric.kind!r}")
     _finite([obj["z"]], "z")
-    if obj["eps"] is not None:
-        _finite([obj["eps"]], "eps")
+    if obj["eps"] is not None and not 0 < _finite([obj["eps"]], "eps")[0] < 1:
+        raise LoadError(f"field 'eps' holds {obj['eps']!r}, not in (0, 1)")
+    provenance = obj.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise LoadError(f"field 'provenance' holds {provenance!r}, not an "
+                        "object")
+    if "k" in provenance:
+        _ids([provenance["k"]], "provenance.k")
 
     def as_pts(part):
         items = obj[part]
@@ -257,7 +264,7 @@ def coreset_from_dict(obj: dict, metric: Metric = Metric()):
         pts = as_pts("points")
         return StaticCoreset(points=pts, weights=numbers("weight"),
                              metric=metric, z=obj["z"], eps=obj["eps"],
-                             provenance=obj.get("provenance", {}))
+                             provenance=provenance)
     if obj["type"] == "threshold":
         pts = (as_pts("points") if obj["points"] else
                (np.empty((0, len(obj["projected"][0]["coords"])))
@@ -280,7 +287,7 @@ def coreset_from_dict(obj: dict, metric: Metric = Metric()):
             sampled_points=pts, sampled_weights=w, sampled_tau=tau,
             sampled_center=cen, proj_points=proj, proj_tau=proj_tau,
             proj_cum_mass=proj_cum, metric=metric, z=obj["z"], eps=obj["eps"],
-            provenance=obj.get("provenance", {}))
+            provenance=provenance)
     raise LoadError(f"unknown coreset type {obj['type']!r}")
 
 

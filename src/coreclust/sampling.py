@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InputError, PointSet
+from .geometry import InputError
 
 U64_MAX = 2 ** 64 - 1
 
@@ -70,34 +70,6 @@ def eps_approx_sample_size(params: SampleParams) -> int:
     """Draws needed for an eps-approximation: ceil((c/eps^2)(dim + ln(1/delta)))."""
     t = (params.c / params.eps ** 2) * (params.dim + math.log(1.0 / params.delta))
     return int(math.ceil(t))
-
-
-def iid_sample(P: PointSet, t: int, seed: int) -> PointSet:
-    """t uniform draws with replacement (multiplicities act as copy counts)."""
-    if len(P) == 0:
-        raise InputError("cannot sample from an empty point set")
-    if t < 0:
-        raise InputError("sample size must be nonnegative")
-    rng = rng_for(seed)
-    total = P.multiplicity.sum()
-    if total <= 0:
-        raise InputError("point set has zero total multiplicity")
-    idx = rng.choice(len(P), size=t, replace=True, p=P.multiplicity / total)
-    return PointSet(points=P.points[idx], metric=P.metric)
-
-
-def weighted_iid_sample(P: PointSet, m, t: int, seed: int):
-    """t draws with probability m_p / sum(m); returns (sample, source indices)."""
-    m = np.asarray(m)
-    if not np.issubdtype(m.dtype, np.integer):
-        raise InputError("importance weights m must be integers")
-    if m.shape != (len(P),) or np.any(m <= 0):
-        raise InputError("importance weights m must be positive, one per point")
-    if t < 1:
-        raise InputError("sample size must be at least 1")
-    rng = rng_for(seed)
-    idx = rng.choice(len(P), size=t, replace=True, p=m / m.sum())
-    return PointSet(points=P.points[idx], metric=P.metric), idx
 
 
 @dataclass

@@ -13,7 +13,6 @@ block_size, so storage is block_size * (levels + 1) points.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -82,9 +81,6 @@ class StreamState:
     @property
     def levels(self) -> list[int]:
         return sorted(self.buckets)
-
-    def clone(self) -> "StreamState":
-        return copy.deepcopy(self)
 
     def checkpoint(self) -> dict:
         return {

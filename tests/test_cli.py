@@ -364,11 +364,12 @@ class TestExitCodes:
         assert err.count("\n") == 1 and str(core) in err
 
     @pytest.mark.parametrize("field, value", [
-        ("weight", float("nan")), ("z", "z"), ("eps", "eps")])
+        ("weight", float("nan")), ("z", "z"), ("eps", "eps"),
+        ("provenance", None)])
     def test_broken_coreset_field_is_an_io_error(self, tmp_path, capsys,
                                                  field, value):
         # a NaN weight used to pass verify (exit 0 under --strict); a string
-        # z or eps ended in a traceback (exit 1)
+        # z or eps, or a null provenance, ended in a traceback (exit 1)
         data, core = tmp_path / "pts.csv", tmp_path / "core.json"
         np.savetxt(data, gaussian_mixture(300, 2, 2, seed=3), delimiter=",")
         assert main(["build-coreset", "--input", str(data), "--k", "2",

@@ -180,6 +180,32 @@ class TestCoresetFiles:
         with pytest.raises(LoadError, match=rf"^{path}: field '\S*{field}\b"):
             load_coreset(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("provenance", None, "'provenance' holds None, not an object"),
+        ("provenance", [1], "'provenance' holds [1], not an object"),
+        ("k", "3", "'provenance.k' holds '3', not an integer"),
+        ("k", 2.5, "'provenance.k' holds 2.5, not an integer"),
+        ("k", True, "'provenance.k' holds True, not an integer"),
+        ("eps", 5.0, "'eps' holds 5.0, not in (0, 1)"),
+        ("eps", 1.0, "'eps' holds 1.0, not in (0, 1)"),
+        ("eps", 0, "'eps' holds 0, not in (0, 1)"),
+        ("eps", -1.0, "'eps' holds -1.0, not in (0, 1)"),
+    ])
+    def test_a_provenance_or_eps_outside_its_domain_is_rejected(
+            self, tmp_path, field, value, message):
+        # a null provenance ended in an AttributeError traceback in verify
+        # and a string k in a TypeError; k 2.5 audited at k = 2, k true at
+        # k = 1, and eps 5.0 passed an audit that --eps 5 refuses
+        pts = np.random.default_rng(4).normal(size=(20, 2))
+        doc = coreset_to_dict(k_median_coreset(PointSet(pts), pts[:2], t=9,
+                                               eps=0.3, seed=5))
+        (doc["provenance"] if field == "k" else doc)[field] = value
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LoadError, match=rf"^{path}: field "
+                           + re.escape(message)):
+            load_coreset(path)
+
     @pytest.mark.parametrize("coords, field", [
         (["1.5", 2.0], "points[4].coords[0]"),
         ([True, "3"], "points[4].coords[0]"),
@@ -226,6 +252,8 @@ class TestCoresetFiles:
                                                eps=0.3, seed=5))
         doc["eps"] = None
         assert coreset_from_dict(doc).eps is None
+        del doc["provenance"]     # none recorded, as a null eps
+        assert coreset_from_dict(doc).provenance == {}
 
     def test_byte_identical_reserialization(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -212,6 +212,28 @@ def test_a_point_is_at_distance_zero_from_itself_in_both_forms():
         assert idx.tolist() == list(range(m)) and not dz.any()
 
 
+@pytest.mark.parametrize("d", [4_097, 5_000, 9_000])
+def test_a_single_pair_is_the_same_pair_inside_a_block(d):
+    # a 1x1 block of the dot form adds its p.c in a loop of its own (einsum
+    # would take its vectorised dot); the pair keeps the bits it has in a
+    # 1x2 and in a 2x1 block
+    assert dot_form(1, d)
+    rng = np.random.default_rng(d)
+    P, C = rng.normal(size=(2, d)) * 7.0, rng.normal(size=(2, d)) * 7.0
+    one = pairwise_dist(Metric(), P[:1], C[:1])
+    assert one.shape == (1, 1)
+    assert one.tobytes() == pairwise_dist(Metric(), P[:1], C)[:, :1].tobytes()
+    assert one.tobytes() == pairwise_dist(Metric(), P, C[:1])[:1].tobytes()
+
+
+def test_points_of_no_coordinates_are_at_distance_zero():
+    # a JSONL point file of {"coords": []} rows reaches the kernel at d = 0
+    P, C = np.empty((3, 0)), np.empty((2, 0))
+    assert pairwise_dist(Metric(), P, C).tolist() == [[0.0, 0.0]] * 3
+    idx, dz = nearest_center(Metric(), P, C)
+    assert idx.tolist() == [0, 0, 0] and dz.tolist() == [0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("n, m, d", [(20_000, 2_000, 2), (20_000, 2_100, 2),
                                      (5_000, 300, 16)])
 def test_peak_memory_is_the_outputs_plus_a_few_blocks(n, m, d):

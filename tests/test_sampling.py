@@ -3,20 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coreclust.geometry import InputError, PointSet, pairwise_dist
+from coreclust.geometry import InputError
 from coreclust.sampling import (
     SampleParams,
     eps_approx_sample_size,
-    iid_sample,
     verify_function_eps_approx,
     verify_range_eps_approx,
-    weighted_iid_sample,
 )
-
-
-def pts1d(values, mult=None):
-    return PointSet(np.asarray(values, dtype=float).reshape(-1, 1),
-                    multiplicity=mult)
 
 
 class TestSampleSize:
@@ -40,52 +33,6 @@ class TestSampleSize:
             SampleParams(0.1, 0.1, 0)
         with pytest.raises(InputError):
             SampleParams(0.1, 0.1, 1, c=-1.0)
-
-
-class TestIidSample:
-    def test_singleton(self):
-        s = iid_sample(pts1d([7.0]), 5, seed=3)
-        assert len(s) == 5
-        assert np.all(s.points == 7.0)
-
-    def test_empty_sample_allowed(self):
-        assert len(iid_sample(pts1d([1, 2]), 0, seed=0)) == 0
-
-    def test_deterministic(self):
-        P = pts1d(np.arange(50))
-        a = iid_sample(P, 20, seed=11)
-        b = iid_sample(P, 20, seed=11)
-        assert np.array_equal(a.points, b.points)
-
-    def test_respects_multiplicity(self):
-        P = pts1d([0, 1], mult=np.array([1, 9]))
-        s = iid_sample(P, 5000, seed=1)
-        frac = float(np.mean(s.points == 1.0))
-        assert abs(frac - 0.9) < 0.02
-
-
-class TestWeightedSample:
-    def test_equal_weights_uniform(self):
-        P = pts1d(np.arange(4))
-        _, idx = weighted_iid_sample(P, np.ones(4, dtype=int), 8000, seed=2)
-        counts = np.bincount(idx, minlength=4) / 8000
-        assert np.all(np.abs(counts - 0.25) < 0.02)
-
-    def test_zero_weight_rejected(self):
-        P = pts1d([0, 1])
-        with pytest.raises(InputError):
-            weighted_iid_sample(P, np.array([5, 0]), 10, seed=0)
-
-    def test_one_to_three_ratio(self):
-        P = pts1d([0, 1])
-        _, idx = weighted_iid_sample(P, np.array([1, 3]), 100_000, seed=4)
-        frac = float(np.mean(idx == 1))
-        assert abs(frac - 0.75) <= 0.02
-
-    def test_draw_records_point_back(self):
-        P = pts1d([5, 6, 7])
-        s, idx = weighted_iid_sample(P, np.array([1, 1, 1]), 50, seed=5)
-        assert np.array_equal(s.points, P.points[idx])
 
 
 class TestRangeApprox:

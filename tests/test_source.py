@@ -4,6 +4,10 @@ Only geometry decides how many rows a block holds and which points skip the
 kernel: no other module names CHUNK_CELLS or calls center_index.  No module
 multiplies arrays through BLAS (`@`, np.dot and its kin, an array's .dot),
 so no result depends on the BLAS build or its thread count.
+
+Every public name has a reader: each name coreclust exports, and each public
+method or property of an exported class, is read by the package's own
+modules, a demo, the acceptance suite or the benchmark harness.
 """
 
 import ast
@@ -11,7 +15,14 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "coreclust").glob("*.py"))
+import coreclust
+
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "coreclust").glob("*.py"))
+READERS = ([p for p in SOURCES if p.name != "__init__.py"]
+           + sorted((ROOT / "demos").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"]
+           + sorted((ROOT / "perfbench").glob("*.py")))
 BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
 
 
@@ -51,3 +62,28 @@ def test_only_geometry_sizes_blocks_and_skips_centers(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_calls_blas(path):
     assert list(blas_uses(ast.parse(path.read_text(), str(path)))) == []
+
+
+def public_names():
+    """Each exported name as (label, name), and each public method or
+    property of an exported class as (label, method name)."""
+    for module, exported in coreclust._EXPORTS.items():
+        path = ROOT / "src" / "coreclust" / f"{module}.py"
+        classes = {node.name: node
+                   for node in ast.parse(path.read_text(), str(path)).body
+                   if isinstance(node, ast.ClassDef)}
+        for name in exported:
+            yield f"{module}.{name}", name
+            for node in getattr(classes.get(name), "body", ()):
+                if isinstance(node, ast.FunctionDef) and \
+                        not node.name.startswith("_"):
+                    yield f"{module}.{name}.{node.name}", node.name
+
+
+def test_every_public_name_has_a_reader():
+    assert len(READERS) > 15
+    read = set()
+    for path in READERS:
+        read.update(names(ast.parse(path.read_text(), str(path))))
+    unread = [label for label, name in public_names() if name not in read]
+    assert not unread, f"public names that nothing reads: {unread}"

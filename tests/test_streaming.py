@@ -190,16 +190,6 @@ class TestReplay:
         x = pts[:2]
         assert stream_query(a, x) == stream_query(b, x)
 
-    def test_clone_isolates(self):
-        rng = np.random.default_rng(10)
-        pts = rng.normal(size=(96, 2))
-        state = feed(StreamState(k=1, eps_bar=0.4, seed=11, block_size=32),
-                     pts[:64])
-        snap = state.clone()
-        feed(state, pts[64:])
-        assert snap.points_seen == 64
-        assert state.points_seen == 96
-
 
 class TestAccuracy:
     def test_stream_vs_batch_moderate_error(self):
