@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -247,6 +248,18 @@ class ThresholdCoreset:
     def __len__(self) -> int:
         return len(self.sampled_points) + sum(len(t) for t in self.proj_tau)
 
+    @cached_property
+    def _threshold_keys(self):
+        """Every target's thresholds in one sorted array, tau of target j as
+        the complex key j + tau i (numpy orders complex numbers by their real
+        part, then their imaginary part), and the cumulative masses
+        concatenated, target j's from index (its first key) + j."""
+        lens = [len(t) for t in self.proj_tau]
+        keys = np.empty(sum(lens), dtype=complex)
+        keys.real = np.repeat(np.arange(len(lens)), lens)
+        keys.imag = np.concatenate(self.proj_tau)
+        return keys, np.concatenate(self.proj_cum_mass)
+
     def cost(self, centers) -> float:
         _, dzc = nearest_center(self.metric, self.proj_points, centers, self.z)
         total = 0.0
@@ -254,10 +267,14 @@ class ThresholdCoreset:
         if np.any(active):
             total += cost((self.sampled_points[active], self.sampled_weights[active],
                            self.metric), centers, self.z)
-        # copies with tau strictly below dist^z(p', x) are active
-        mass = [cum[np.searchsorted(tau, d, side="left")]
-                for tau, cum, d in zip(self.proj_tau, self.proj_cum_mass, dzc)]
-        return total + float(weighted_sum(dzc, np.asarray(mass)))
+        # copies with tau strictly below dist^z(p', x) are active: one search
+        # finds, for every target j, its first key not below j + d_j i
+        keys, cum = self._threshold_keys
+        query = np.empty(len(dzc), dtype=complex)
+        query.real, query.imag = np.arange(len(dzc)), dzc
+        at = np.searchsorted(keys, query, side="left") + np.arange(len(dzc))
+        mass = cum[at]
+        return total + float(weighted_sum(dzc, mass))
 
 
 def check_sample_args(t: int | None, eps: float) -> None:

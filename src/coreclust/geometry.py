@@ -414,6 +414,10 @@ def block_rows(width) -> int:
     return max(1, CHUNK_CELLS // max(1, width))
 
 
+_OVERFLOW = ("distance to the nearest center overflows float64; rescale the "
+            "coordinates")
+
+
 def _nearest_walk(metric: Metric, points, c, z, out, idx=None, take=None,
                   scratch=None):
     """The row-block walk of nearest_center and costs: the d**z of each
@@ -444,8 +448,7 @@ def _nearest_walk(metric: Metric, points, c, z, out, idx=None, take=None,
                 d[...] = block[np.arange(len(i)), i]
             out[rows] = np.power(d, z, out=d)
     if not np.all(np.isfinite(out)):
-        raise InputError("distance to the nearest center overflows float64; "
-                         "rescale the coordinates")
+        raise InputError(_OVERFLOW)
     return scratch
 
 
@@ -521,17 +524,77 @@ def weighted_sum(values, weights):
                      np.ascontiguousarray(weights))
 
 
+def _group_size(n, c) -> int:
+    """How many sets of k centers like c costs walks together over n points:
+    G = CHUNK_CELLS // (k * max(n, d)) (d = 1 for ids) when that is 4 or
+    more, else 1.  A group's block of distances and its stacked coordinates
+    then stay within CHUNK_CELLS, and a set alone would fill a quarter block
+    or less, where its walk's time goes to per-call overhead.  At 2 or 3
+    sets a group (n * k of about CHUNK_CELLS / 3) grouping made walks
+    slower, not faster."""
+    g = CHUNK_CELLS // max(c.size, len(c) * n)
+    return g if g >= 4 else 1
+
+
+def _set_groups(metric: Metric, center_sets, n):
+    """The checked center sets, consecutive ones of one shape in lists of up
+    to _group_size.  A set that fails its check raises once the sets before
+    it have been handed out, as when each set was walked alone."""
+    group = []
+    for centers in center_sets:
+        try:
+            c = check_centers(metric, centers)
+        except InputError:
+            if group:
+                yield group
+            raise
+        if group and (c.shape != group[0].shape
+                      or len(group) == _group_size(n, group[0])):
+            yield group
+            group = []
+        group.append(c)
+    if group:
+        yield group
+
+
+def _group_walk(metric: Metric, points, group, z, out, scratch=None):
+    """_nearest_walk of G same-shape sets of k centers at once, into the
+    rows of out, (G, n): one pairwise_dist block of every point against the
+    sets stacked slot-major (center j of set i is column j*G + i), with the
+    terms of one set's width, so each entry has the bits a set's own walk
+    gives it.  Slot j of every set is then one (G, n) slice, and each row's
+    minimum is k - 1 np.minimum calls in which the earlier slot wins a tie,
+    as argmin does.  Returns the scratch, as _nearest_walk does."""
+    G, k = len(group), len(group[0])
+    C = np.stack(group, axis=1).reshape(k * G, *group[0].shape[1:])
+    terms = _center_terms(C, group[0].size) if metric.is_euclidean else None
+    scratch = _scratch(len(points) * k * G, scratch)
+    slots = pairwise_dist(metric, points, C, terms=terms, scratch=scratch).T
+    np.copyto(out, slots[:G])
+    for j in range(1, k):
+        np.minimum(slots[j * G:(j + 1) * G], out, out=out)
+    with np.errstate(over="ignore"):
+        np.power(out, z, out=out)
+    if not np.all(np.isfinite(out)):
+        raise InputError(_OVERFLOW)
+    return scratch
+
+
 def costs(data, center_sets, z=1.0) -> np.ndarray:
     """Weighted sum of d**z to the nearest center over a PointSet, a coreset
     or a (points, weights, metric) tuple, for every center set in one walk.
 
     Euclidean points are laid out coordinate-major once, in 64-byte aligned
-    memory, and pairwise_dist takes them in place.  Each block's minimum
-    over its centers is each point's nearest distance, in either layout of
-    the block, so every entry has the bits of weighted_sum(nearest_center(
-    ...)[1], weights).  Memory beyond the output is the copy, one n-long row
-    and a few blocks, whatever the number of sets; a d**z that overflows
-    raises.
+    memory, and pairwise_dist takes them in place.  A set walks alone
+    (_nearest_walk) unless n * k <= CHUNK_CELLS / 4: there consecutive sets
+    of k centers go CHUNK_CELLS // (n * k) at a time through one block
+    (_group_walk; _group_size states the rule).  Each block's minimum over
+    a set's centers is each point's nearest distance, in either layout of
+    the block, and a C-ordered row of G sums as it does alone, so every
+    entry has the bits of weighted_sum(nearest_center(...)[1], weights).
+    Memory beyond the output is the copy, the d**z rows (one, or a group's,
+    at most a block) and a few blocks, whatever the number of sets; a d**z
+    that overflows raises.
     """
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:
@@ -539,11 +602,20 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
     z = check_power(z)
     if metric.is_euclidean:
         points = _coordinate_major(points)
-    dz, out, scratch = np.empty(len(points)), np.empty(len(center_sets)), None
-    for q, centers in enumerate(center_sets):
-        scratch = _nearest_walk(metric, points, check_centers(metric, centers),
-                                z, dz, scratch=scratch)
-        out[q] = weighted_sum(dz, weights)
+    n = len(points)
+    out, dz, scratch, q = np.empty(len(center_sets)), np.empty(n), None, 0
+    for group in _set_groups(metric, center_sets, n):
+        G = len(group)
+        if dz.size < G * n:
+            dz = np.empty(G * n)
+        rows = dz[:G * n].reshape(G, n)
+        if G == 1:
+            scratch = _nearest_walk(metric, points, group[0], z, rows[0],
+                                    scratch=scratch)
+        else:
+            scratch = _group_walk(metric, points, group, z, rows, scratch)
+        out[q:q + G] = weighted_sum(rows, weights)
+        q += G
     return out
 
 

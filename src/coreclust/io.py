@@ -66,9 +66,54 @@ def open_points(path):
     return open(path, newline="", errors="surrogateescape")
 
 
+# characters after which np.loadtxt and csv_rows could read a line apart: a
+# quote (csv unquotes cells, which may span lines), NUL, and \x1c-\x1f, which
+# numpy strips from a cell as whitespace and float() does not
+_CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+# characters of whole lines that one np.loadtxt call parses
+LOADTXT_CHARS = 1 << 20
+
+
+def _loadtxt_rows(fh):
+    """The rows of a CSV point file as one array, np.loadtxt parsing about
+    LOADTXT_CHARS characters of whole lines at a time; None where csv_rows
+    might read any line otherwise.  That is a chunk of non-ASCII text, one
+    holding a character of _CSV_ONLY or a line longer than csv's field
+    limit, a chunk np.loadtxt refuses, one of another width than the first,
+    and a file of no rows.  Where both parse a line they give the same bits:
+    each cell goes through PyOS_string_to_double, as float() does, and
+    np.loadtxt refuses the spellings only float() takes (1_0, non-ASCII
+    digits).  Blank lines are skipped by both; a whitespace-only chunk holds
+    no rows."""
+    limit, parts = csv.field_size_limit(), []
+    while lines := fh.readlines(LOADTXT_CHARS):
+        text = "".join(lines)
+        if not text.isascii() or any(c in text for c in _CSV_ONLY) or \
+                max(map(len, lines)) > limit:
+            return None
+        if text.isspace():
+            continue
+        try:
+            part = np.loadtxt(lines, delimiter=",", comments=None, dtype=float,
+                              ndmin=2)
+        except ValueError:
+            return None
+        if parts and part.shape[1] != parts[0].shape[1]:
+            return None
+        parts.append(part)
+    return np.concatenate(parts) if parts else None
+
+
 def load_points_csv(path) -> np.ndarray:
+    """The points of a CSV file: one np.loadtxt pass a chunk of lines at a
+    time (_loadtxt_rows), or csv_rows over the whole file where that pass
+    declines, so values, skipped rows and every LoadError are csv_rows'."""
     with open_points(path) as fh:
-        return _as_points(path, list(csv_rows(fh, path)))
+        points = _loadtxt_rows(fh)
+        if points is None:
+            fh.seek(0)
+            points = _as_points(path, list(csv_rows(fh, path)))
+        return points
 
 
 def load_points_jsonl(path) -> np.ndarray:
@@ -84,6 +129,9 @@ def load_points_jsonl(path) -> np.ndarray:
             if not isinstance(cells, list):
                 raise LoadError(f"{path}: line {lineno}: coords must be a JSON "
                                 f"list, got {type(cells).__name__}")
+            if not cells:
+                raise LoadError(f"{path}: line {lineno}: coords is empty; a "
+                                "point needs at least one coordinate")
             rows.append(parse_row(cells, len(rows[0]) if rows else None,
                                   path, lineno))
     return _as_points(path, rows)
@@ -277,6 +325,9 @@ def coreset_from_dict(obj: dict, metric: Metric = Metric()):
         for j, it in enumerate(obj["projected"]):
             proj_tau.append(_finite(it["thresholds"],
                                     f"projected[{j}].thresholds[{{}}]"))
+            if np.any(proj_tau[j][1:] < proj_tau[j][:-1]):
+                raise LoadError(f"field 'projected[{j}].thresholds' is not "
+                                "sorted")
             masses = _finite(it["masses"], f"projected[{j}].masses[{{}}]")
             proj_cum.append(np.concatenate([[0.0], np.cumsum(masses)]))
         if np.any((cen < 0) | (cen >= len(proj))) or any(

@@ -228,6 +228,16 @@ class TestExitCodes:
                      "--eps", "0.3", "--seed", "1"]) == 2
         assert "line 1: coords must be a JSON list" in capsys.readouterr().err
 
+    def test_jsonl_rows_of_no_coordinates(self, tmp_path, capsys):
+        # they used to build a coreset of 0-D points that verify passed
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"coords": []}\n' * 50)
+        assert main(["build-coreset", "--input", str(bad), "--k", "2",
+                     "--eps", "0.3", "--seed", "1",
+                     "--coreset-out", str(tmp_path / "c.json")]) == 2
+        assert "line 1: coords is empty" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--method", "local", "--k", "0", "--input", "{data}"],
         ["verify", "--k", "100", "--input", "{data}", "--coreset", "{core}"],

@@ -215,6 +215,47 @@ class TestMetricThresholdCoreset:
             assert core.cost(x) == pytest.approx(slow_threshold_cost(core, x),
                                                  rel=1e-11)
 
+    @pytest.mark.parametrize("metric", ["euclidean", "explicit"])
+    def test_cost_is_the_per_target_search_bit_for_bit(self, metric):
+        # cost finds every target's active mass with one search over all
+        # thresholds; the reference searches target by target, as cost did
+        # before.  Each target gets copies at tau == d (inactive: side
+        # "left"), one target has no copies, and queries at the anchors put
+        # d = 0 on targets whose copies sit at tau = 0
+        import dataclasses
+        from coreclust.geometry import (metric_from_points, nearest_center,
+                                        weighted_sum)
+        rng = np.random.default_rng(11)
+        pts = np.round(rng.normal(size=(400, 2)), 1)
+        P, B = PointSet(pts), pts[:40]
+        if metric == "explicit":
+            P, B = PointSet(np.arange(400), metric=metric_from_points(pts)), \
+                np.arange(40)
+        core = metric_b_coreset(P, B, t=30, eps=0.5, seed=3)
+
+        def per_target(core, x):
+            _, dzc = nearest_center(core.metric, core.proj_points, x, core.z)
+            active = dzc[core.sampled_center] <= core.sampled_tau
+            total = cost((core.sampled_points[active],
+                          core.sampled_weights[active], core.metric), x,
+                         core.z) if np.any(active) else 0.0
+            mass = [cum[np.searchsorted(tau, d, side="left")]
+                    for tau, cum, d in zip(core.proj_tau, core.proj_cum_mass,
+                                           dzc)]
+            return total + float(weighted_sum(dzc, np.asarray(mass)))
+
+        queries = [B[:3], B[5:6]] + [P.points[rng.choice(400, 3, replace=False)]
+                                     for _ in range(8)]
+        for x in queries:
+            assert core.cost(x) == per_target(core, x)
+            _, dzc = nearest_center(core.metric, core.proj_points, x, core.z)
+            tau = [np.sort(np.concatenate([t, [d, d]]))
+                   for t, d in zip(core.proj_tau, dzc)]
+            cum = [np.concatenate([c, c[-1] + rng.uniform(1, 2, 2).cumsum()])
+                   for c in core.proj_cum_mass]
+            tau[1], cum[1] = np.empty(0), np.zeros(1)
+            tied = dataclasses.replace(core, proj_tau=tau, proj_cum_mass=cum)
+            assert tied.cost(x) == per_target(tied, x)
 
     @pytest.mark.parametrize("metric", ["euclidean", "explicit"])
     def test_projected_copies_match_the_per_anchor_loop(self, metric):

@@ -1,7 +1,10 @@
+import csv
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +13,12 @@ from hypothesis import strategies as st
 
 from coreclust.construction import k_median_coreset, metric_b_coreset
 from coreclust.geometry import LoadError, Metric, PointSet, metric_from_points
+import coreclust.io as cio
 from coreclust.io import (
+    _as_points,
+    _loadtxt_rows,
     coreset_from_dict,
+    csv_rows,
     coreset_to_dict,
     json_text,
     load_coreset,
@@ -20,6 +27,7 @@ from coreclust.io import (
     load_points,
     load_points_csv,
     load_points_jsonl,
+    open_points,
     save_coreset,
 )
 
@@ -80,6 +88,17 @@ class TestPointFiles:
         with pytest.raises(LoadError, match="line 2: coords must be a JSON list"):
             load_points(path)
 
+    def test_jsonl_rows_of_no_coordinates_are_rejected(self, tmp_path):
+        # fifty such rows used to load as a (50, 0) array, build a coreset
+        # and pass verify at error 0
+        path = tmp_path / "pts.jsonl"
+        path.write_text('{"coords": []}\n' * 50)
+        with pytest.raises(LoadError, match="line 1: coords is empty"):
+            load_points(path)
+        path.write_text('{"coords": [1, 2]}\n\n{"coords": []}\n')
+        with pytest.raises(LoadError, match="line 3: coords is empty"):
+            load_points(path)
+
     def test_dispatch_by_extension(self, tmp_path):
         path = tmp_path / "pts.jsonl"
         path.write_text('{"coords": [5]}\n')
@@ -90,6 +109,121 @@ class TestPointFiles:
         path.write_text("")
         with pytest.raises(LoadError):
             load_points_csv(path)
+
+
+def csv_rows_outcome(path):
+    """What csv_rows makes of a point file: its array's shape and bits, or
+    its LoadError's text."""
+    try:
+        with open_points(path) as fh:
+            points = _as_points(path, list(csv_rows(fh, path)))
+    except LoadError as exc:
+        return "error", str(exc)
+    return points.shape, points.tobytes()
+
+
+def outcome(load, path):
+    try:
+        points = load(path)
+    except LoadError as exc:
+        return "error", str(exc)
+    return points.shape, points.tobytes()
+
+
+# cells where np.loadtxt and float() could part: spellings only float()
+# takes, quotes, signed zeros, NaNs, values past the float64 range either
+# way, whitespace float() strips or keeps, NUL and non-ASCII text
+ODD_CELLS = ["1_0", "\u0661", "\uff13", "-0", "+0.0", "nan", "-nan", "NaN",
+             "inf", "-Infinity", "1e400", "-1e400", "1e-400", "4.9e-324",
+             '"1"', '"2.5"', '"1\n2"', "", " ", " 3 ", "\t4\t", "\x0c5", "\x0b6",
+             "7\x1c", "\x1f8", "9\x00", "1\u00a0", "\u20032", "x", "0x1", "1e",
+             "1d5", ".5", "5.", "+.5e-3"]
+cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(ODD_CELLS),
+    st.text(alphabet="0123456789.eE+-_ \t", max_size=6))
+rows = st.one_of(st.lists(cells, min_size=1, max_size=3).map(",".join),
+                 st.sampled_from(["", "  ", " , ", ","]))
+
+
+class TestCsvFastPath:
+    """load_points_csv parses a file with np.loadtxt a chunk of lines at a
+    time and falls back on csv_rows over the whole file: either way the
+    array, or the LoadError text, is the one csv_rows gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(rows, min_size=0, max_size=8),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]),
+           last=st.sampled_from(["", "\n"]),
+           raw=st.sampled_from([b"", b"\xff\xfe", b"\x00"]),
+           chunk=st.sampled_from([1, 7, 64, 1 << 20]))
+    def test_both_parsers_agree(self, lines, ending, last, raw, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pts.csv"
+            path.write_bytes(ending.join(lines).encode() + raw + last.encode())
+            with mock.patch.object(cio, "LOADTXT_CHARS", chunk):
+                assert outcome(load_points_csv, path) == csv_rows_outcome(path)
+                with open_points(path) as fh:
+                    fast = _loadtxt_rows(fh)
+            if fast is not None:
+                assert (fast.shape, fast.tobytes()) == csv_rows_outcome(path)
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4\n",
+        "1,2\r\n\r\n3,4\r\n",
+        "1,2\r3,4",
+        " -0 , nan\n-nan,1e400\n\n1e-400 ,\t5\n",
+        "7\n",
+        "\n\n\n1e5,.5,5.\n",
+    ])
+    def test_well_formed_files_take_the_numpy_pass(self, tmp_path, text):
+        path = tmp_path / "pts.csv"
+        path.write_text(text, newline="")
+        for chunk in (1, 1 << 20):
+            with mock.patch.object(cio, "LOADTXT_CHARS", chunk), \
+                    open_points(path) as fh:
+                fast = _loadtxt_rows(fh)
+            assert fast is not None
+            assert (fast.shape, fast.tobytes()) == csv_rows_outcome(path)
+
+    @pytest.mark.parametrize("payload", [
+        b'"1","2"\n3,4\n',
+        b"1,2\n" + b"3" * (csv.field_size_limit() + 1) + b",4\n",
+        b"1,2\n3\x00,4\n",
+        b"1,2\n\xff\xfe,3\n",
+        b"1,2\n3,4\x1c\n",
+        "1,2\n\u0661,3\n".encode(),
+        b"1,2\n3,4,\n",
+        b"1,2\n3\n",
+        b"\n \n",
+    ], ids=["quoted", "oversize-cell", "nul", "not-utf8", "file-separator",
+            "arabic-digit", "trailing-comma", "ragged", "blank"])
+    def test_what_numpy_might_read_otherwise_goes_to_csv_rows(self, tmp_path,
+                                                              payload):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(payload)
+        with open_points(path) as fh:
+            assert _loadtxt_rows(fh) is None
+        assert outcome(load_points_csv, path) == csv_rows_outcome(path)
+
+    def test_the_text_is_parsed_a_chunk_at_a_time(self, tmp_path,
+                                                  monkeypatch):
+        X = np.random.default_rng(3).normal(size=(20_000, 4))
+        path = tmp_path / "pts.csv"
+        np.savetxt(path, X, delimiter=",", fmt="%.17g")
+        monkeypatch.setattr(cio, "LOADTXT_CHARS", 1 << 14)
+        tracemalloc.start()
+        try:
+            got = load_points_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == X.tobytes()
+        # the chunks' arrays and their concatenation (8 bytes a cell each)
+        # and a few chunks of text; the whole text is about 23 bytes a cell,
+        # csv_rows' Python floats 32
+        assert peak < 2 * X.nbytes + 16 * (1 << 14)
+        assert path.stat().st_size > peak
 
 
 class TestMetricFiles:
@@ -147,6 +281,20 @@ class TestCoresetFiles:
         path = tmp_path / "core.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(LoadError, match="do not match the projected"):
+            load_coreset(path)
+
+    def test_threshold_runs_must_be_sorted(self, tmp_path):
+        # cost finds every target's active copies with one binary search
+        # over all thresholds, which holds only for sorted runs
+        pts = np.random.default_rng(4).normal(size=(20, 2))
+        core = metric_b_coreset(PointSet(pts), pts[:2], t=9, eps=0.3, seed=5)
+        doc = coreset_to_dict(core)
+        j = max(range(2), key=lambda j: len(doc["projected"][j]["thresholds"]))
+        doc["projected"][j]["thresholds"].reverse()
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LoadError, match=rf"'projected\[{j}\].thresholds' "
+                                            "is not sorted"):
             load_coreset(path)
 
     @pytest.mark.parametrize("kind, part, field, value", [

@@ -227,7 +227,8 @@ def test_a_single_pair_is_the_same_pair_inside_a_block(d):
 
 
 def test_points_of_no_coordinates_are_at_distance_zero():
-    # a JSONL point file of {"coords": []} rows reaches the kernel at d = 0
+    # a library caller's (n, 0) points reach the kernel at d = 0 (the point
+    # file loaders refuse rows of no coordinates)
     P, C = np.empty((3, 0)), np.empty((2, 0))
     assert pairwise_dist(Metric(), P, C).tolist() == [[0.0, 0.0]] * 3
     idx, dz = nearest_center(Metric(), P, C)
@@ -340,6 +341,98 @@ def test_costs_raise_what_cost_raised():
     with pytest.raises(InputError, match="empty point set"):
         costs((np.empty((0, 2)), np.ones(0), Metric()), [ok])
     assert costs(data, []).shape == (0,)
+
+
+def grouped_instance(kind, d, n, seed):
+    """(metric, points) for the grouped walk; the matrix holds -0.0 next to
+    0.0 in every row, so signed zeros tie."""
+    rng = np.random.default_rng(seed)
+    if kind == MATRIX:
+        D = np.round(np.abs(rng.normal(size=(n, n))), 1)
+        D[:, :4] = [0.0, -0.0, 0.0, -0.0]
+        return Metric(kind=MATRIX, matrix=D), np.arange(n)
+    return Metric(), rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0])
+@pytest.mark.parametrize("kind, d, k, G", [
+    ("euclidean", 2, 3, 5),                 # the exact form
+    ("euclidean", 16, 5, 60),               # exact sets, a group of 4,800 wide
+    ("euclidean", 300, 14, 5),              # the dot form: k*d > 4096, d > 3
+    (MATRIX, None, 3, 5)])
+def test_grouped_costs_are_the_one_set_formula_bit_for_bit(kind, d, k, G, z):
+    # sets of k centers go CHUNK_CELLS // (k * max(n, d)) at a time through
+    # one block when that is 4 or more.  The budget below makes it G, so
+    # the sets of k span several groups; sets of other sizes in between
+    # form groups of their own shape
+    n = 40
+    metric, P = grouped_instance(kind, d, n, seed=k)
+    rng = np.random.default_rng(int(z))
+    w = rng.uniform(-2.0, 10.0, n)
+    sizes = [k] * (2 * G - 1) + [1] * 6 + [k] * 2 + [k + 1] * 5 + [k] * (G + 3) \
+        + [2]
+    pool = np.arange(n) if kind == MATRIX else P
+    # a matrix set draws a -0.0 column and a 0.0 one, in either order
+    sets = [pool[np.r_[rng.permutation(4)[:2], rng.choice(np.arange(4, n), m - 2)]]
+            if kind == MATRIX and m >= 2 else pool[rng.choice(n, m)]
+            for m in sizes]
+    ref = [weighted_sum(nearest_center(metric, P, x, z)[1], w) for x in sets]
+    calls = []
+    pairwise = geometry.pairwise_dist
+
+    def recording(metric, points, centers, **kwargs):
+        calls.append(len(centers))
+        return pairwise(metric, points, centers, **kwargs)
+
+    with mock.patch.object(geometry, "CHUNK_CELLS", G * k * max(n, d or 1)), \
+            mock.patch.object(geometry, "pairwise_dist", recording):
+        assert geometry._group_size(n, sets[0]) == G
+        got = costs((P, w, metric), sets, z)
+        # each group's rows, before their sums, are each set's own d**z,
+        # signed zeros included
+        group = sets[:G]
+        rows = np.empty((G, n))
+        geometry._group_walk(metric, P, group, z, rows)
+    assert got.tobytes() == np.array(ref).tobytes()
+    for row, x in zip(rows, group):
+        assert row.tobytes() == nearest_center(metric, P, x, z)[1].tobytes()
+    assert len(calls) < len(sets) and max(calls) == G * k
+
+
+def test_only_small_walks_are_grouped():
+    # the benchmark's shapes: verify (n = 5,000, k = 5) and build
+    # (n = 6,000, k = 3) walk one set at a time; metric (n = 500, k = 3)
+    # walks 43 sets a block
+    assert geometry._group_size(5_000, np.zeros((5, 16))) == 1
+    assert geometry._group_size(6_000, np.zeros((3, 2))) == 1
+    assert geometry._group_size(500, np.zeros(3, dtype=np.intp)) == 43
+    assert geometry._group_size(2, np.zeros((1, 70_000))) == 1
+
+
+def test_a_bad_set_raises_after_the_sets_before_it():
+    # as when each set was walked alone, an overflow in an earlier set of
+    # a group is what raises, not a later set's failed check
+    data = (np.array([[0.0, 0.0], [1e154, 0.0]]), np.ones(2), Metric())
+    with pytest.raises(InputError, match="overflows"):
+        costs(data, [[[5e153, 0.0]], [[-1e154, 1e154]], np.empty((0, 2))])
+    with pytest.raises(InputError, match="center set must be nonempty"):
+        costs(data, [[[5e153, 0.0]], [[0.0, 0.0]], np.empty((0, 2))])
+
+
+def test_grouped_costs_hold_a_few_blocks():
+    rng = np.random.default_rng(8)
+    n, d = 500, 2
+    data = (rng.normal(size=(n, d)), np.ones(n), Metric())
+    sets = [rng.normal(size=(3, d)) for _ in range(1_000)]
+    tracemalloc.start()
+    try:
+        costs(data, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the copy, the output, and a group's stacked centers, pairwise blocks
+    # and d**z rows, each at most a block of CHUNK_CELLS float64
+    assert peak < 8 * n * d + 8 * len(sets) + 5 * 8 * geometry.CHUNK_CELLS
 
 
 @pytest.mark.parametrize("m, d", [(3, 2), (5, 16), (2_100, 2), (257, 16)])
