@@ -123,10 +123,13 @@ class BCoreset:
         over = fp > s
         t_part = float(fp[over].sum())
         if self.sample.size:
-            f = self.family.f(x)
-            idx = self.sample
-            g = np.where(over[idx], 0.0, f[idx] / self.family.m[idx])
-            u_part = float(g.sum()) * self.g_total / self.sample.size
+            # per-item draw counts: item f weighs count_f |G| / (m_f |S|), which
+            # is exactly 1 under the identity sample, so no rounding of tiny
+            # f / m_f can creep into the exact collapse
+            count = np.bincount(self.sample, minlength=self.family.size)
+            keep = (count > 0) & ~over
+            w = (count[keep] * self.g_total) / (self.family.m[keep] * self.sample.size)
+            u_part = float((self.family.f(x)[keep] * w).sum())
         else:
             u_part = 0.0
         return t_part + u_part

@@ -81,8 +81,10 @@ class Metric:
         """Build an explicit finite metric, checking the metric axioms.
 
         Zero diagonal and symmetry are always checked exactly.  The triangle
-        inequality is checked over all n^3 triples when n <= FULL_CHECK_LIMIT
-        and over SAMPLED_PAIRS seeded pairs (every intermediate) otherwise.
+        inequality d(i, k) <= d(i, j) + d(j, k) is checked for every
+        intermediate j over all n^2 pairs (i, k) when n <= FULL_CHECK_LIMIT
+        and over SAMPLED_PAIRS seeded pairs otherwise, a block of pairs at a
+        time, so memory beyond the matrix is O(CHUNK_CELLS).
         """
         D = np.asarray(matrix, dtype=float)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -93,23 +95,31 @@ class Metric:
             raise LoadError("distance matrix contains negative entries")
         if np.any(np.diag(D) != 0):
             raise LoadError("distance matrix has a nonzero diagonal")
-        if not np.allclose(D, D.T, rtol=0, atol=0):
+        if not np.array_equal(D, D.T):
             raise LoadError("distance matrix is not symmetric")
         n = D.shape[0]
+        if n == 0:
+            raise LoadError("distance matrix is empty")
         tol = REL_TOL * max(1.0, float(D.max()))
         if n <= FULL_CHECK_LIMIT:
-            for j in range(n):
-                if np.any(D > D[:, [j]] + D[[j], :] + tol):
-                    raise LoadError(
-                        f"triangle inequality violated through point {j}")
+            a, b = np.divmod(np.arange(n * n), n)
         else:
-            # spot check: sampled (i, k) pairs against every intermediate
             rng = np.random.default_rng(0)
-            i = rng.integers(0, n, size=SAMPLED_PAIRS)
-            k = rng.integers(0, n, size=SAMPLED_PAIRS)
-            slack = (D[i, :] + D[:, k].T).min(axis=1)
-            if np.any(D[i, k] > slack + tol):
-                raise LoadError("triangle inequality violated on sampled pair")
+            a = rng.integers(0, n, size=SAMPLED_PAIRS)
+            b = rng.integers(0, n, size=SAMPLED_PAIRS)
+        step = block_rows(n)
+        for s in range(0, len(a), step):
+            i, k = a[s:s + step], b[s:s + step]
+            # row r holds d(i_r, j) + d(j, k_r) for every j: D is symmetric
+            through = D[i]
+            through += D[k]
+            through += tol
+            bad = np.flatnonzero(D[i, k][:, None] > through)
+            if len(bad):
+                r, j = divmod(int(bad[0]), n)
+                raise LoadError(
+                    f"triangle inequality violated: d({i[r]}, {k[r]}) > "
+                    f"d({i[r]}, {j}) + d({j}, {k[r]})")
         return Metric(kind=MATRIX, matrix=D)
 
 
@@ -284,13 +294,16 @@ def pairwise_dist(metric: Metric, points, centers, out=None, terms=None,
     returned is then a view of the scratch, valid until the walker's next
     call.  A slab of a larger center set passes
     _center_terms(slab, m*d of the whole set), so its entries are the whole
-    set's.
+    set's.  No entry is a negative zero: squares are at least +0, and the
+    dot form recomputes entries near 0 exactly.
     """
     if not metric.is_euclidean:
+        # + 0.0 turns a stored -0.0 into 0.0: no distance is a negative zero
         block = metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
         if out is None:
+            block += 0.0
             return block
-        out[...] = block.T
+        np.add(block.T, 0.0, out=out)
         return out.T
     P = np.atleast_2d(np.asarray(points, dtype=float))
     C = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -418,35 +431,44 @@ _OVERFLOW = ("distance to the nearest center overflows float64; rescale the "
             "coordinates")
 
 
-def _nearest_walk(metric: Metric, points, c, z, out, idx=None, take=None,
+def _nearest_walk(metric: Metric, points, sets, z, out, idx=None, take=None,
                   scratch=None):
-    """The row-block walk of nearest_center and costs: the d**z of each
-    point in `take` (every point when None) to its nearest center of the
-    checked set c, written into out, and the center's index into idx when
-    one is given.  A block of about CHUNK_CELLS distances holds a multiple
-    of 8 rows, so a block of coordinate-major points starts aligned, and is
-    built in `scratch`, which the walk returns for the next set.  **z runs
-    once a point, and a d**z that overflows raises.
+    """The one walk of nearest_center, nearest_own_center and costs: row i
+    of out, (G, n), gets the d**z of each point in `take` (every point when
+    None) to its nearest center in sets[i], G checked sets of one shape
+    (G > 1 only from costs); idx, for one set, gets the center's index.
+    The sets are stacked slot-major (center j of set i is column j*G + i)
+    with one set's terms, so each entry has that set's bits; no entry is a
+    negative zero, so a minimum has argmin's bits.  Blocks of about
+    CHUNK_CELLS distances hold all the points or a multiple of 8 rows
+    (coordinate-major points start aligned) and are built in `scratch`,
+    which the walk returns for the next call.  **z runs once a point; a d**z that overflows raises.
     """
+    G, k = len(sets), len(sets[0])
+    C = np.stack(sets, axis=1).reshape(k * G, *sets[0].shape[1:])
+    terms = _center_terms(C, sets[0].size) if metric.is_euclidean else None
     n = len(points) if take is None else len(take)
-    terms = _center_terms(c) if metric.is_euclidean else None
-    step = block_rows(len(c))
-    step = step - step % 8 or step
-    scratch = _scratch(min(step, n) * len(c), scratch)
-    near = np.empty(min(step, n))
+    step = block_rows(k * G)
+    if step < n:
+        step = step - step % 8 or step
+    scratch = _scratch(min(step, n) * k * G, scratch)
+    # rows of out take the minima in place; scattered rows need a buffer
+    near = None if take is None else np.empty((G, min(step, n)))
     with np.errstate(over="ignore"):
         for s in range(0, n, step):
             rows = slice(s, s + step) if take is None else take[s:s + step]
-            block = pairwise_dist(metric, points[rows], c, terms=terms,
+            block = pairwise_dist(metric, points[rows], C, terms=terms,
                                   scratch=scratch)
-            d = near[:len(block)]
+            d = out[:, rows] if near is None else near[:, :len(block)]
             if idx is None:
-                np.minimum.reduce(block, axis=1, out=d)
+                np.minimum.reduce(block.T.reshape(k, G, -1), axis=0, out=d)
             else:
                 i = block.argmin(axis=1)
                 idx[rows] = i
-                d[...] = block[np.arange(len(i)), i]
-            out[rows] = np.power(d, z, out=d)
+                d[0] = block[np.arange(len(i)), i]
+            np.power(d, z, out=d)
+            if near is not None:
+                out[:, rows] = d
     if not np.all(np.isfinite(out)):
         raise InputError(_OVERFLOW)
     return scratch
@@ -468,7 +490,7 @@ def nearest_center(metric: Metric, points, centers, z=1.0):
     z, c = check_power(z), check_centers(metric, centers)
     points = _rows(metric, points)
     idx, dz = np.empty(len(points), dtype=np.intp), np.empty(len(points))
-    _nearest_walk(metric, points, c, z, dz, idx)
+    _nearest_walk(metric, points, [c], z, dz[None], idx)
     return idx, dz
 
 
@@ -483,7 +505,7 @@ def nearest_own_center(metric: Metric, points, centers, z=1.0):
     points = _rows(metric, points)
     idx, dz = center_index(metric, points, c), np.zeros(len(points))
     rest = np.flatnonzero(idx < 0)
-    _nearest_walk(metric, points, c, z, dz, idx,
+    _nearest_walk(metric, points, [c], z, dz[None], idx,
                   None if len(rest) == len(points) else rest)
     return idx, dz
 
@@ -525,15 +547,12 @@ def weighted_sum(values, weights):
 
 
 def _group_size(n, c) -> int:
-    """How many sets of k centers like c costs walks together over n points:
-    G = CHUNK_CELLS // (k * max(n, d)) (d = 1 for ids) when that is 4 or
-    more, else 1.  A group's block of distances and its stacked coordinates
-    then stay within CHUNK_CELLS, and a set alone would fill a quarter block
-    or less, where its walk's time goes to per-call overhead.  At 2 or 3
-    sets a group (n * k of about CHUNK_CELLS / 3) grouping made walks
-    slower, not faster."""
-    g = CHUNK_CELLS // max(c.size, len(c) * n)
-    return g if g >= 4 else 1
+    """How many consecutive sets of k centers like c costs walks at once
+    over n points: G = CHUNK_CELLS // (k * max(n, d)) (d = 1 for ids), at
+    least 1.  A group's block of distances over all n points and its
+    stacked coordinates then fit in one block of CHUNK_CELLS; a set wider
+    than that walks alone, in row blocks."""
+    return max(1, CHUNK_CELLS // max(c.size, len(c) * n))
 
 
 def _set_groups(metric: Metric, center_sets, n):
@@ -557,44 +576,19 @@ def _set_groups(metric: Metric, center_sets, n):
         yield group
 
 
-def _group_walk(metric: Metric, points, group, z, out, scratch=None):
-    """_nearest_walk of G same-shape sets of k centers at once, into the
-    rows of out, (G, n): one pairwise_dist block of every point against the
-    sets stacked slot-major (center j of set i is column j*G + i), with the
-    terms of one set's width, so each entry has the bits a set's own walk
-    gives it.  Slot j of every set is then one (G, n) slice, and each row's
-    minimum is k - 1 np.minimum calls in which the earlier slot wins a tie,
-    as argmin does.  Returns the scratch, as _nearest_walk does."""
-    G, k = len(group), len(group[0])
-    C = np.stack(group, axis=1).reshape(k * G, *group[0].shape[1:])
-    terms = _center_terms(C, group[0].size) if metric.is_euclidean else None
-    scratch = _scratch(len(points) * k * G, scratch)
-    slots = pairwise_dist(metric, points, C, terms=terms, scratch=scratch).T
-    np.copyto(out, slots[:G])
-    for j in range(1, k):
-        np.minimum(slots[j * G:(j + 1) * G], out, out=out)
-    with np.errstate(over="ignore"):
-        np.power(out, z, out=out)
-    if not np.all(np.isfinite(out)):
-        raise InputError(_OVERFLOW)
-    return scratch
-
-
 def costs(data, center_sets, z=1.0) -> np.ndarray:
     """Weighted sum of d**z to the nearest center over a PointSet, a coreset
     or a (points, weights, metric) tuple, for every center set in one walk.
 
     Euclidean points are laid out coordinate-major once, in 64-byte aligned
-    memory, and pairwise_dist takes them in place.  A set walks alone
-    (_nearest_walk) unless n * k <= CHUNK_CELLS / 4: there consecutive sets
-    of k centers go CHUNK_CELLS // (n * k) at a time through one block
-    (_group_walk; _group_size states the rule).  Each block's minimum over
-    a set's centers is each point's nearest distance, in either layout of
-    the block, and a C-ordered row of G sums as it does alone, so every
-    entry has the bits of weighted_sum(nearest_center(...)[1], weights).
-    Memory beyond the output is the copy, the d**z rows (one, or a group's,
-    at most a block) and a few blocks, whatever the number of sets; a d**z
-    that overflows raises.
+    memory, and pairwise_dist takes them in place.  Consecutive sets of one
+    shape walk together, as many as _group_size allows, through one
+    _nearest_walk.  Each row of a group is a set's own d**z, and a
+    C-ordered row sums as it does alone, so every entry has the bits of
+    weighted_sum(nearest_center(...)[1], weights).  Memory beyond the
+    output is the copy, a group's d**z rows (at most a block, or one row)
+    and a few blocks, whatever the number of sets; a d**z that overflows
+    raises.
     """
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:
@@ -609,11 +603,8 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
         if dz.size < G * n:
             dz = np.empty(G * n)
         rows = dz[:G * n].reshape(G, n)
-        if G == 1:
-            scratch = _nearest_walk(metric, points, group[0], z, rows[0],
-                                    scratch=scratch)
-        else:
-            scratch = _group_walk(metric, points, group, z, rows, scratch)
+        scratch = _nearest_walk(metric, points, group, z, rows,
+                                scratch=scratch)
         out[q:q + G] = weighted_sum(rows, weights)
         q += G
     return out

@@ -107,6 +107,12 @@ class TestGenericBCoreset:
             want = float(fp[over].sum() + f[~over].sum())
             assert abs(core.cost(x) - want) <= 1e-12 * want
 
+    def test_identity_collapse_is_exact_on_subnormal_values(self):
+        # f / m_f would round a subnormal value; the per-item weight does not
+        vals = np.array([0.0, 2.2250738585e-313])
+        core = b_coreset(line_family(vals, m=np.array([1, 4])), eps=0.5)
+        assert core.cost(0.0) == 2.2250738585e-313
+
     def test_all_mass_to_thresholded_part(self):
         vals = np.array([1.0, 2.0, 5.0])
         fam = line_family(vals, thresholds=np.zeros(3))

@@ -1,9 +1,16 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coreclust.geometry as geometry
 from coreclust.geometry import (
+    FULL_CHECK_LIMIT,
+    REL_TOL,
+    SAMPLED_PAIRS,
     InputError,
     LoadError,
     Metric,
@@ -173,6 +180,67 @@ class TestExplicitMetric:
         np.fill_diagonal(D, 0.0)
         with pytest.raises(LoadError):
             Metric.from_matrix(D)
+
+    def test_rejects_empty(self):
+        with pytest.raises(LoadError, match="distance matrix is empty"):
+            Metric.from_matrix(np.empty((0, 0)))
+
+    @pytest.mark.parametrize("n", [3, 5, 20, 128, 129, 300])
+    def test_triangle_check_is_the_loop_over_intermediates(self, n):
+        rng = np.random.default_rng(n)
+        verdicts = set()
+        for trial in range(12):
+            # a metric (of points on a line: tight up to rounding), a few
+            # pairs stretched, or one point's row stretched
+            dim = 1 if trial % 4 == 3 else 2
+            D = metric_from_points(rng.normal(size=(n, dim))).matrix.copy()
+            if trial % 4 == 1:
+                for a, b in rng.integers(0, n, size=(3, 2)):
+                    if a != b:
+                        D[a, b] = D[b, a] = D[a, b] * rng.uniform(0.9, 1.6)
+            elif trial % 4 == 2:
+                a = rng.integers(n)
+                D[a] *= rng.uniform(1.0, 3.0)
+                D[:, a] = D[a]
+            ok = triangle_holds(D)
+            verdicts.add(ok)
+            if ok:
+                Metric.from_matrix(D)
+                continue
+            with pytest.raises(LoadError, match="triangle") as err:
+                Metric.from_matrix(D)
+            # the message names a violating triple
+            i, k, _, j = map(int, re.findall(r"\d+", str(err.value))[:4])
+            tol = REL_TOL * max(1.0, float(D.max()))
+            assert D[i, k] > D[i, j] + D[j, k] + tol
+        assert verdicts == {True, False}
+
+    def test_triangle_check_holds_a_few_blocks(self):
+        rng = np.random.default_rng(6)
+        D = metric_from_points(rng.normal(size=(500, 2))).matrix.copy()
+        tracemalloc.start()
+        try:
+            Metric.from_matrix(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole sampled check took 15 MB at once
+        assert peak < 3 * 8 * geometry.CHUNK_CELLS
+
+
+def triangle_holds(D):
+    """Metric.from_matrix's triangle check as a loop over intermediates j:
+    all n^3 triples up to FULL_CHECK_LIMIT points, SAMPLED_PAIRS seeded
+    pairs (i, k) against every j above it."""
+    n = len(D)
+    tol = REL_TOL * max(1.0, float(D.max()))
+    if n <= FULL_CHECK_LIMIT:
+        return not any(np.any(D > D[:, [j]] + D[[j], :] + tol)
+                       for j in range(n))
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, n, size=SAMPLED_PAIRS)
+    k = rng.integers(0, n, size=SAMPLED_PAIRS)
+    return not np.any(D[i, k] > (D[i, :] + D[:, k].T).min(axis=1) + tol)
 
 
 class TestNonnegativity:

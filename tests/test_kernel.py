@@ -354,18 +354,22 @@ def grouped_instance(kind, d, n, seed):
     return Metric(), rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
 
 
+def shape(kind, d, k, G, n=40):
+    return pytest.param(kind, d, k, G, n, id=f"{kind}-{d}-{k}-{G}")
+
+
 @pytest.mark.parametrize("z", [1.0, 2.0])
-@pytest.mark.parametrize("kind, d, k, G", [
-    ("euclidean", 2, 3, 5),                 # the exact form
-    ("euclidean", 16, 5, 60),               # exact sets, a group of 4,800 wide
-    ("euclidean", 300, 14, 5),              # the dot form: k*d > 4096, d > 3
-    (MATRIX, None, 3, 5)])
-def test_grouped_costs_are_the_one_set_formula_bit_for_bit(kind, d, k, G, z):
+@pytest.mark.parametrize("kind, d, k, G, n", [
+    shape("euclidean", 2, 3, 5),            # the exact form
+    shape("euclidean", 16, 5, 60),          # exact sets, a group of 4,800 wide
+    shape("euclidean", 300, 14, 5),         # the dot form: k*d > 4096, d > 3
+    shape(MATRIX, None, 3, 5),
+    shape("euclidean", 16, 5, 2, n=5_000),  # the verify audit's data side
+    shape("euclidean", 2, 3, 3, n=6_000)])  # the build audit's data side
+def test_grouped_costs_are_the_one_set_formula_bit_for_bit(kind, d, k, G, n, z):
     # sets of k centers go CHUNK_CELLS // (k * max(n, d)) at a time through
-    # one block when that is 4 or more.  The budget below makes it G, so
-    # the sets of k span several groups; sets of other sizes in between
-    # form groups of their own shape
-    n = 40
+    # one block.  The budget below makes it G, so the sets of k span several
+    # groups; sets of other sizes in between form groups of their own shape
     metric, P = grouped_instance(kind, d, n, seed=k)
     rng = np.random.default_rng(int(z))
     w = rng.uniform(-2.0, 10.0, n)
@@ -392,7 +396,7 @@ def test_grouped_costs_are_the_one_set_formula_bit_for_bit(kind, d, k, G, z):
         # signed zeros included
         group = sets[:G]
         rows = np.empty((G, n))
-        geometry._group_walk(metric, P, group, z, rows)
+        geometry._nearest_walk(metric, P, group, z, rows)
     assert got.tobytes() == np.array(ref).tobytes()
     for row, x in zip(rows, group):
         assert row.tobytes() == nearest_center(metric, P, x, z)[1].tobytes()
@@ -400,13 +404,29 @@ def test_grouped_costs_are_the_one_set_formula_bit_for_bit(kind, d, k, G, z):
 
 
 def test_only_small_walks_are_grouped():
-    # the benchmark's shapes: verify (n = 5,000, k = 5) and build
-    # (n = 6,000, k = 3) walk one set at a time; metric (n = 500, k = 3)
-    # walks 43 sets a block
-    assert geometry._group_size(5_000, np.zeros((5, 16))) == 1
-    assert geometry._group_size(6_000, np.zeros((3, 2))) == 1
+    # the benchmark's audits: verify (n = 5,000, k = 5) walks 2 sets a
+    # block, build (n = 6,000, k = 3) 3 and metric (n = 500, k = 3) 43; a
+    # set wider than a block walks alone
+    assert geometry._group_size(5_000, np.zeros((5, 16))) == 2
+    assert geometry._group_size(6_000, np.zeros((3, 2))) == 3
     assert geometry._group_size(500, np.zeros(3, dtype=np.intp)) == 43
     assert geometry._group_size(2, np.zeros((1, 70_000))) == 1
+
+
+def test_no_distance_is_a_negative_zero():
+    # a stored -0.0 is a distance of +0.0, so a minimum over a tie has the
+    # bits argmin picks whichever zero comes first; the matrix is kept
+    D = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 2.0], [1.0, 2.0, -0.0]])
+    metric = Metric(kind=MATRIX, matrix=D)
+    ids = np.arange(3)
+    for block in (pairwise_dist(metric, ids, ids),
+                  pairwise_dist(metric, ids, ids, out=np.empty((3, 3)))):
+        assert not np.signbit(block).any()
+    idx, dz = nearest_center(metric, ids, [1, 0, 2])
+    assert idx.tolist() == [0, 0, 2] and not np.signbit(dz).any()
+    assert not np.signbit(costs((ids, np.ones(3), metric),
+                                [[1, 2]] * 50)).any()
+    assert np.signbit(metric.matrix).sum() == 3
 
 
 def test_a_bad_set_raises_after_the_sets_before_it():
