@@ -80,24 +80,28 @@ class Metric:
     def from_matrix(matrix) -> "Metric":
         """Build an explicit finite metric, checking the metric axioms.
 
-        Zero diagonal and symmetry are always checked exactly.  The triangle
-        inequality d(i, k) <= d(i, j) + d(j, k) is checked for every
-        intermediate j over all n^2 pairs (i, k) when n <= FULL_CHECK_LIMIT
-        and over SAMPLED_PAIRS seeded pairs otherwise, a block of pairs at a
-        time, so memory beyond the matrix is O(CHUNK_CELLS).
+        Finite entries, no negative one, a zero diagonal and symmetry are
+        always checked exactly, in that order, each over blocks of rows.
+        The triangle inequality d(i, k) <= d(i, j) + d(j, k) is checked for
+        every intermediate j over all n^2 pairs (i, k) when
+        n <= FULL_CHECK_LIMIT and over SAMPLED_PAIRS seeded pairs otherwise,
+        a block of pairs at a time.  So memory beyond the matrix is
+        O(CHUNK_CELLS).
         """
         D = np.asarray(matrix, dtype=float)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise LoadError(f"distance matrix must be square, got shape {D.shape}")
-        if not np.all(np.isfinite(D)):
+        n = D.shape[0]
+        step = block_rows(n)
+        blocks = [slice(s, s + step) for s in range(0, n, step)]
+        if not all(np.all(np.isfinite(D[r])) for r in blocks):
             raise LoadError("distance matrix contains non-finite entries")
-        if np.any(D < 0):
+        if any(np.any(D[r] < 0) for r in blocks):
             raise LoadError("distance matrix contains negative entries")
         if np.any(np.diag(D) != 0):
             raise LoadError("distance matrix has a nonzero diagonal")
-        if not np.array_equal(D, D.T):
+        if not all(np.array_equal(D[r], D[:, r].T) for r in blocks):
             raise LoadError("distance matrix is not symmetric")
-        n = D.shape[0]
         if n == 0:
             raise LoadError("distance matrix is empty")
         tol = REL_TOL * max(1.0, float(D.max()))
@@ -107,7 +111,6 @@ class Metric:
             rng = np.random.default_rng(0)
             a = rng.integers(0, n, size=SAMPLED_PAIRS)
             b = rng.integers(0, n, size=SAMPLED_PAIRS)
-        step = block_rows(n)
         for s in range(0, len(a), step):
             i, k = a[s:s + step], b[s:s + step]
             # row r holds d(i_r, j) + d(j, k_r) for every j: D is symmetric
@@ -269,8 +272,8 @@ def exact_form(width, d) -> bool:
 def _center_terms(C, width=None):
     """What every block against one (m, d) center set shares: the set
     coordinate-major, and |c|^2 when the set takes the dot-product form
-    (None for the exact form).  The walkers make them once a set.  A slab
-    of a larger set passes that set's m*d as `width` to take its form."""
+    (None for the exact form).  The walkers make them once a set.  A stack
+    of G sets passes one set's m*d as `width` to take its form."""
     width = C.size if width is None else width
     dot_form = not exact_form(width, C.shape[1])
     return np.ascontiguousarray(C.T), (C * C).sum(axis=1) if dot_form else None
@@ -292,10 +295,10 @@ def pairwise_dist(metric: Metric, points, centers, out=None, terms=None,
     that sends many blocks, `terms` is _center_terms(centers) and `scratch`
     is _scratch(cells) for blocks of up to that many cells; the block
     returned is then a view of the scratch, valid until the walker's next
-    call.  A slab of a larger center set passes
-    _center_terms(slab, m*d of the whole set), so its entries are the whole
-    set's.  No entry is a negative zero: squares are at least +0, and the
-    dot form recomputes entries near 0 exactly.
+    call.  Rows of a larger center set pass that set's terms at those rows
+    (table_rows), so their entries are the whole set's.  No entry is a
+    negative zero: squares are at least +0, and the dot form recomputes
+    entries near 0 exactly.
     """
     if not metric.is_euclidean:
         # + 0.0 turns a stored -0.0 into 0.0: no distance is a negative zero
@@ -510,31 +513,55 @@ def nearest_own_center(metric: Metric, points, centers, z=1.0):
     return idx, dz
 
 
-def distance_table(metric: Metric, points, centers, z=1.0) -> np.ndarray:
-    """Center-major d**z, shape (n_centers, n_points): row j holds every
-    point's powered distance to centers[j].
+def table_rows(metric: Metric, points, centers, z=1.0):
+    """The one rule for rows of the candidate-major table of d**z: a
+    function fill(ids, out) that writes the rows of centers[ids] (a slice or
+    an index array) into out, a C-ordered (len(ids), n) array, and returns
+    it.
 
-    Euclidean points are laid out coordinate-major once.  Slabs of centers,
-    about CHUNK_CELLS distances each against every point, are computed in
-    the table's own rows and powered there (at z = 1 not at all: x**1 is x),
-    so memory beyond the table is the copy and O(CHUNK_CELLS).  Every slab's
-    terms take the whole center set's form, so the bits are those of
-    pairwise_dist(...) ** z.
+    Euclidean points are laid out coordinate-major once and the whole
+    center set's terms are made once (_center_terms), so every entry has
+    the bits of pairwise_dist(points, centers) ** z (x**1 is x, so z = 1
+    skips the power) whichever rows are asked for, in whatever order.
+    Memory beyond the output is the copy and a scratch for blocks of up to
+    block_rows(n) rows.
     """
     euclid = metric.is_euclidean
     if euclid:
         points = _coordinate_major(points)
         centers = np.asarray(centers, dtype=float)
-    DT = np.empty((len(centers), len(points)))
-    cols = block_rows(len(points))
-    scratch = _scratch(min(cols, len(centers)) * len(points))
-    for s in range(0, len(centers), cols):
-        slab, C = DT[s:s + cols], centers[s:s + cols]
-        terms = _center_terms(C, centers.size) if euclid else None
-        pairwise_dist(metric, points, C, out=slab, terms=terms,
+        CT, cc = _center_terms(centers)
+    scratch = _scratch(min(block_rows(len(points)), len(centers))
+                       * len(points))
+
+    def fill(ids, out):
+        terms = None
+        if euclid:
+            terms = (np.ascontiguousarray(CT[:, ids]),
+                     None if cc is None else cc[ids])
+        pairwise_dist(metric, points, centers[ids], out=out, terms=terms,
                       scratch=scratch)
         if z != 1:
-            np.power(slab, z, out=slab)
+            np.power(out, z, out=out)
+        return out
+    return fill
+
+
+def distance_table(metric: Metric, points, centers, z=1.0) -> np.ndarray:
+    """Center-major d**z, shape (n_centers, n_points): row j holds every
+    point's powered distance to centers[j].
+
+    table_rows fills slabs of centers, about CHUNK_CELLS distances each
+    against every point, in the table's own rows, so memory beyond the
+    table is the copy and O(CHUNK_CELLS).
+    """
+    # the table is taken before table_rows's copy and scratch: taken after
+    # them, it raised the `stream` CLI's peak RSS by 1.4 MB
+    DT = np.empty((len(centers), len(points)))
+    fill = table_rows(metric, points, centers, z)
+    cols = block_rows(len(points))
+    for s in range(0, len(centers), cols):
+        fill(slice(s, s + cols), DT[s:s + cols])
     return DT
 
 

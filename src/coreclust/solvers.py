@@ -38,10 +38,33 @@ PIPELINE_BRUTE_LIMIT = 20_000
 # Per reference, the triangle-inequality bound of weighted_local_search
 # costs about what a plain scan pays to read BOUND_CELLS table cells for
 # each of the m candidates and n points (26 to 41 measured at n = m = 300
-# to 8,000, d = 2; 37 inside the `build` searches).  A scan takes it only
-# when the rest of the scan would read BOUND_PAYOFF times what it costs.
+# to 8,000, d = 2; 37 inside the `build` searches).  A scan takes it after
+# its first block, and only when the rest of the scan would read
+# BOUND_PAYOFF times what it costs.
+#
+# Why after one block: at `build` (k = 3, m = n of about 4,330, 15-row
+# blocks, rows computed above TABLE_CELLS) a computed row costs about 2.5
+# read ones, so the bound costs about 6 computed blocks and leaves about 35%
+# of the rows after it.  Of the 217 `build` scans, 30% end in their first
+# block, 16% in blocks 2 to 6 and 54% run past block 6.  Against a 6-block
+# start, a 1-block start pays the bound less the 0.65 of a block it saves
+# per block on the scans that end in blocks 2 to 6 (about 6 - 0.65 * 2.5,
+# or 4.4 blocks each), and saves 0.65 * 5, or 3.3 blocks, on each scan that
+# runs past block 6: 0.16 * 4.4 < 0.54 * 3.3.  A start at 0 puts the bound
+# on the first-block scans too.  Measured, the six `build` searches took
+# 1.56 s at a 1-block start, 1.62 s at 6 and 1.67 s at 0.  No `stream`,
+# `metric` or `verify` search takes the bound, so none measures a start
+# over the table.
 BOUND_CELLS = 40
 BOUND_PAYOFF = 4
+
+# A solver holds its candidate-major table while it has at most TABLE_CELLS
+# cells (32 MiB); above that it computes each block of rows it scans.  Below
+# it the table pays: with TABLE_CELLS = 0 (every row computed), 6 harness
+# pairs each read `stream` points_per_s 17,350 -> 8,876 (-49%, m up to 688)
+# and the `verify` setup_s 0.66 -> 1.25 s (+91%, m = 873 and 1,306), beyond
+# their 25% bounds; `metric` (m = 500) read -6%.
+TABLE_CELLS = 1 << 22
 
 
 @dataclass
@@ -72,7 +95,12 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0) -> SolveResul
 
     Ties go to the earliest combination in index order.  Refuses when the
     number of combinations exceeds BRUTE_GUARD.  Combinations are costed in
-    batches of about CHUNK_CELLS gathered distances, whatever n is.
+    batches of about CHUNK_CELLS gathered distances, whatever n is.  At
+    k = 1 a batch is a block of consecutive candidates' rows from the local
+    search's row source (_CandidateRows), so above TABLE_CELLS no table is
+    held.  At k >= 2 the (m, n) distance_table is filled first: the guard
+    keeps m at most 1,414 (k = 2), but the table's m n cells still grow
+    with n.
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
@@ -84,17 +112,23 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0) -> SolveResul
     if n_combos > BRUTE_GUARD:
         raise InputError(f"brute force refused: C({m}, {k}) = {n_combos} "
                          f"exceeds guard {BRUTE_GUARD}")
-    DT = distance_table(metric, points, cand, z)
+    size = geometry.block_rows(k * max(1, len(points)))
+    if k == 1:
+        # a batch is consecutive candidates: one block of rows
+        fill = _CandidateRows(metric, points, cand, z).fill
+        buf = np.empty((min(size, m), len(points)))
+        trials = lambda ixs: fill(ixs[:, 0], buf[:len(ixs)])
+    else:
+        DT = distance_table(metric, points, cand, z)
+        trials = lambda ixs: DT[ixs].min(axis=1)
     best_cost, best_combo = math.inf, None
     combos = combinations(range(m), k)
-    size = geometry.block_rows(k * max(1, len(points)))
     evals = 0
     while True:
         batch = [c for _, c in zip(range(size), combos)]
         if not batch:
             break
-        ixs = np.asarray(batch)                      # (b, k)
-        costs = weighted_sum(DT[ixs].min(axis=1), weights)   # (b,)
+        costs = weighted_sum(trials(np.asarray(batch)), weights)  # (b,)
         evals += len(batch)
         j = int(costs.argmin())
         if costs[j] < best_cost:
@@ -105,6 +139,31 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0) -> SolveResul
     centers = cand[list(best_combo)]
     return _finalize(metric, points, weights, centers, z, "brute", evals,
                      best_cost)
+
+
+class _CandidateRows:
+    """The one source of rows of distance_table(metric, points, cand, z) for
+    the solvers: the table itself while m n <= TABLE_CELLS, else
+    geometry.table_rows, which computes each block of rows with the table's
+    bits.  fill(ids, out) writes the rows of ids into out; hold(ids) gives
+    the rows of ids (the current centers) and keeps only those.
+    """
+
+    def __init__(self, metric, points, cand, z):
+        self.n = len(points)
+        if len(cand) * self.n > TABLE_CELLS:
+            self.fill = geometry.table_rows(metric, points, cand, z)
+        else:
+            table = distance_table(metric, points, cand, z)
+            # mode="clip" writes straight into out; "raise" copies first
+            self.fill = lambda ids, out: np.take(table, ids, axis=0, out=out,
+                                                 mode="clip")
+        self.held = {}
+
+    def hold(self, ids):
+        self.held = {r: self.held[r] if r in self.held else
+                     self.fill([r], np.empty((1, self.n)))[0] for r in ids}
+        return [self.held[r] for r in ids]
 
 
 def _ramps(keys, weights, at):
@@ -122,42 +181,46 @@ def _ramps(keys, weights, at):
 class _TriangleBound:
     """Lower bounds on every candidate's trial cost in a slot scan of
     weighted_local_search (its docstring states them), one reference per
-    current center.  Only the current centers are kept, each with O(m)
-    floats, so the cache holds O(k m) floats.
+    current center, whose row `rows` (a _CandidateRows) holds.  Only the
+    current centers are kept, each with O(m) floats, so the cache holds
+    O(k m) floats.
     """
 
-    def __init__(self, metric, cand, DT, weights):
-        self.metric, self.cand, self.DT, self.weights = metric, cand, DT, weights
+    def __init__(self, metric, cand, rows, weights):
+        self.metric, self.cand, self.rows, self.weights = (metric, cand, rows,
+                                                           weights)
         self.total = float(weights.sum())
-        n, d = DT.shape[1], cand.shape[1]
+        n, d = len(weights), cand.shape[1]
         self.rel = 16 * (n + d + 8) * np.finfo(float).eps
         self.refs = {}
 
-    def _reference(self, r):
-        """What a reference keeps across scans: its distances to the
-        candidates in sorted order, that order, sum_p w_p d(r, p), and the
-        terms of the bound that do not depend on b (the middle ramp less
+    def _reference(self, r, a):
+        """What reference r, of row a, keeps across scans: its distances to
+        the candidates in sorted order, that order, sum_p w_p d(r, p), and
+        the terms of the bound that do not depend on b (the middle ramp less
         the slack's d(c, r) term)."""
         delta = geometry.pairwise_dist(self.metric, self.cand,
                                        self.cand[r:r + 1])[:, 0]
         # in sorted order each binary search of _ramps starts near the last
         # one, about 3 times faster
         order = np.argsort(delta)
-        delta, a, w = delta[order], self.DT[r], self.weights
+        delta, w = delta[order], self.weights
         fixed = 2.0 * _ramps(a, w, delta) - self.rel * self.total * delta
         return delta, order, float(weighted_sum(a, w)), fixed
 
     def lower(self, chosen, base) -> np.ndarray:
         """A lower bound on every candidate's trial cost against base, less
         the rounding slack: -inf where no reference gives one."""
-        self.refs = {r: self.refs.get(r) or self._reference(r) for r in chosen}
+        rows = dict(zip(chosen, self.rows.hold(chosen)))
+        self.refs = {r: self.refs.get(r) or self._reference(r, rows[r])
+                     for r in chosen}
         w, W = self.weights, self.total
         B = float(weighted_sum(base, w))
         out = np.full(len(self.cand), -np.inf)
         for r, (delta, order, A, fixed) in self.refs.items():
             if not W * delta[-1] + A + B < 2.0 ** 1000:
                 continue        # a running sum could overflow
-            a = self.DT[r]
+            a = rows[r]
             bound = fixed - _ramps(a - base, w, delta)
             bound -= _ramps(a + base, w, delta)
             bound += B - self.rel * (A + B) - W * 2.0 ** -500
@@ -165,14 +228,13 @@ class _TriangleBound:
         return out
 
 
-def _first_improving(DT, ids, base, weights, bar, buf):
+def _first_improving(rows, ids, base, weights, bar, buf):
     """The position in ids of the first candidate whose trial cost against
     base is below bar, and that cost; (None, None) when there is none.
-    Candidates are costed in blocks of len(buf) table rows."""
+    Candidates are costed in blocks of len(buf) rows from `rows`."""
     for s in range(0, len(ids), len(buf)):
         block = ids[s:s + len(buf)]
-        # mode="clip" writes straight into buf; "raise" copies first
-        trial = np.take(DT, block, axis=0, out=buf[:len(block)], mode="clip")
+        trial = rows.fill(block, buf[:len(block)])
         costs = weighted_sum(np.minimum(trial, base, out=trial), weights)
         hit = np.flatnonzero(costs < bar)
         if hit.size:
@@ -192,8 +254,14 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     (solve_weighted lowers a larger k to m).  `init`, when given, lists k
     candidate indices in [0, m) to start from; repeats are allowed.
 
-    Every d**z is computed once into the candidate-major (m, n)
-    distance_table.  A swap slot's candidates are costed in scan order, in
+    Candidate rows, each candidate's d**z to every point, come from one
+    source (_CandidateRows).  While m n is at most TABLE_CELLS it is the
+    candidate-major (m, n) distance_table, filled once; above that each
+    scanned block of rows is computed into the scan's buffer by
+    geometry.table_rows with the whole candidate set's terms, so every entry
+    has the table's bits, and only the k current centers' rows are held
+    (they give the start cost, each slot's b and the bound's references).
+    A swap slot's candidates are costed in scan order, in
     blocks of about CHUNK_CELLS (2^16) distances, and the scan stops after
     the first block that holds an improving candidate; the first such
     candidate is the one a full scan would pick.  A candidate c is costed
@@ -223,9 +291,8 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     z = 1, nonnegative weights, k >= 2 and a table in the exact form
     (geometry.exact_form; then a relative slack is enough).  It costs about
     what a plain scan pays to read k (m + n) BOUND_CELLS table cells.  A
-    scan reads plain blocks until it has read that many cells, then takes
-    the bound if the rest of the scan would read BOUND_PAYOFF times as
-    many.
+    scan reads one plain block (BOUND_CELLS says why), then takes the bound
+    if the rest of the scan would read BOUND_PAYOFF times as many cells.
 
     `evaluations` counts the candidates of every block scanned, costed or
     ruled out: k for the start plus every candidate in every block up to
@@ -251,8 +318,8 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
         if bad.size:
             raise InputError(f"init id {bad[0]} is outside [0, {m})")
         chosen = ids.tolist()
-    DT = distance_table(metric, points, cand, z)
-    cur_cost = float(weighted_sum(DT[chosen].min(axis=0), weights))
+    rows = _CandidateRows(metric, points, cand, z)
+    cur_cost = float(weighted_sum(np.min(rows.hold(chosen), axis=0), weights))
     evals = len(chosen)
     step = geometry.block_rows(n)
     buf = np.empty((min(step, m), n))
@@ -262,23 +329,23 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
             and np.all(weights >= 0)
             and geometry.exact_form(cand.size, cand.shape[1])):
         bound_cells = k * (m + n) * BOUND_CELLS
-        start = -(-bound_cells // (n * step)) * step
-        if (m - start) * n >= BOUND_PAYOFF * bound_cells:
-            plain, bound = start, _TriangleBound(metric, cand, DT, weights)
+        if (m - step) * n >= BOUND_PAYOFF * bound_cells:
+            plain, bound = step, _TriangleBound(metric, cand, rows, weights)
 
     for _ in range(max_iters):
         improved = False
+        held = rows.hold(chosen)
         for slot in rng.permutation(k):
-            rest = [c for i, c in enumerate(chosen) if i != slot]
-            base = DT[rest].min(axis=0) if rest else np.full(n, np.inf)
+            rest = held[:slot] + held[slot + 1:]
+            base = np.min(rest, axis=0) if rest else np.full(n, np.inf)
             order = rng.permutation(m)
             bar = cur_cost * (1 - 1e-12) - 1e-15
-            pos, trial_cost = _first_improving(DT, order[:plain], base,
+            pos, trial_cost = _first_improving(rows, order[:plain], base,
                                                weights, bar, buf)
             if pos is None and bound is not None:
                 later = order[plain:]
                 live = np.flatnonzero(bound.lower(chosen, base)[later] < bar)
-                j, trial_cost = _first_improving(DT, later[live], base,
+                j, trial_cost = _first_improving(rows, later[live], base,
                                                  weights, bar, buf)
                 pos = None if j is None else plain + int(live[j])
             evals += m if pos is None else min(m, (pos // step + 1) * step)

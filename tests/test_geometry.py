@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ class TestExplicitMetric:
         with pytest.raises(LoadError):
             Metric.from_matrix(D)
 
+    def test_entry_checks_keep_their_order_across_blocks(self):
+        # blocks of 2 rows: each fault sits in an earlier block than the
+        # fault of the check before it, and that check still names it
+        D = metric_from_points(np.arange(8.0)[:, None]).matrix.copy()
+        faults = [((7, 6), np.nan, "non-finite"), ((5, 6), -1.0, "negative"),
+                  ((3, 3), 1.0, "nonzero diagonal"),
+                  ((0, 1), 2.5, "not symmetric")]
+        with mock.patch.object(geometry, "CHUNK_CELLS", 16):
+            for i, (_, _, message) in enumerate(faults):
+                bad = D.copy()
+                for (a, b), value, _ in faults[i:]:
+                    bad[a, b] = value
+                with pytest.raises(LoadError, match=message):
+                    Metric.from_matrix(bad)
+
     def test_rejects_empty(self):
         with pytest.raises(LoadError, match="distance matrix is empty"):
             Metric.from_matrix(np.empty((0, 0)))
@@ -225,6 +241,19 @@ class TestExplicitMetric:
         finally:
             tracemalloc.stop()
         # the whole sampled check took 15 MB at once
+        assert peak < 3 * 8 * geometry.CHUNK_CELLS
+
+    def test_entry_checks_hold_a_few_blocks(self):
+        # the finite, sign and symmetry checks each built an n x n bool
+        # array: 3.9 MB at n = 2,000
+        D = metric_from_points(np.random.default_rng(7).normal(
+            size=(2000, 2))).matrix.copy()
+        tracemalloc.start()
+        try:
+            Metric.from_matrix(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 3 * 8 * geometry.CHUNK_CELLS
 
 

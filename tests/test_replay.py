@@ -38,7 +38,7 @@ def test_quick_replay_records_every_run(tmp_path):
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     runs = load_tool().quick_runs()
     assert [r["name"] for r in lines] == [r.name for r in runs]
-    assert len(lines) == 46
+    assert len(lines) == 47
     for line, run in zip(lines, runs):
         assert line["argv"] == run.argv
         assert line["exit"] == BAD_EXITS.get(run.name, 0), line

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -310,6 +311,85 @@ class TestLocalSearchCache:
         # CHUNK_CELLS entries, never a second (n, m) array
         assert peak < 8 * m * n + 4 * 8 * geometry.CHUNK_CELLS
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_computed_rows_hold_no_table(self, k):
+        # m n = 9M cells is above TABLE_CELLS: the table alone would be
+        # 72 MB.  Local search runs to its local optimum with the bound.
+        n = m = 3000
+        assert m * n > solvers.TABLE_CELLS
+        pts = gaussian_mixture(n, 2, 3, seed=31)
+        data = (pts, np.random.default_rng(31).integers(1, 6, n) * 1.0,
+                Metric())
+        solve = brute_force_k_median if k == 1 else weighted_local_search
+        tracemalloc.start()
+        try:
+            solve(data, k, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few blocks, the k held rows and O(m + n) scan and bound arrays
+        # (2.3 MB measured for the search, 1.8 MB for brute force)
+        assert peak < 4 * 8 * geometry.CHUNK_CELLS + 64 * 8 * (m + n)
+
+
+def same_result(a, b):
+    return (np.array_equal(a.centers, b.centers)
+            and a.cost.hex() == b.cost.hex()
+            and a.evaluations == b.evaluations)
+
+
+class TestComputedRows:
+    """Above TABLE_CELLS the solvers compute each block of candidate rows;
+    TABLE_CELLS patched to 0 takes that path on any instance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(form=st.sampled_from(["exact", "dot", MATRIX]),
+           n=st.integers(1, 40), d=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
+           z=st.sampled_from([1.0, 2.0]), negative=st.booleans(),
+           use_init=st.booleans(), bound=st.booleans())
+    def test_computed_rows_change_no_bit(self, form, n, d, seed, k, z,
+                                         negative, use_init, bound):
+        # the exact form at d <= 3, the dot form at d = 4 to 8 with a row
+        # width m*d above EXACT_MAX_WIDTH, ids of an explicit metric
+        d = {"exact": 1 + d % EXACT_MAX_DIM, "dot": max(d, EXACT_MAX_DIM + 1),
+             MATRIX: 2}[form]
+        m = EXACT_MAX_WIDTH // d + 1 if form == "dot" else 60 + seed % 200
+        data, cand = search_instance("euclidean" if form != MATRIX else MATRIX,
+                                     n, m, d, seed)
+        assert geometry.exact_form(cand.size, d) == (form != "dot")
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, len(cand), 7)
+        rows = []
+        for cells in (solvers.TABLE_CELLS, 0):
+            with mock.patch.object(solvers, "TABLE_CELLS", cells):
+                source = solvers._CandidateRows(data[2], data[0], cand, 1.0)
+            rows.append(source.fill(ids, np.empty((7, n))).view(np.int64))
+        assert np.array_equal(*rows)
+        if negative:
+            data[1][0] = -data[1][0]
+        init = None
+        if use_init:
+            init = [int(i) for i in rng.integers(0, len(cand), k)]
+        # a small BOUND_CELLS and blocks of 3 rows engage the bound where
+        # it holds
+        patches = [mock.patch.object(solvers, "BOUND_CELLS", 1),
+                   mock.patch.object(geometry, "CHUNK_CELLS", 3 * n)]
+        with contextlib.ExitStack() as stack:
+            for patch in patches if bound else []:
+                stack.enter_context(patch)
+            results = []
+            for cells in (solvers.TABLE_CELLS, 0):
+                with mock.patch.object(solvers, "TABLE_CELLS", cells):
+                    results.append(weighted_local_search(
+                        data, k, cand, z=z, seed=seed, init=init))
+            assert same_result(*results)
+            brute = []
+            for cells in (solvers.TABLE_CELLS, 0):
+                with mock.patch.object(solvers, "TABLE_CELLS", cells):
+                    brute.append(brute_force_k_median(data, 1, cand, z=z))
+            assert same_result(*brute)
+
 
 def clustered_instance(rng, n, m, d, offset):
     """(weighted data, candidates): three clusters far from the origin,
@@ -388,9 +468,12 @@ class TestTriangleBound:
         base = D[:, chosen[1:]].min(axis=1)
         trial = np.einsum("ji,i->j", np.ascontiguousarray(
             np.minimum(base[:, None], D).T), w)
-        DT = geometry.distance_table(metric, pts, cand)
-        lower = solvers._TriangleBound(metric, cand, DT, w).lower(chosen, base)
-        assert np.all(lower <= trial)
+        for cells in (solvers.TABLE_CELLS, 0):     # read and computed rows
+            with mock.patch.object(solvers, "TABLE_CELLS", cells):
+                rows = solvers._CandidateRows(metric, pts, cand, 1.0)
+            lower = solvers._TriangleBound(metric, cand, rows, w).lower(chosen,
+                                                                        base)
+            assert np.all(lower <= trial)
 
     def test_bound_rules_out_rows_on_a_build_sized_instance(self):
         # the anchors' search of `build`: about n/2 weighted points of a
@@ -404,9 +487,9 @@ class TestTriangleBound:
             read = []
             first_improving = solvers._first_improving
 
-            def counted(DT, ids, base, weights, bar, buf):
-                pos, trial_cost = first_improving(DT, ids, base, weights, bar,
-                                                  buf)
+            def counted(rows, ids, base, weights, bar, buf):
+                pos, trial_cost = first_improving(rows, ids, base, weights,
+                                                  bar, buf)
                 # the rows of every block up to the one holding the hit
                 read.append(len(ids) if pos is None else
                             min(len(ids), (pos // len(buf) + 1) * len(buf)))
@@ -420,7 +503,7 @@ class TestTriangleBound:
         assert bounded.cost == plain.cost
         assert bounded.evaluations == plain.evaluations
         # the plain search reads every candidate it evaluates; the bounded
-        # one read 45% of that (the bound ruled out 64-73% of the candidates
+        # one read 36% of that (the bound ruled out 64-73% of the candidates
         # left in each scan that took it)
         assert plain_rows == plain.evaluations - 3
         assert bounded_rows < 0.6 * plain_rows

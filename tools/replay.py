@@ -14,6 +14,9 @@ The runs:
   11)` as points and on the explicit metric of `gaussian_mixture(40, 2, 3,
   12)`;
 - ten runs on bad input or with a broken guarantee;
+- `solve --method local --k 3` on `gaussian_mixture(2100, 2, 3, 13)`, whose
+  2,100 x 2,100 candidate rows are above the solvers' TABLE_CELLS, so the
+  search computes its rows;
 - unless --quick, the six `build-coreset`/`verify` pairs of the benchmark's
   `build` workload at seed 1 and the pair of its `verify` workload.
 Inputs come from the benchmark's own recipe (perfbench/workloads.py), not
@@ -60,6 +63,8 @@ def write_small_inputs(work: Path) -> None:
     workloads.write_csv(work / "other.csv", other)
     Y = workloads.gaussian_mixture(40, 2, 3, 12)
     workloads.write_csv(work / "metric.csv", workloads.distance_matrix(Y))
+    workloads.write_csv(work / "large.csv",
+                        workloads.gaussian_mixture(2100, 2, 3, 13))
 
 
 def seed_runs(s: int) -> list[Run]:
@@ -161,8 +166,11 @@ def benchmark_runs(work: Path) -> list[Run]:
 
 
 def quick_runs() -> list[Run]:
-    """The runs on the 300- and 40-point inputs, in order."""
-    return [r for s in SEEDS for r in seed_runs(s)] + bad_runs()
+    """The runs on the 300-, 40- and 2,100-point inputs, in order."""
+    large = Run("large/solve-local", ["solve", "--input", "large.csv", "--k",
+                                      "3", "--method", "local", "--seed", "1",
+                                      "--out", "report.json"])
+    return [r for s in SEEDS for r in seed_runs(s)] + bad_runs() + [large]
 
 
 def _report(path: Path):
@@ -207,7 +215,8 @@ def main(argv=None) -> int:
     ap.add_argument("src", type=Path, help="the tree's source directory")
     ap.add_argument("out", type=Path, help="JSON lines file to write")
     ap.add_argument("--quick", action="store_true",
-                    help="only the runs on the 300- and 40-point inputs")
+                    help="only the runs on the 300-, 40- and 2,100-point "
+                    "inputs")
     args = ap.parse_args(argv)
     src = args.src.resolve()
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
