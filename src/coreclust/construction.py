@@ -40,6 +40,7 @@ from .geometry import (
     check_power,
     coerce_weighted,
     cost,
+    cost_walk,
     nearest_center,
     nearest_own_center,
     weighted_sum,
@@ -222,8 +223,15 @@ class StaticCoreset:
         with np.errstate(over="ignore"):
             return float(self.weights.sum())
 
+    @cached_property
+    def _walk(self):
+        """The coreset's prepared cost walk (geometry.cost_walk), made on
+        the first query and kept, an |S| x d copy, for the coreset's
+        lifetime: its points, weights, metric and z are not changed after."""
+        return cost_walk(self, self.z)
+
     def cost(self, centers) -> float:
-        return cost(self, centers, self.z)
+        return float(self._walk([centers])[0])
 
 
 @dataclass

@@ -54,7 +54,12 @@ def check_power(z) -> float:
 
 @dataclass(frozen=True)
 class Metric:
-    """Distance oracle: plain Euclidean or an explicit finite metric matrix."""
+    """Distance oracle: plain Euclidean or an explicit finite metric matrix.
+
+    The kernel reads d(p, c) as matrix[p, c], and keeps the matrix
+    C-contiguous and read-only.  Built directly, the matrix is not checked;
+    from_matrix is the checked constructor.
+    """
 
     kind: str = EUCLIDEAN
     matrix: np.ndarray | None = None
@@ -65,7 +70,8 @@ class Metric:
         if self.kind == MATRIX:
             if self.matrix is None:
                 raise InputError("explicit-matrix metric requires a matrix")
-            object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+            object.__setattr__(self, "matrix",
+                               np.ascontiguousarray(self.matrix, dtype=float))
             self.matrix.setflags(write=False)
 
     @property
@@ -147,10 +153,11 @@ def as_points(metric: Metric, arr) -> np.ndarray:
     out = np.atleast_1d(np.asarray(arr))
     if out.ndim != 1 or not np.issubdtype(out.dtype, np.integer):
         raise InputError("explicit-metric points must be a 1-D integer id array")
-    n = metric.size
-    if np.any(out < 0) or np.any(out >= n):
+    # a negative id, seen as unsigned, lies above every valid one
+    n, ids = metric.size, out.astype(np.intp)
+    if len(ids) and ids.view(np.uintp).max() >= n:
         raise InputError(f"point ids out of range [0, {n})")
-    return out.astype(np.intp)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -284,13 +291,20 @@ def pairwise_dist(metric: Metric, points, centers, out=None, terms=None,
     """Base (unpowered) distances of one block, an (n_points, n_centers)
     array; callers pass blocks of about CHUNK_CELLS distances.
 
-    The exact form (_sq_dist) when the row width m*d is at most
-    EXACT_MAX_WIDTH or d is at most EXACT_MAX_DIM, the dot-product expansion
-    (fewer passes at large m*d and d, but it cancels digits) otherwise; an
-    entry depends only on its point, its center, m*d and d.  Both forms run
-    along the longer side: the block is the transposed view of a
-    center-major array, or point-major when it holds fewer points than
-    centers.  `out`, a C-ordered (n_centers, n_points) array, receives the
+    Explicit-metric ids, checked ones (as_points), are gathered
+    center-major by one flat np.take over the row-major matrix, d(p, c)
+    being D[p, c]: the block is the transposed view of an (n_centers,
+    n_points) array (`out` when given), the layout of the Euclidean forms
+    below, so a walk's minima run over contiguous rows.  No symmetry of D
+    is assumed.
+
+    Euclidean points take the exact form (_sq_dist) when the row width m*d
+    is at most EXACT_MAX_WIDTH or d is at most EXACT_MAX_DIM, the
+    dot-product expansion (fewer passes at large m*d and d, but it cancels
+    digits) otherwise; an entry depends only on its point, its center, m*d
+    and d.  Both forms run along the longer side: the block is the
+    transposed view of a center-major array, or point-major when it holds
+    fewer points than centers.  `out`, a C-ordered (n_centers, n_points) array, receives the
     distances, and the block is then its transposed view.  From a walker
     that sends many blocks, `terms` is _center_terms(centers) and `scratch`
     is _scratch(cells) for blocks of up to that many cells; the block
@@ -301,13 +315,17 @@ def pairwise_dist(metric: Metric, points, centers, out=None, terms=None,
     entries near 0 exactly.
     """
     if not metric.is_euclidean:
-        # + 0.0 turns a stored -0.0 into 0.0: no distance is a negative zero
-        block = metric.matrix[np.ix_(np.asarray(points), np.asarray(centers))]
-        if out is None:
-            block += 0.0
-            return block
-        np.add(block.T, 0.0, out=out)
-        return out.T
+        # entry (j, i) is D[p_i, c_j], at c_j + p_i N; the ids are checked
+        # (as_points), so "clip" clips none.  + 0.0 turns a stored -0.0
+        # into 0.0: no distance is a negative zero
+        D = metric.matrix
+        at = np.add.outer(np.asarray(centers),
+                          np.multiply(points, len(D), dtype=np.intp),
+                          dtype=np.intp)
+        block = np.empty(at.shape) if out is None else out
+        np.take(D.reshape(-1), at, out=block, mode="clip")
+        np.add(block, 0.0, out=block)
+        return block.T
     P = np.atleast_2d(np.asarray(points, dtype=float))
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     _check_dims(P, C)
@@ -444,17 +462,20 @@ def _nearest_walk(metric: Metric, points, sets, z, out, idx=None, take=None,
     with one set's terms, so each entry has that set's bits; no entry is a
     negative zero, so a minimum has argmin's bits.  Blocks of about
     CHUNK_CELLS distances hold all the points or a multiple of 8 rows
-    (coordinate-major points start aligned) and are built in `scratch`,
-    which the walk returns for the next call.  **z runs once a point; a d**z that overflows raises.
+    (coordinate-major points start aligned); Euclidean ones are built in
+    `scratch`, which the walk returns for the next call.  **z runs once a
+    point (x**1 is x, so z = 1 skips it); a d**z that overflows raises.
     """
     G, k = len(sets), len(sets[0])
-    C = np.stack(sets, axis=1).reshape(k * G, *sets[0].shape[1:])
+    C = sets[0] if G == 1 else np.stack(sets, axis=1).reshape(
+        k * G, *sets[0].shape[1:])
     terms = _center_terms(C, sets[0].size) if metric.is_euclidean else None
     n = len(points) if take is None else len(take)
     step = block_rows(k * G)
     if step < n:
         step = step - step % 8 or step
-    scratch = _scratch(min(step, n) * k * G, scratch)
+    if terms is not None:
+        scratch = _scratch(min(step, n) * k * G, scratch)
     # rows of out take the minima in place; scattered rows need a buffer
     near = None if take is None else np.empty((G, min(step, n)))
     with np.errstate(over="ignore"):
@@ -469,7 +490,8 @@ def _nearest_walk(metric: Metric, points, sets, z, out, idx=None, take=None,
                 i = block.argmin(axis=1)
                 idx[rows] = i
                 d[0] = block[np.arange(len(i)), i]
-            np.power(d, z, out=d)
+            if z != 1:
+                np.power(d, z, out=d)
             if near is not None:
                 out[:, rows] = d
     if not np.all(np.isfinite(out)):
@@ -478,8 +500,8 @@ def _nearest_walk(metric: Metric, points, sets, z, out, idx=None, take=None,
 
 
 def _rows(metric: Metric, points) -> np.ndarray:
-    """Points as the walk takes them: (n, d) rows or 1-D ids."""
-    return np.atleast_2d(points) if metric.is_euclidean else np.asarray(points)
+    """Points as the walk takes them: (n, d) rows or checked 1-D ids."""
+    return np.atleast_2d(points) if metric.is_euclidean else as_points(metric, points)
 
 
 def nearest_center(metric: Metric, points, centers, z=1.0):
@@ -523,16 +545,19 @@ def table_rows(metric: Metric, points, centers, z=1.0):
     center set's terms are made once (_center_terms), so every entry has
     the bits of pairwise_dist(points, centers) ** z (x**1 is x, so z = 1
     skips the power) whichever rows are asked for, in whatever order.
-    Memory beyond the output is the copy and a scratch for blocks of up to
-    block_rows(n) rows.
+    Memory beyond the output is the copy and, for Euclidean points, a
+    scratch for blocks of up to block_rows(n) rows.
     """
     euclid = metric.is_euclidean
     if euclid:
         points = _coordinate_major(points)
         centers = np.asarray(centers, dtype=float)
         CT, cc = _center_terms(centers)
-    scratch = _scratch(min(block_rows(len(points)), len(centers))
-                       * len(points))
+        scratch = _scratch(min(block_rows(len(points)), len(centers))
+                           * len(points))
+    else:
+        points, centers = as_points(metric, points), as_points(metric, centers)
+        scratch = None
 
     def fill(ids, out):
         terms = None
@@ -603,19 +628,22 @@ def _set_groups(metric: Metric, center_sets, n):
         yield group
 
 
-def costs(data, center_sets, z=1.0) -> np.ndarray:
-    """Weighted sum of d**z to the nearest center over a PointSet, a coreset
-    or a (points, weights, metric) tuple, for every center set in one walk.
+def cost_walk(data, z=1.0):
+    """Prepared cost queries over a PointSet, a coreset or a (points,
+    weights, metric) tuple: walk(center_sets) gives the weighted sum of d**z
+    to the nearest center for every center set, as costs does.
 
-    Euclidean points are laid out coordinate-major once, in 64-byte aligned
-    memory, and pairwise_dist takes them in place.  Consecutive sets of one
-    shape walk together, as many as _group_size allows, through one
-    _nearest_walk.  Each row of a group is a set's own d**z, and a
-    C-ordered row sums as it does alone, so every entry has the bits of
-    weighted_sum(nearest_center(...)[1], weights).  Memory beyond the
-    output is the copy, a group's d**z rows (at most a block, or one row)
-    and a few blocks, whatever the number of sets; a d**z that overflows
-    raises.
+    The set-up is done once: the data and z are checked, Euclidean points
+    are laid out coordinate-major in 64-byte aligned memory (pairwise_dist
+    takes them in place) and the weights are made contiguous.  Each walk
+    then checks its sets, and consecutive sets of one shape walk together,
+    as many as _group_size allows, through one _nearest_walk.  Each row of
+    a group is a set's own d**z, and a C-ordered row sums as it does alone,
+    so every entry has the bits of weighted_sum(nearest_center(...)[1],
+    weights).  The walk keeps its d**z rows and its block scratch between
+    calls, so memory beyond each output is the copy, a group's d**z rows
+    (at most a block, or one row) and a few blocks, whatever the number of
+    sets or calls; a d**z that overflows raises.
     """
     points, weights, metric = coerce_weighted(data)
     if len(points) == 0:
@@ -623,18 +651,32 @@ def costs(data, center_sets, z=1.0) -> np.ndarray:
     z = check_power(z)
     if metric.is_euclidean:
         points = _coordinate_major(points)
-    n = len(points)
-    out, dz, scratch, q = np.empty(len(center_sets)), np.empty(n), None, 0
-    for group in _set_groups(metric, center_sets, n):
-        G = len(group)
-        if dz.size < G * n:
-            dz = np.empty(G * n)
-        rows = dz[:G * n].reshape(G, n)
-        scratch = _nearest_walk(metric, points, group, z, rows,
-                                scratch=scratch)
-        out[q:q + G] = weighted_sum(rows, weights)
-        q += G
-    return out
+    weights, n = np.ascontiguousarray(weights), len(points)
+    dz, scratch = np.empty(n), None
+
+    def walk(center_sets) -> np.ndarray:
+        nonlocal dz, scratch
+        out, q = np.empty(len(center_sets)), 0
+        for group in _set_groups(metric, center_sets, n):
+            G = len(group)
+            if dz.size < G * n:
+                dz = np.empty(G * n)
+            rows = dz[:G * n].reshape(G, n)
+            scratch = _nearest_walk(metric, points, group, z, rows,
+                                    scratch=scratch)
+            out[q:q + G] = weighted_sum(rows, weights)
+            q += G
+        return out
+    return walk
+
+
+def costs(data, center_sets, z=1.0) -> np.ndarray:
+    """Weighted sum of d**z to the nearest center over a PointSet, a coreset
+    or a (points, weights, metric) tuple, for every center set in one walk:
+    cost_walk(data, z)(center_sets), so the one path of every cost query.
+    Memory beyond the output is cost_walk's.
+    """
+    return cost_walk(data, z)(center_sets)
 
 
 def cost(data, centers, z=1.0) -> float:

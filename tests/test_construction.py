@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from coreclust.construction import (
     FunctionFamily,
+    StaticCoreset,
     b_coreset,
     identity_approximation,
     k_median_coreset,
@@ -13,7 +16,16 @@ from coreclust.construction import (
     nonneg_sample_size,
     weighted_family_sampler,
 )
-from coreclust.geometry import InputError, Metric, PointSet, cost, pairwise_dist
+import coreclust.geometry as geometry
+from coreclust.geometry import (
+    EXACT_MAX_WIDTH,
+    MATRIX,
+    InputError,
+    Metric,
+    PointSet,
+    cost,
+    pairwise_dist,
+)
 from coreclust.sampling import rng_for
 
 
@@ -451,3 +463,68 @@ class TestSizes:
         b = k_median_coreset(P, pts[:2], t=11, eps=0.2, seed=8)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
+
+
+# ---------------------------------------------------------------------------
+# cost queries on one static coreset: its prepared walk
+# ---------------------------------------------------------------------------
+
+def query_coreset(kind, z, seed):
+    """A static coreset with a negative weight and a query drawer: Euclidean
+    at d = 2 (the exact form), at d = 16 (the exact form, and the dot form
+    for sets wider than EXACT_MAX_WIDTH) or an asymmetric explicit matrix
+    holding -0.0."""
+    rng = np.random.default_rng(seed)
+    if kind == "matrix":
+        D = np.round(rng.uniform(0.0, 5.0, size=(60, 60)), 1)
+        D[:, :3] = [0.0, -0.0, 0.0]
+        np.fill_diagonal(D, 0.0)
+        metric, pool = Metric(kind=MATRIX, matrix=D), np.arange(60)
+        sizes = [1, 3, 5, 20]
+    else:
+        d = 2 if kind == "d2" else 16
+        edge = EXACT_MAX_WIDTH // d
+        metric = Metric()
+        pool = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-3, 4)
+        sizes = [1, 3, 5, edge, edge + 1]
+    pts = pool[rng.integers(0, len(pool), 40)]
+    w = rng.uniform(-2.0, 10.0, len(pts))
+    w[0] = -abs(w[0])
+    core = StaticCoreset(points=pts, weights=w, metric=metric, z=z)
+
+    def query():
+        return pool[rng.choice(len(pool), size=int(rng.choice(sizes)))]
+    return core, query
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["d2", "d16", "matrix"]), z=st.sampled_from([1.0, 2.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_coreset_queries_are_fresh_costs_bit_for_bit(kind, z, seed):
+    core, query = query_coreset(kind, z, seed)
+    for _ in range(60):
+        x = query()
+        fresh = cost((core.points, core.weights, core.metric), x, z)
+        assert core.cost(x).hex() == fresh.hex()
+
+
+@pytest.mark.parametrize("kind, bad, message", [
+    ("d2", [[np.nan, 0.0]], "non-finite coordinates"),
+    ("matrix", [2, 60], r"point ids out of range \[0, 60\)"),
+    ("matrix", [-1], r"point ids out of range \[0, 60\)")])
+def test_a_bad_query_leaves_the_coreset_as_it_was(kind, bad, message):
+    core, query = query_coreset(kind, 1.0, seed=3)
+    x, y = query(), query()
+    before = [core.cost(x), cost((core.points, core.weights, core.metric), y)]
+    with pytest.raises(InputError, match=message):
+        core.cost(bad)
+    assert [core.cost(x), core.cost(y)] == before
+
+
+def test_a_coreset_lays_its_points_out_once():
+    core, query = query_coreset("d2", 1.0, seed=4)
+    with mock.patch.object(geometry, "_coordinate_major",
+                           wraps=geometry._coordinate_major) as layout:
+        for _ in range(100):
+            core.cost(query())
+    assert layout.call_count == 1

@@ -666,3 +666,47 @@ def test_cost_does_not_depend_on_the_blas_thread_count(child_env):
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_the_matrix_gather_is_the_indexed_block_bit_for_bit(layout):
+    # the kernel reads d(p, c) as D[p, c]: the matrix is not symmetric, so
+    # a gather that read D[c, p] would differ; its -0.0 entries read +0.0
+    rng = np.random.default_rng(11)
+    D = rng.uniform(0.5, 9.0, size=(50, 50))
+    D[rng.random((50, 50)) < 0.2] = -0.0
+    np.fill_diagonal(D, 0.0)
+    stored = {"C": D, "F": np.asfortranarray(D),
+              "strided": np.repeat(np.repeat(D, 2, axis=0), 2, axis=1)[::2, ::2]}
+    metric = Metric(kind=MATRIX, matrix=stored[layout])
+    assert metric.matrix.flags.c_contiguous and not metric.matrix.flags.writeable
+    assert metric.matrix.tobytes() == D.tobytes()
+    for n, m in [(70, 9), (1, 1), (3, 40), (50, 50)]:
+        P, C = rng.integers(0, 50, n), rng.integers(0, 50, m)
+        ref = D[np.ix_(P, C)] + 0.0
+        block = pairwise_dist(metric, P, C)
+        assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
+        out = np.empty((m, n))
+        block = pairwise_dist(metric, P, C, out=out)
+        assert np.shares_memory(block, out) and block.tobytes() == ref.tobytes()
+        assert not np.signbit(block).any()
+
+
+def test_a_matrix_walk_holds_a_few_blocks():
+    rng = np.random.default_rng(12)
+    n = 2_000
+    metric = Metric(kind=MATRIX, matrix=rng.uniform(0.5, 9.0, size=(n, n)))
+    ids, w = np.arange(n), np.ones(n)
+    C = rng.integers(0, n, n)
+    tracemalloc.start()
+    try:
+        idx, dz = nearest_center(metric, ids, C)
+        costs((ids, w, metric), [C, C[:3], C[3:6]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.tolist() == metric.matrix[ids[:, None], C].argmin(axis=1).tolist()
+    # the checked ids, the outputs and a few blocks of CHUNK_CELLS: the
+    # gathered distances and their flat indices; the 32 MB matrix is not
+    # copied
+    assert peak < 32 * n + 5 * 8 * geometry.CHUNK_CELLS

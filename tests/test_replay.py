@@ -19,6 +19,7 @@ BAD_EXITS = {
     "bad/unwritable-out": 2,
     "bad/hash-mismatch": 3,
     "bad/verify-k0": 3,
+    "bad/verify-metric-query-id": 3,
 }
 
 
@@ -38,7 +39,7 @@ def test_quick_replay_records_every_run(tmp_path):
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     runs = load_tool().quick_runs()
     assert [r["name"] for r in lines] == [r.name for r in runs]
-    assert len(lines) == 47
+    assert len(lines) == 48
     for line, run in zip(lines, runs):
         assert line["argv"] == run.argv
         assert line["exit"] == BAD_EXITS.get(run.name, 0), line

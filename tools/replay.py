@@ -13,12 +13,13 @@ The runs:
 - 18 invocations at each of seeds 1 and 7 on `gaussian_mixture(300, 2, 3,
   11)` as points and on the explicit metric of `gaussian_mixture(40, 2, 3,
   12)`;
-- ten runs on bad input or with a broken guarantee;
+- eleven runs on bad input or with a broken guarantee;
 - `solve --method local --k 3` on `gaussian_mixture(2100, 2, 3, 13)`, whose
   2,100 x 2,100 candidate rows are above the solvers' TABLE_CELLS, so the
   search computes its rows;
 - unless --quick, the six `build-coreset`/`verify` pairs of the benchmark's
-  `build` workload at seed 1 and the pair of its `verify` workload.
+  `build` workload at seed 1 and the pairs of its `verify` and `metric`
+  workloads (`metric`: 1,000 audited queries on a 500 x 500 matrix).
 Inputs come from the benchmark's own recipe (perfbench/workloads.py), not
 from SRC, so both trees read the same bytes.
 """
@@ -58,6 +59,7 @@ def write_small_inputs(work: Path) -> None:
     X = workloads.gaussian_mixture(300, 2, 3, 11)
     workloads.write_csv(work / "points.csv", X)
     workloads.write_csv(work / "query.csv", X[[0, 100, 200]])
+    (work / "ids.csv").write_text("3\n17\n40\n")
     other = X.copy()
     other[0, 0] += 1.0
     workloads.write_csv(work / "other.csv", other)
@@ -116,8 +118,8 @@ def seed_runs(s: int) -> list[Run]:
 
 
 def bad_runs() -> list[Run]:
-    """Ten runs that must fail, each with its documented exit code, or
-    that once did.  They read the seed-1 coreset of the points."""
+    """Eleven runs that must fail, each with its documented exit code, or
+    that once did.  They read the seed-1 coresets."""
     pts = ["--input", "points.csv", "--seed", "1"]
     out = ["--out", "report.json"]
     verify = ["verify", *pts, "--coreset", "s1_points-z1.json", *out]
@@ -143,17 +145,24 @@ def bad_runs() -> list[Run]:
                                        "constant-factor", "--z", "2", *out]),
         Run("bad/stream-stdin", ["stream", "--k", "3", "--eps", "0.3", "--seed",
                                  "1", *out], "points.csv"),
+        # id 40 lies outside the 40 x 40 matrix
+        Run("bad/verify-metric-query-id", [
+            "verify", *pts, "--metric", "metric.csv", "--coreset",
+            "s1_metric-z1.json", "--query-file", "ids.csv", *out]),
     ]
 
 
 def benchmark_runs(work: Path) -> list[Run]:
-    """The build and verify workloads' invocations at benchmark seed 1."""
+    """The build, verify and metric workloads' invocations at benchmark
+    seed 1."""
     runs = []
-    for name in ("build", "verify"):
+    for name in ("build", "verify", "metric"):
         for p in workloads.prepare(workloads.SPECS[name], 1, work / name):
             s, d = p.spec, p.work.relative_to(work)
             inp = ["--input", str(d / "data.csv"), "--seed", str(p.seed),
                    "--out", "report.json"]
+            if p.D is not None:
+                inp += ["--metric", str(d / "matrix.csv")]
             core = str(d / "coreset.json")
             runs.append(Run(f"{d}/build", ["build-coreset", *inp, "--k",
                                            str(s.k), "--eps", str(s.eps),
