@@ -221,7 +221,7 @@ def cmd_stream(args):
                 if not args.out:
                     sys.stdout.write(cio.json_text(cp) + "\n")
     results = {"checkpoints": checkpoints, "final": state.checkpoint(),
-               "block_size": state.block_size}
+               "block_size": state.block_size, "trace": state.counters()}
     if args.query_file:
         centers = cio.load_points(args.query_file)
         results["query_cost"] = stream_query(state, centers)

@@ -7,6 +7,19 @@ next level, exactly like binary-counter carries.  Level ell builds use
 eps_ell = eps_bar / (2 (ell+1)^2), so the compounded error over any carry
 chain stays below eps_bar * pi^2 / 12.
 
+A block build finds its k anchors with the full static_coreset pipeline.  A
+carry re-solves on the anchors its two children already hold (the scheme of
+Guha, Meyerson, Mishra, Motwani & O'Callaghan, "Clustering Data Streams"):
+the best k of A = A1 u A2, costed on the merged points at |w|.  By the
+triangle inequality they cost at most 2 OPT + cost(A) there (_reduce gives
+the argument), and cost(A) is at most the children's anchor costs on their
+coresets, which estimate their inputs' costs in expectation over the
+children's draws.  So if each child's anchors cost at most c times its
+input's optimum, then, as OPT1 + OPT2 <= OPT, the chosen k cost at most
+(2 + c) OPT, up to the children's sampling error: a constant factor, which
+is all Feldman & Langberg's construction asks of its anchors.  A carry with
+a degenerate child takes the full pipeline.
+
 Space: every bucket holds at most block_size points and the buffer fewer than
 block_size, so storage is block_size * (levels + 1) points.
 """
@@ -25,8 +38,8 @@ from .sampling import (
     eps_approx_sample_size,
     rng_for,
 )
-from .construction import StaticCoreset
-from .solvers import static_coreset
+from .construction import StaticCoreset, k_median_coreset
+from .solvers import solve_weighted, static_coreset
 
 
 # failure probability of every block build
@@ -59,6 +72,8 @@ class StreamState:
     ledger: dict[int, float] = field(init=False, default_factory=dict)
     points_seen: int = field(init=False, default=0)
     builds: int = field(init=False, default=0)
+    # carries whose anchors came from their children's anchors (_reduce)
+    child_anchor_carries: int = field(init=False, default=0)
     # coordinates of every Euclidean point: the first point's
     width: int | None = field(init=False, default=None)
 
@@ -89,13 +104,55 @@ class StreamState:
             "bucket_levels": self.levels,
         }
 
+    def counters(self) -> dict:
+        """What the stream's builds did, deterministic for a given stream."""
+        blocks = self.points_seen // self.block_size
+        return {
+            "block_builds": blocks,
+            "carries": self.builds - blocks,
+            "child_anchor_carries": self.child_anchor_carries,
+            "negative_weights": sum(int(np.count_nonzero(b.weights < 0))
+                                    for b in self.buckets.values()),
+        }
 
-def _reduce(state: StreamState, points, weights, level: int) -> StaticCoreset:
+
+def _reduce(state: StreamState, points, weights, level: int,
+            children=()) -> StaticCoreset:
+    """One build: a block (no children) or the merge of two child coresets.
+
+    A block, or a carry with a degenerate child, takes its anchors from the
+    full static_coreset pipeline.  Any other carry takes the k of its
+    children's anchors A = A1 u A2 (the last provenance["anchors"] points of
+    each child) that cost least on the merged points at |w|, by
+    solve_weighted at z = 1 (brute force over C(2k, k) subsets).  That is a
+    constant-factor choice: let O be an optimal k for the merged set and
+    a(o) the candidate nearest o.  Moving each point's center from its o to
+    a(o) adds at most d(o, a(o)) <= d(o, p) + d(p, A) to its cost, so the k
+    points a(O) of A cost at most 2 OPT + cost(A) there, and the chosen k
+    cost no more.  cost(A) on the merged set is at most the sum of each
+    child's anchor cost on that child's coreset, and each coreset's cost
+    estimates, in expectation over its draws, the cost of the input it
+    summarises.  k_median_coreset then runs with the t, level eps and seed
+    of the full path, and the provenance gets static_coreset's keys, with
+    bicriteria_cost the chosen anchors' cost at |w|.
+    """
     seed = int(rng_for(state.seed, 9, state.builds).integers(2 ** 63))
     state.builds += 1
-    core, _ = static_coreset((points, weights, state.metric), state.k,
-                             level_eps(state.eps_bar, level), DELTA, seed,
-                             z=state.z, t=state.block_size - state.k, c=state.c)
+    data = (points, weights, state.metric)
+    eps, t = level_eps(state.eps_bar, level), state.block_size - state.k
+    if not children or any(c.provenance.get("degenerate") for c in children):
+        core, _ = static_coreset(data, state.k, eps, DELTA, seed, z=state.z,
+                                 t=t, c=state.c)
+        return core
+    state.child_anchor_carries += 1
+    candidates = np.concatenate([c.points[-c.provenance["anchors"]:]
+                                 for c in children])
+    anchors = solve_weighted((points, np.abs(weights), state.metric), state.k,
+                             candidates, z=1, seed=seed)
+    core = k_median_coreset(data, anchors.centers, t, eps, z=state.z,
+                            seed=seed)
+    core.provenance.update({"k": state.k, "delta": DELTA, "c": state.c,
+                            "bicriteria_cost": anchors.cost})
     return core
 
 
@@ -142,7 +199,7 @@ def stream_push(state: StreamState, p) -> StreamState:
         merged_pts = np.concatenate([other.points, core.points])
         merged_w = np.concatenate([other.weights, core.weights])
         level += 1
-        core = _reduce(state, merged_pts, merged_w, level=level)
+        core = _reduce(state, merged_pts, merged_w, level, (other, core))
         expected = (core.provenance.get("inflation", 1.0)
                     * (expected + expected_other))
     state.buckets[level] = core

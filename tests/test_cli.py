@@ -563,6 +563,12 @@ class TestStream:
         assert rep["results"]["final"]["points_seen"] == 256
         assert len(rep["results"]["checkpoints"]) == 4
         assert rep["results"]["query_cost"] > 0
+        # 4 blocks: levels [2], so 3 carries, each on its children's anchors
+        trace = rep["results"]["trace"]
+        assert {key: trace[key] for key in ("block_builds", "carries",
+                                            "child_anchor_carries")} == {
+            "block_builds": 4, "carries": 3, "child_anchor_carries": 3}
+        assert 0 <= trace["negative_weights"] <= 64
 
     @pytest.mark.parametrize("payload, block_size, message", [
         ("1,2\nx,3\n", "64", "row 2: could not convert string to float"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coreclust import streaming
 from coreclust.geometry import (
     InputError,
     PointSet,
@@ -10,7 +11,9 @@ from coreclust.geometry import (
     metric_from_points,
 )
 from coreclust.io import gaussian_mixture
+from coreclust.solvers import constant_factor_metric_kmedian
 from coreclust.streaming import (
+    DELTA,
     StreamState,
     actual_total_weight,
     expected_total_weight,
@@ -222,6 +225,7 @@ class TestExplicitMetric:
             stream_push(state, i)
         assert state.points_seen == 200 and state.builds == 8
         assert state.levels == [0, 2]
+        assert state.child_anchor_carries == 3
         assert all(len(b) <= 40 for b in state.buckets.values())
         assert state.stored_points < 40 * (len(state.levels) + 1)
         for core in state.buckets.values():
@@ -234,3 +238,82 @@ class TestExplicitMetric:
             x = rng.choice(200, 2, replace=False)
             true = cost(P, x)
             assert abs(stream_query(state, x) - true) <= 0.3 * true
+
+
+class TestChildAnchorCarries:
+    """A carry takes its k anchors from the anchors its two children hold,
+    unless a child is degenerate."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Every build as (children, coreset), in order."""
+        builds, reduce = [], streaming._reduce
+
+        def recorded(state, points, weights, level, children=()):
+            core = reduce(state, points, weights, level, children)
+            builds.append((children, core))
+            return core
+
+        monkeypatch.setattr(streaming, "_reduce", recorded)
+        return builds
+
+    def test_carried_anchors_come_from_the_children(self, monkeypatch):
+        builds = self.spy(monkeypatch)
+        state = StreamState(k=3, eps_bar=0.3, seed=31, block_size=48)
+        feed(state, gaussian_mixture(48 * 11 + 20, 2, 3, seed=32))
+        # 11 blocks = 0b1011: levels [0, 1, 3], 11 - 3 = 8 carries
+        assert state.levels == [0, 1, 3] and len(state.buffer) == 20
+        assert state.builds == len(builds) == 19
+        assert state.stored_points == 48 * 3 + 20
+        carried = [(c, core) for c, core in builds if c]
+        assert len(carried) == 8 == state.child_anchor_carries
+        for children, core in carried:
+            cand = np.concatenate([c.points[-c.provenance["anchors"]:]
+                                   for c in children])
+            anchors = core.points[-core.provenance["anchors"]:]
+            assert len(anchors) == 3
+            for a in anchors:
+                assert np.any(np.all(cand == a, axis=1))
+            assert set(core.provenance) == {
+                "seed", "t", "eps", "z", "anchors", "inflation", "k", "delta",
+                "c", "bicriteria_cost"}
+            merged = np.concatenate([c.weights for c in children])
+            pts = np.concatenate([c.points for c in children])
+            assert core.provenance["bicriteria_cost"] == pytest.approx(
+                cost((pts, np.abs(merged), state.metric), anchors), rel=1e-12)
+        counters = state.counters()
+        assert counters == {
+            "block_builds": 11, "carries": 8, "child_anchor_carries": 8,
+            "negative_weights": sum(int((b.weights < 0).sum())
+                                    for b in state.buckets.values())}
+
+    def test_identical_points_take_the_full_pipeline_and_stay_exact(
+            self, monkeypatch):
+        builds = self.spy(monkeypatch)
+        state = StreamState(k=2, eps_bar=0.3, seed=33, block_size=16)
+        feed(state, np.full((16 * 7, 2), 1.5))
+        assert state.levels == [0, 1, 2] and state.builds == 11
+        assert all(core.provenance.get("degenerate") for _, core in builds)
+        assert state.child_anchor_carries == 0
+        assert state.counters()["carries"] == 4
+        x = np.array([[1.5, 3.5], [-2.5, 1.5]])
+        assert stream_query(state, x) == 16 * 7 * 2.0
+
+    def test_anchors_cost_near_the_full_pipelines(self, monkeypatch):
+        # the full pipeline's anchors on each carry's merged set, with the
+        # carry's own eps and seed; the rule's anchors cost at most 5% more
+        ratios, rebuild = [], streaming.k_median_coreset
+
+        def compare(data, B, t, eps, z=1.0, seed=None):
+            pts, w, metric = data
+            full = constant_factor_metric_kmedian((pts, np.abs(w), metric), 3,
+                                                  eps, DELTA, seed)
+            ratios.append(cost((pts, np.abs(w), metric), B) / full.cost)
+            return rebuild(data, B, t, eps, z=z, seed=seed)
+
+        monkeypatch.setattr(streaming, "k_median_coreset", compare)
+        for seed in (1, 2, 3):
+            state = StreamState(k=3, eps_bar=0.2, seed=seed, block_size=531)
+            feed(state, gaussian_mixture(531 * 8, 2, 3, seed))
+        assert len(ratios) == 3 * 7
+        assert max(ratios) <= 1.05

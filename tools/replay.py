@@ -18,8 +18,10 @@ The runs:
   2,100 x 2,100 candidate rows are above the solvers' TABLE_CELLS, so the
   search computes its rows;
 - unless --quick, the six `build-coreset`/`verify` pairs of the benchmark's
-  `build` workload at seed 1 and the pairs of its `verify` and `metric`
-  workloads (`metric`: 1,000 audited queries on a 500 x 500 matrix).
+  `build` workload at seed 1, the pairs of its `verify` and `metric`
+  workloads (`metric`: 1,000 audited queries on a 500 x 500 matrix) and the
+  `stream` invocation of its `stream` workload (10,000 points from standard
+  input in blocks of 531, so 16 carries at the benchmark's shape).
 Inputs come from the benchmark's own recipe (perfbench/workloads.py), not
 from SRC, so both trees read the same bytes.
 """
@@ -153,12 +155,19 @@ def bad_runs() -> list[Run]:
 
 
 def benchmark_runs(work: Path) -> list[Run]:
-    """The build, verify and metric workloads' invocations at benchmark
-    seed 1."""
+    """The build, verify, metric and stream workloads' invocations at
+    benchmark seed 1."""
     runs = []
-    for name in ("build", "verify", "metric"):
+    for name in ("build", "verify", "metric", "stream"):
         for p in workloads.prepare(workloads.SPECS[name], 1, work / name):
             s, d = p.spec, p.work.relative_to(work)
+            if name == "stream":
+                runs.append(Run(f"{d}/stream", [
+                    "stream", "--k", str(s.k), "--eps", str(s.eps), "--seed",
+                    str(p.seed), "--block-size", str(s.block_size),
+                    "--query-file", str(d / "query.csv"), "--out",
+                    "report.json"], str(d / "data.csv")))
+                continue
             inp = ["--input", str(d / "data.csv"), "--seed", str(p.seed),
                    "--out", "report.json"]
             if p.D is not None:
