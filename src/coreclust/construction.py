@@ -58,6 +58,10 @@ INFLATION_SCALE = 20.0
 # runs at n=1000, k=3, eps=0.2 need c=4 under the (1 + eps/2) inflation).
 NONNEG_C = 4.0
 
+# The most draws a builder takes, already 16 GiB of drawn indices: a larger t
+# is refused (check_sample_args) before anything is allocated.
+MAX_DRAWS = 2 ** 31 - 1
+
 
 def nonneg_sample_size(n_anchors: int, eps: float, delta: float,
                        c: float = NONNEG_C) -> int:
@@ -173,20 +177,16 @@ def metric_function_family(P, B, eps: float, z: float = 1.0) -> FunctionFamily:
     """Distance family with projection pairing and distance thresholds.
 
     f_p(x) = dist^z(p, x), f'_p(x) = dist^z(proj(p,B), x); an item projects
-    once f' exceeds dist^z(p,B)/eps^z (scaled by (18 z)^z for z > 1, which is
-    the slack needed for powered distances).
+    once f' exceeds projection_threshold's tau_p, as in metric_b_coreset.
     """
-    z = check_power(z)
-    points, weights, metric = coerce_weighted(P)
+    z, points, weights, metric, Bc, idx, dzB, degenerate = _nearest_anchor(
+        P, B, None, eps, z)
     if np.any(weights != 1.0):
         raise InputError("function families require unit-multiplicity inputs")
-    Bc = np.asarray(B)
-    idx, dzB = nearest_own_center(metric, points, Bc, z)
-    if float(weighted_sum(dzB, weights)) <= 0:
+    if degenerate:
         raise InputError("degenerate family: every point lies on a center of B")
     m, _, _ = _importance_weights(weights, dzB)
-    scale = 1.0 if z == 1.0 else (18.0 * z) ** z
-    tau = scale * dzB / eps ** z
+    tau = projection_threshold(dzB, eps, z)
     proj_pts = Bc[idx]
     return FunctionFamily(
         size=len(points), m=m, threshold=lambda _x: tau,
@@ -289,20 +289,32 @@ class ThresholdCoreset:
 
 
 def check_sample_args(t: int | None, eps: float) -> None:
-    """The builders' 0 < eps < 1 and, when t is given, t >= 1."""
+    """The builders' 0 < eps < 1 and, when t is given, 1 <= t <= MAX_DRAWS."""
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     if t is not None and t < 1:
         raise InputError("sample size t must be >= 1")
+    if t is not None and t > MAX_DRAWS:
+        raise InputError(f"sample size t = {t} exceeds {MAX_DRAWS} draws")
 
 
-def _nearest_anchor(P, B, t: int, eps: float, z: float):
-    """Checked builder input: (points, weights, metric, anchors, idx, d^z)."""
+def _nearest_anchor(P, B, t: int | None, eps: float, z: float):
+    """Every builder's input, checked (z, eps, t unless None, the anchors), and
+    anchor pass: (z, points, weights, metric, anchors, idx, d^z, degenerate)."""
+    z = check_power(z)
     check_sample_args(t, eps)
     points, weights, metric = coerce_weighted(P)
     Bc = check_centers(metric, B)
     idx, dzB = nearest_own_center(metric, points, Bc, z)
-    return points, weights, metric, Bc, idx, dzB
+    degenerate = float(weighted_sum(dzB, np.abs(weights))) <= 0.0
+    return z, points, weights, metric, Bc, idx, dzB, degenerate
+
+
+def projection_threshold(dzB: np.ndarray, eps: float, z: float) -> np.ndarray:
+    """tau_p = d^z(p, B) / eps^z.  Once d^z(p', x) > tau_p, the copy p' =
+    proj(p, B) has d(p, p') < eps d(p', x), so by the triangle inequality
+    (1 + eps)^-z d^z(p, x) < d^z(p', x) < (1 - eps)^-z d^z(p, x)."""
+    return dzB / eps ** z
 
 
 def _importance_weights(weights: np.ndarray, dzB: np.ndarray):
@@ -346,13 +358,13 @@ def k_median_coreset(P, B, t: int, eps: float, z: float = 1.0,
     Anchor distances enter at power z everywhere, so this one builder serves
     every z >= 1 (power_z_sample_size gives a t for z > 1).
     """
-    z = check_power(z)
-    points, weights, metric, Bc, idx, dzB = _nearest_anchor(P, B, t, eps, z)
+    z, points, weights, metric, Bc, idx, dzB, degenerate = _nearest_anchor(
+        P, B, t, eps, z)
     n_anchors = len(Bc)
     cluster_mass = np.bincount(idx, weights=weights, minlength=n_anchors)
 
     prov = {"seed": seed, "t": t, "eps": eps, "z": z, "anchors": int(n_anchors)}
-    if float(weighted_sum(dzB, np.abs(weights))) <= 0.0:
+    if degenerate:
         prov["degenerate"] = True
         return StaticCoreset(points=Bc, weights=cluster_mass, metric=metric,
                              z=z, eps=eps, provenance=prov)
@@ -374,21 +386,21 @@ def metric_b_coreset(P, B, t: int, eps: float, z: float = 1.0,
                      seed: int | None = None, draws=None) -> ThresholdCoreset:
     """Threshold coreset: importance sample plus all projected copies.
 
-    Thresholds are tau_p = dist^z(p, B) / eps^z with the public eps.  When
-    every point sits on an anchor the construction is exact: no sample, all
+    Thresholds are projection_threshold's, at the public eps.  When every
+    point sits on an anchor the construction is exact: no sample, all
     projected copies with tau = 0 (a zero threshold never miscounts because a
     copy at distance zero contributes nothing either way).
     """
-    z = check_power(z)
-    points, weights, metric, Bc, idx, dzB = _nearest_anchor(P, B, t, eps, z)
+    z, points, weights, metric, Bc, idx, dzB, degenerate = _nearest_anchor(
+        P, B, t, eps, z)
     prov = {"seed": seed, "t": t, "eps": eps, "z": z}
 
-    degenerate = float(weighted_sum(dzB, np.abs(weights))) <= 0.0
-    tau = np.zeros(len(points)) if degenerate else dzB / eps ** z
     if degenerate:
         prov["degenerate"] = True
+        tau = np.zeros(len(points))
         s_draws, w_sample = np.empty(0, dtype=np.intp), np.empty(0)
     else:
+        tau = projection_threshold(dzB, eps, z)
         s_draws, w_sample = _importance_sample(weights, dzB, t, seed, draws, 4)
 
     # one stable sort by (anchor, tau); each used anchor is one run of it

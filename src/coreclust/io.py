@@ -25,10 +25,11 @@ from .geometry import InputError, LoadError, Metric, PointSet, as_points
 from .construction import StaticCoreset, ThresholdCoreset
 
 
-def parse_row(cells, width, path, lineno) -> list[float]:
-    """One point row as floats; a width of None accepts the first row's."""
+def parse_row(cells, width, path, lineno, number=float) -> list[float]:
+    """One point row as floats, each cell read by `number`; a width of None
+    accepts the first row's."""
     try:
-        row = [float(c) for c in cells]
+        row = [number(c) for c in cells]
     except (TypeError, ValueError) as exc:
         raise LoadError(f"{path}: row {lineno}: {exc}") from exc
     if width is not None and len(row) != width:
@@ -116,6 +117,17 @@ def load_points_csv(path) -> np.ndarray:
         return points
 
 
+def _json_number(v) -> float:
+    """A JSON number as a float: an integer beyond float64 is +-inf, and a
+    string, a bool or null is a TypeError, as in _finite."""
+    if type(v) not in (int, float):
+        raise TypeError(f"{v!r} is not a JSON number")
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def load_points_jsonl(path) -> np.ndarray:
     rows = []
     with open_points(path) as fh:
@@ -133,7 +145,7 @@ def load_points_jsonl(path) -> np.ndarray:
                 raise LoadError(f"{path}: line {lineno}: coords is empty; a "
                                 "point needs at least one coordinate")
             rows.append(parse_row(cells, len(rows[0]) if rows else None,
-                                  path, lineno))
+                                  path, lineno, _json_number))
     return _as_points(path, rows)
 
 

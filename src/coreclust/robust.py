@@ -24,8 +24,8 @@ from .geometry import (
     check_centers,
     check_power,
     coerce_weighted,
-    distance_table,
     nearest_center,
+    table_rows,
     take_smallest,
     trimmed_cost,
 )
@@ -71,13 +71,15 @@ def candidate_trimmed_costs(metric: Metric, points, weights, candidates,
                             gamma: float, z: float) -> np.ndarray:
     """gamma-trimmed cost of every candidate as a single center: trimmed_cost
     of each row of the distance table, bit for bit, with one sort per block
-    of rows (geometry.block_rows: about CHUNK_CELLS entries)."""
+    of rows (geometry.block_rows: about CHUNK_CELLS entries).  Each block is
+    filled by geometry.table_rows, as the table's own rows are, so no more
+    than a block of the table is held."""
     count = _trim_count(gamma, float(np.sum(weights)))
-    DT = distance_table(metric, points, candidates, z)
-    out = np.empty(len(DT))
-    rows = block_rows(DT.shape[1])
-    for s in range(0, len(DT), rows):
-        block = DT[s:s + rows]
+    fill = table_rows(metric, points, candidates, z)
+    m, rows = len(candidates), block_rows(len(points))
+    out, buf = np.empty(m), np.empty((min(rows, m), len(points)))
+    for s in range(0, m, rows):
+        block = fill(slice(s, s + rows), buf[:min(rows, m - s)])
         out[s:s + rows] = np.einsum("ij,ij->i", block,
                                     take_smallest(block, weights, count))
     return out

@@ -419,16 +419,25 @@ def strong_coreset_sample_size(n: int, k: int, eps: float, delta: float,
     return int(math.ceil(t))
 
 
+def finish_coreset(data, k, anchors: SolveResult, t, eps, delta, seed, z, c):
+    """static_coreset's and every stream carry's last step: k_median_coreset
+    at the anchors, its provenance given k, delta, c and bicriteria_cost."""
+    core = k_median_coreset(data, anchors.centers, t, eps, z=z, seed=seed)
+    core.provenance.update({"k": k, "delta": delta, "c": c,
+                            "bicriteria_cost": anchors.cost})
+    return core
+
+
 def static_coreset(data, k: int, eps: float, delta: float, seed: int,
                    z: float = 1.0, t: int | None = None, c: float = 1.0):
     """The static k-median coreset pipeline: constant-factor anchors, a
-    sample size t, then k_median_coreset.  Returns (coreset, anchors).
+    sample size t, then finish_coreset.  Returns (coreset, anchors).
 
     The anchors are found on the absolute measure |w|: merged stream coresets
     carry signed corrections, and anchor quality only affects the error, not
     the estimator's validity.  t defaults to strong_coreset_sample_size at
-    n = round(sum |w|).  z, eps, t and delta are checked before the anchors
-    are built.  The provenance records k, delta, c and the anchors' cost.
+    n = round(sum |w|) (inf if it overflows).  z, eps, delta and t, given or
+    computed, are checked before the anchors are built.
     """
     z = check_power(z)
     check_sample_args(t, eps)
@@ -436,14 +445,15 @@ def static_coreset(data, k: int, eps: float, delta: float, seed: int,
     points, weights, metric = coerce_weighted(data)
     if t is None:
         dim = points.shape[1] if metric.is_euclidean else None
-        t = strong_coreset_sample_size(round(float(np.abs(weights).sum())), k,
-                                       eps, delta, metric, dim=dim, c=c)
+        try:
+            t = strong_coreset_sample_size(round(float(np.abs(weights).sum())),
+                                           k, eps, delta, metric, dim=dim, c=c)
+        except (ZeroDivisionError, OverflowError):  # eps**2 is 0, or t inf
+            t = math.inf
+        check_sample_args(t, eps)
     anchors = constant_factor_metric_kmedian(
         (points, np.abs(weights), metric), k, eps, delta, seed, c=c)
-    core = k_median_coreset(data, anchors.centers, t, eps, z=z, seed=seed)
-    core.provenance.update({"k": k, "delta": delta, "c": c,
-                            "bicriteria_cost": anchors.cost})
-    return core, anchors
+    return finish_coreset(data, k, anchors, t, eps, delta, seed, z, c), anchors
 
 
 def solve_on_coreset(P, k: int, eps: float, seed: int, delta: float = 0.1,

@@ -10,15 +10,16 @@ chain stays below eps_bar * pi^2 / 12.
 A block build finds its k anchors with the full static_coreset pipeline.  A
 carry re-solves on the anchors its two children already hold (the scheme of
 Guha, Meyerson, Mishra, Motwani & O'Callaghan, "Clustering Data Streams"):
-the best k of A = A1 u A2, costed on the merged points at |w|.  By the
-triangle inequality they cost at most 2 OPT + cost(A) there (_reduce gives
-the argument), and cost(A) is at most the children's anchor costs on their
-coresets, which estimate their inputs' costs in expectation over the
-children's draws.  So if each child's anchors cost at most c times its
-input's optimum, then, as OPT1 + OPT2 <= OPT, the chosen k cost at most
-(2 + c) OPT, up to the children's sampling error: a constant factor, which
-is all Feldman & Langberg's construction asks of its anchors.  A carry with
-a degenerate child takes the full pipeline.
+the best k of A = A1 u A2, costed on the merged points at |w|.  Let O be an
+optimal k there and a(o) the candidate nearest o.  Moving each point p from
+o to a(o) adds at most d(o, a(o)) <= d(o, p) + d(p, A) to its cost, so the k
+points a(O), and the chosen k, cost at most 2 OPT + cost(A).  cost(A) is at
+most the children's anchor costs on their coresets, which estimate their
+inputs' costs in expectation over the children's draws.  So if each child's
+anchors cost at most c OPT_i, then, as OPT1 + OPT2 <= OPT, the chosen k cost
+at most (2 + c) OPT, up to the children's sampling error: the constant factor
+Feldman & Langberg's construction asks of its anchors.  A carry with a
+degenerate child runs static_coreset; every build ends in finish_coreset.
 
 Space: every bucket holds at most block_size points and the buffer fewer than
 block_size, so storage is block_size * (levels + 1) points.
@@ -38,8 +39,8 @@ from .sampling import (
     eps_approx_sample_size,
     rng_for,
 )
-from .construction import StaticCoreset, k_median_coreset
-from .solvers import solve_weighted, static_coreset
+from .construction import StaticCoreset
+from .solvers import finish_coreset, solve_weighted, static_coreset
 
 
 # failure probability of every block build
@@ -120,21 +121,11 @@ def _reduce(state: StreamState, points, weights, level: int,
             children=()) -> StaticCoreset:
     """One build: a block (no children) or the merge of two child coresets.
 
-    A block, or a carry with a degenerate child, takes its anchors from the
-    full static_coreset pipeline.  Any other carry takes the k of its
-    children's anchors A = A1 u A2 (the last provenance["anchors"] points of
-    each child) that cost least on the merged points at |w|, by
-    solve_weighted at z = 1 (brute force over C(2k, k) subsets).  That is a
-    constant-factor choice: let O be an optimal k for the merged set and
-    a(o) the candidate nearest o.  Moving each point's center from its o to
-    a(o) adds at most d(o, a(o)) <= d(o, p) + d(p, A) to its cost, so the k
-    points a(O) of A cost at most 2 OPT + cost(A) there, and the chosen k
-    cost no more.  cost(A) on the merged set is at most the sum of each
-    child's anchor cost on that child's coreset, and each coreset's cost
-    estimates, in expectation over its draws, the cost of the input it
-    summarises.  k_median_coreset then runs with the t, level eps and seed
-    of the full path, and the provenance gets static_coreset's keys, with
-    bicriteria_cost the chosen anchors' cost at |w|.
+    A block, or a carry with a degenerate child, runs static_coreset.  Any
+    other carry takes the k of its children's anchors (the last
+    provenance["anchors"] points of each) that cost least on the merged
+    points at |w|, by solve_weighted at z = 1 (the module docstring bounds
+    their cost), then finish_coreset at the full path's t, eps and seed.
     """
     seed = int(rng_for(state.seed, 9, state.builds).integers(2 ** 63))
     state.builds += 1
@@ -149,11 +140,8 @@ def _reduce(state: StreamState, points, weights, level: int,
                                  for c in children])
     anchors = solve_weighted((points, np.abs(weights), state.metric), state.k,
                              candidates, z=1, seed=seed)
-    core = k_median_coreset(data, anchors.centers, t, eps, z=state.z,
-                            seed=seed)
-    core.provenance.update({"k": state.k, "delta": DELTA, "c": state.c,
-                            "bicriteria_cost": anchors.cost})
-    return core
+    return finish_coreset(data, state.k, anchors, t, eps, DELTA, seed,
+                          state.z, state.c)
 
 
 def _checked_point(state: StreamState, p):

@@ -228,6 +228,22 @@ class TestExitCodes:
                      "--eps", "0.3", "--seed", "1"]) == 2
         assert "line 1: coords must be a JSON list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, code, message", [
+        ('"1.5"', 2, "row 2: '1.5' is not a JSON number"),
+        # an integer beyond float64 reads as inf, as 1e400 does
+        ("1" + "0" * 400, 3, "non-finite"),
+    ])
+    def test_jsonl_coordinates_are_json_numbers(self, tmp_path, capsys, cell,
+                                                code, message):
+        # a string used to load as its float, and a huge integer
+        # ended in an OverflowError traceback
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"coords": [1, 2]}\n{"coords": [%s, 3]}\n' % cell)
+        assert main(["bicriteria", "--input", str(bad), "--k", "1",
+                     "--eps", "0.3", "--seed", "1"]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+
     def test_jsonl_rows_of_no_coordinates(self, tmp_path, capsys):
         # they used to build a coreset of 0-D points that verify passed
         bad = tmp_path / "bad.jsonl"
@@ -340,6 +356,30 @@ class TestExitCodes:
         # the wrapper does see the anchors of a good build
         assert main(argv[:-2] + ["--out", str(tmp_path / "r.json")]) == 0
         assert calls == [1] and out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["build-coreset", "--k", "3", "--eps", "1e-9", "--coreset-out", "{out}"],
+        ["build-coreset", "--k", "3", "--eps", "1e-200", "--coreset-out",
+         "{out}"],
+        ["build-coreset", "--k", "3", "--eps", "0.3", "--t", "2147483648",
+         "--coreset-out", "{out}"],
+        ["solve", "--method", "coreset", "--k", "3", "--c", "1e9"],
+    ])
+    def test_a_sample_too_large_to_draw_is_refused_before_the_anchors(
+            self, tmp_path, data_file, capsys, monkeypatch, argv):
+        # each used to end in a traceback: numpy's "array is too big", a
+        # division by zero, or an allocation of 16 GiB to 1.51 TiB
+        import coreclust.solvers as solvers
+        calls = []
+        monkeypatch.setattr(solvers, "constant_factor_metric_kmedian",
+                            lambda *a, **kw: calls.append(1))
+        out = tmp_path / "core.json"
+        argv = [a.format(out=out) for a in argv]
+        assert main(argv + ["--input", str(data_file), "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sample size t = " in err, err
+        assert "exceeds 2147483647 draws" in err
+        assert calls == [] and not out.exists()
 
     def test_audit_without_queries_is_a_validation_error(self, tmp_path,
                                                          data_file, capsys):

@@ -207,20 +207,22 @@ class TestMetricThresholdCoreset:
 
     def test_matches_family_route(self):
         # the point-level construction and the abstract family construction
-        # are the same algorithm; with shared draws they agree exactly
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(14, 2))
-        P = PointSet(pts)
-        B = pts[:2]
-        eps, t = 0.5, 25
-        fam = metric_function_family(P, B, eps=eps)
-        draws = rng_for(42, 4).choice(14, size=t, replace=True,
-                                      p=fam.m / fam.m.sum())
-        core = metric_b_coreset(P, B, t=t, eps=eps, draws=draws)
-        bc = b_coreset(fam, eps, eps_approx=lambda f, r: draws)
-        for _ in range(25):
-            x = pts[rng.choice(14, 2, replace=False)]
-            assert core.cost(x) == pytest.approx(bc.cost(x), rel=1e-11)
+        # are the same algorithm, with one threshold (projection_threshold)
+        # at every z; with shared draws they agree exactly
+        for z in (1.0, 1.5, 2.0):
+            rng = np.random.default_rng(3)
+            pts = rng.normal(size=(14, 2))
+            P = PointSet(pts)
+            B = pts[:2]
+            eps, t = 0.5, 25
+            fam = metric_function_family(P, B, eps=eps, z=z)
+            draws = rng_for(42, 4).choice(14, size=t, replace=True,
+                                          p=fam.m / fam.m.sum())
+            core = metric_b_coreset(P, B, t=t, eps=eps, z=z, draws=draws)
+            bc = b_coreset(fam, eps, eps_approx=lambda f, r: draws)
+            for _ in range(25):
+                x = pts[rng.choice(14, 2, replace=False)]
+                assert core.cost(x) == pytest.approx(bc.cost(x), rel=1e-11), z
 
     def test_slow_oracle_agreement(self):
         rng = np.random.default_rng(4)

@@ -69,6 +69,20 @@ class TestPointFiles:
         with pytest.raises(LoadError, match="row 2"):
             load_points_jsonl(path)
 
+    @pytest.mark.parametrize("cell", ['"1.5"', "true", "false", '"nan"',
+                                      "[1]"])
+    def test_jsonl_coordinates_must_be_numbers(self, tmp_path, cell):
+        path = tmp_path / "pts.jsonl"
+        path.write_text('{"coords": [1, 2]}\n{"coords": [3, %s]}\n' % cell)
+        with pytest.raises(LoadError, match="row 2: .* is not a JSON number"):
+            load_points_jsonl(path)
+
+    def test_jsonl_integers_beyond_float64_are_infinite(self, tmp_path):
+        path = tmp_path / "pts.jsonl"
+        big = "1" + "0" * 400
+        path.write_text('{"coords": [%s, -%s, 7]}\n' % (big, big))
+        assert load_points_jsonl(path).tolist() == [[np.inf, -np.inf, 7.0]]
+
     def test_jsonl(self, tmp_path):
         path = tmp_path / "pts.jsonl"
         path.write_text('{"coords": [1, 2]}\n{"coords": [3, 4]}\n')

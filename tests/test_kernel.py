@@ -477,9 +477,10 @@ def test_costs_memory_does_not_grow_with_the_queries(m, d):
     assert peaks[1] <= peaks[0] + 8 * 38 + 4096
 
 
-def test_trimmed_costs_hold_one_table_plus_a_few_blocks():
+def test_trimmed_costs_hold_a_few_blocks():
+    # every point a candidate: the (m, n) table of d**z would be 72 MB
     rng = np.random.default_rng(6)
-    n, m = 3000, 600
+    n = m = 3000
     P = rng.normal(size=(n, 2))
     tracemalloc.start()
     try:
@@ -487,9 +488,10 @@ def test_trimmed_costs_hold_one_table_plus_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (m, n) table of d**z is 8*n*m bytes; a second (n, m) array of
-    # unpowered distances would double it
-    assert peak < 8 * n * m + 4 * 8 * geometry.CHUNK_CELLS
+    # a block of table rows, the fill's scratch and the sort's order, taken
+    # and cumulative weights, each about CHUNK_CELLS float64 (6.2 blocks
+    # measured)
+    assert peak < 8 * 8 * geometry.CHUNK_CELLS
 
 
 @FEW

@@ -14,11 +14,13 @@ BAD_EXITS = {
     "bad/build-z": 3,
     "bad/build-t": 3,
     "bad/build-eps": 3,
+    "bad/build-eps-tiny": 3,
     "bad/verify-strict": 4,
     "bad/bicriteria-strict": 4,
     "bad/unwritable-out": 2,
     "bad/hash-mismatch": 3,
     "bad/verify-k0": 3,
+    "bad/jsonl-string-coordinate": 2,
     "bad/verify-metric-query-id": 3,
 }
 
@@ -39,7 +41,7 @@ def test_quick_replay_records_every_run(tmp_path):
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     runs = load_tool().quick_runs()
     assert [r["name"] for r in lines] == [r.name for r in runs]
-    assert len(lines) == 48
+    assert len(lines) == 50
     for line, run in zip(lines, runs):
         assert line["argv"] == run.argv
         assert line["exit"] == BAD_EXITS.get(run.name, 0), line

@@ -1,9 +1,13 @@
 """Rules over the package source, checked on its syntax trees.
 
 Only geometry decides how many rows a block holds and which points skip the
-kernel: no other module names CHUNK_CELLS or calls center_index.  No module
-multiplies arrays through BLAS (`@`, np.dot and its kin, an array's .dot),
-so no result depends on the BLAS build or its thread count.
+kernel: no other module names CHUNK_CELLS or calls center_index.  Each
+static coreset is finished in solvers (finish_coreset), so only construction
+and solvers name k_median_coreset; only geometry and solvers name
+distance_table, and every other module takes table rows a block at a time
+(geometry.table_rows).  No module multiplies arrays through BLAS (`@`,
+np.dot and its kin, an array's .dot), so no result depends on the BLAS build
+or its thread count.
 
 Every public name has a reader: each name coreclust exports, and each public
 method or property of an exported class, is read by the package's own
@@ -24,6 +28,9 @@ READERS = ([p for p in SOURCES if p.name != "__init__.py"]
            + [ROOT / "tests" / "test_acceptance.py"]
            + sorted((ROOT / "perfbench").glob("*.py")))
 BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+# names that only the modules listed may use
+OWNED = {"k_median_coreset": {"construction.py", "solvers.py"},
+         "distance_table": {"geometry.py", "solvers.py"}}
 
 
 def names(tree):
@@ -57,6 +64,13 @@ def test_only_geometry_sizes_blocks_and_skips_centers(path):
         return
     used = set(names(ast.parse(path.read_text(), str(path))))
     assert sorted(used & {"CHUNK_CELLS", "center_index"}) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_owners_name_the_builder_and_the_table(path):
+    used = set(names(ast.parse(path.read_text(), str(path))))
+    assert sorted(name for name, owners in OWNED.items()
+                  if name in used and path.name not in owners) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -13,7 +13,7 @@ The runs:
 - 18 invocations at each of seeds 1 and 7 on `gaussian_mixture(300, 2, 3,
   11)` as points and on the explicit metric of `gaussian_mixture(40, 2, 3,
   12)`;
-- eleven runs on bad input or with a broken guarantee;
+- thirteen runs on bad input or with a broken guarantee;
 - `solve --method local --k 3` on `gaussian_mixture(2100, 2, 3, 13)`, whose
   2,100 x 2,100 candidate rows are above the solvers' TABLE_CELLS, so the
   search computes its rows;
@@ -67,6 +67,8 @@ def write_small_inputs(work: Path) -> None:
     workloads.write_csv(work / "other.csv", other)
     Y = workloads.gaussian_mixture(40, 2, 3, 12)
     workloads.write_csv(work / "metric.csv", workloads.distance_matrix(Y))
+    (work / "strings.jsonl").write_text('{"coords": [1, 2]}\n'
+                                        '{"coords": ["1.5", 2]}\n')
     workloads.write_csv(work / "large.csv",
                         workloads.gaussian_mixture(2100, 2, 3, 13))
 
@@ -120,7 +122,7 @@ def seed_runs(s: int) -> list[Run]:
 
 
 def bad_runs() -> list[Run]:
-    """Eleven runs that must fail, each with its documented exit code, or
+    """Thirteen runs that must fail, each with its documented exit code, or
     that once did.  They read the seed-1 coresets."""
     pts = ["--input", "points.csv", "--seed", "1"]
     out = ["--out", "report.json"]
@@ -135,6 +137,8 @@ def bad_runs() -> list[Run]:
         build("z", "--z", "0.5"),
         build("t", "--t", "0"),
         build("eps", eps="1"),
+        # t = 8.3e18 draws, refused before the anchors
+        build("eps-tiny", eps="1e-9"),
         Run("bad/verify-strict", [*verify, "--eps", "0.001", "--strict"]),
         Run("bad/bicriteria-strict", ["bicriteria", *pts, "--k", "10", "--eps",
                                       "0.3", "--beta", "1", "--strict", *out]),
@@ -147,6 +151,10 @@ def bad_runs() -> list[Run]:
                                        "constant-factor", "--z", "2", *out]),
         Run("bad/stream-stdin", ["stream", "--k", "3", "--eps", "0.3", "--seed",
                                  "1", *out], "points.csv"),
+        Run("bad/jsonl-string-coordinate", ["bicriteria", "--input",
+                                            "strings.jsonl", "--k", "1",
+                                            "--eps", "0.3", "--seed", "1",
+                                            *out]),
         # id 40 lies outside the 40 x 40 matrix
         Run("bad/verify-metric-query-id", [
             "verify", *pts, "--metric", "metric.csv", "--coreset",
