@@ -39,22 +39,22 @@ PIPELINE_BRUTE_LIMIT = 20_000
 # costs about what a plain scan pays to read BOUND_CELLS table cells for
 # each of the m candidates and n points (26 to 41 measured at n = m = 300
 # to 8,000, d = 2; 37 inside the `build` searches).  A scan takes it after
-# its first block, and only when the rest of the scan would read
-# BOUND_PAYOFF times what it costs.
+# its first block, and only when the candidates the carried bound leaves in
+# the rest of the scan would read BOUND_PAYOFF times what it costs.
 #
 # Why after one block: at `build` (k = 3, m = n of about 4,330, 15-row
 # blocks, rows computed above TABLE_CELLS) a computed row costs about 2.5
-# read ones, so the bound costs about 6 computed blocks and leaves about 35%
-# of the rows after it.  Of the 217 `build` scans, 30% end in their first
-# block, 16% in blocks 2 to 6 and 54% run past block 6.  Against a 6-block
-# start, a 1-block start pays the bound less the 0.65 of a block it saves
-# per block on the scans that end in blocks 2 to 6 (about 6 - 0.65 * 2.5,
-# or 4.4 blocks each), and saves 0.65 * 5, or 3.3 blocks, on each scan that
-# runs past block 6: 0.16 * 4.4 < 0.54 * 3.3.  A start at 0 puts the bound
-# on the first-block scans too.  Measured, the six `build` searches took
-# 1.56 s at a 1-block start, 1.62 s at 6 and 1.67 s at 0.  No `stream`,
-# `metric` or `verify` search takes the bound, so none measures a start
-# over the table.
+# read ones, so the bound costs about 6 computed blocks.  Of the 217 `build`
+# scans, 30% end in their first block, 16% in blocks 2 to 6 and 54% run
+# past block 6.  A start at 0 puts the bound on the first-block scans too; a
+# later start spares the scans that end in blocks 2 to 6 the bound but reads
+# more blocks before it on the others, and the carried bound makes both
+# kinds of block cheaper.  Measured with the carried bound, the six `build`
+# searches of seeds 1 to 4 (best of 3 runs each) took 3.41 s at a 0-block
+# start, 3.00 s at 1, 2.92 s at 3, 2.99 s at 6 and 3.01 s at 12: from 1
+# to 12 within the runs' spread of about 3%, so the start stays at one
+# block.  No `stream`, `metric` or `verify` search takes the bound, so none
+# measures a start over the table.
 BOUND_CELLS = 40
 BOUND_PAYOFF = 4
 
@@ -228,17 +228,69 @@ class _TriangleBound:
         return out
 
 
-def _first_improving(rows, ids, base, weights, bar, buf):
+class _CarriedBound:
+    """Lower bounds on every candidate's trial cost in a slot scan of
+    weighted_local_search, carried from the last SCANS_PER_SLOT k scans
+    (its docstring states them).  Each kept scan j holds its base b_j and
+    L_j, a lower bound on each candidate's trial cost against b_j, so the
+    cache holds O(k (m + n)) floats.
+    """
+
+    # on the six `build` searches of seeds 1 to 3, 3 k kept scans computed
+    # 7-14% fewer rows than 2 k and took 7% less time, but CLI
+    # `build-coreset` on a `build` set peaked 0.6-0.8 MB above the 39.7 MB
+    # it took without the bound, against 0.5-0.6 MB at 2 k
+    SCANS_PER_SLOT = 2
+
+    def __init__(self, m, n, k, weights):
+        self.weights = weights
+        size = self.SCANS_PER_SLOT * k
+        self.bases, self.known = np.empty((size, n)), np.empty((size, m))
+        self.kept = 0
+        self.rel = 8 * (n + 2) * np.finfo(float).eps
+        self.abs = n * 2.0 ** -1000
+
+    def lower(self, base) -> np.ndarray:
+        """max(0, max_j L_j (1 - rel) - dec_j (1 + rel) - abs) for every
+        candidate, with dec_j = sum_p w_p (b_j,p - base_p)+: a lower bound
+        on its trial cost against base, less the rounding slack."""
+        kept = min(self.kept, len(self.bases))
+        if not kept:
+            return np.zeros(self.known.shape[1])
+        diff = np.subtract(self.bases[:kept], base)
+        dec = weighted_sum(np.maximum(diff, 0.0, out=diff), self.weights)
+        del diff        # freed before low: the two never add to the peak
+        low = np.multiply(self.known[:kept], 1.0 - self.rel)
+        low -= ((1.0 + self.rel) * dec + self.abs)[:, None]
+        return np.maximum(low.max(axis=0), 0.0)
+
+    def keep(self, base, known):
+        """Keep a finished scan: its base and what it knew of every
+        candidate, in place of the oldest scan kept."""
+        j = self.kept % len(self.bases)
+        self.bases[j], self.known[j] = base, known
+        self.kept += 1
+
+
+def _first_improving(rows, ids, base, weights, bar, buf, known=None):
     """The position in ids of the first candidate whose trial cost against
     base is below bar, and that cost; (None, None) when there is none.
-    Candidates are costed in blocks of len(buf) rows from `rows`."""
-    for s in range(0, len(ids), len(buf)):
-        block = ids[s:s + len(buf)]
+    Candidates are costed in blocks of len(buf) rows from `rows`.  `known`,
+    when given, holds a lower bound on every candidate's trial cost: a
+    candidate whose bound is at least bar is skipped unread, and a costed
+    candidate's bound becomes its cost."""
+    live = (np.arange(len(ids)) if known is None else
+            np.flatnonzero(known[ids] < bar))
+    for s in range(0, len(live), len(buf)):
+        at = live[s:s + len(buf)]
+        block = ids[at]
         trial = rows.fill(block, buf[:len(block)])
         costs = weighted_sum(np.minimum(trial, base, out=trial), weights)
+        if known is not None:
+            known[block] = costs
         hit = np.flatnonzero(costs < bar)
         if hit.size:
-            return s + int(hit[0]), float(costs[hit[0]])
+            return int(at[hit[0]]), float(costs[hit[0]])
     return None, None
 
 
@@ -291,14 +343,44 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     z = 1, nonnegative weights, k >= 2 and a table in the exact form
     (geometry.exact_form; then a relative slack is enough).  It costs about
     what a plain scan pays to read k (m + n) BOUND_CELLS table cells.  A
-    scan reads one plain block (BOUND_CELLS says why), then takes the bound
-    if the rest of the scan would read BOUND_PAYOFF times as many cells.
+    scan reads one plain block (BOUND_CELLS says why), then takes the
+    bound if the candidates the carried bound below leaves in the rest of
+    the scan would read BOUND_PAYOFF times as many cells.
+
+    Every scan also carries what earlier scans learned, on any metric and
+    at any z.  For reals x, b and b', min(x, b') >= min(x, b) - (b - b')+,
+    so with nonnegative weights a candidate's trial cost against b' is at
+    least its trial cost against an earlier scan's base b_j less
+    dec_j = sum_p w_p (b_j,p - b'_p)+.  The search keeps its last
+    2 k scans (_CarriedBound), each as b_j and L_j: the cost of every
+    candidate the scan costed and, for every other one, the best lower
+    bound the scan had (carried, triangle or 0), so the bound chains.  A
+    scan drops a candidate, in its plain blocks as in the rest, when
+    max_j L_j - dec_j, less the slack rho (L_j + dec_j) + n 2^-1000 with
+    rho = 8 (n + 2) eps, is at least `bar`.  The slack is over five times
+    the rounding it covers for n < 10^13, at most (1.02 n + 3.05) eps
+    (L_j + dec_j) + (4 n + 2) 2^-1074.  Write g_i = i eps / (2 - i eps):
+    a computed sum of n nonnegative products is within g_n of the exact
+    one, plus n 2^-1074 where products underflow.  Every entry of L_j is
+    at most the cost the plain scan computes against b_j (it is that cost
+    or a bound below it), so the exact cost is at least L_j (1 - g_n) -
+    n 2^-1074; the exact dec_j is at most the computed one times
+    1 + 2 g_(n+1), plus 2 n 2^-1074 (n subtractions and a sum); the cost
+    computed against b' is at least (1 - g_n) times the exact one less
+    n 2^-1074; and the bound's own four roundings add at most
+    2.02 eps (L_j + dec_j) + 2^-1073.  So a dropped candidate is one the
+    plain scan finds not improving, and every bound kept is at most the
+    exact cost as well as the computed one.  The bound engages for k >= 2
+    and nonnegative weights, in every scan whose base has a computed
+    sum_p w_p b_p below 2^1000: every cost, dec_j and slack is then finite
+    (below 2^1002), and no inf - inf arises.  It holds 2 k (m + n)
+    floats, and 2 k max(m, n) more while a scan forms its bound.
 
     `evaluations` counts the candidates of every block scanned, costed or
     ruled out: k for the start plus every candidate in every block up to
     the one with the first improving candidate, so it depends on
-    CHUNK_CELLS while the centers and the cost do not, and the bound
-    changes none of the three.
+    CHUNK_CELLS while the centers and the cost do not, and the bounds
+    change none of the three.
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
@@ -323,14 +405,16 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     evals = len(chosen)
     step = geometry.block_rows(n)
     buf = np.empty((min(step, m), n))
-    # every scan costs its first `plain` candidates without the bound
-    plain, bound = m, None
-    if (metric.is_euclidean and z == 1 and k >= 2 and n > 0
-            and np.all(weights >= 0)
-            and geometry.exact_form(cand.size, cand.shape[1])):
-        bound_cells = k * (m + n) * BOUND_CELLS
-        if (m - step) * n >= BOUND_PAYOFF * bound_cells:
-            plain, bound = step, _TriangleBound(metric, cand, rows, weights)
+    # every scan costs its first `plain` candidates without the triangle bound
+    plain, bound, carried = m, None, None
+    if k >= 2 and np.all(weights >= 0):
+        carried = _CarriedBound(m, n, k, weights)
+        if (metric.is_euclidean and z == 1 and n > 0
+                and geometry.exact_form(cand.size, cand.shape[1])):
+            bound_cells = k * (m + n) * BOUND_CELLS
+            if (m - step) * n >= BOUND_PAYOFF * bound_cells:
+                plain, bound = step, _TriangleBound(metric, cand, rows,
+                                                    weights)
 
     for _ in range(max_iters):
         improved = False
@@ -340,14 +424,25 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
             base = np.min(rest, axis=0) if rest else np.full(n, np.inf)
             order = rng.permutation(m)
             bar = cur_cost * (1 - 1e-12) - 1e-15
+            # every trial cost against base is below 2^1001: no sum overflows
+            carry = (carried is not None and
+                     weighted_sum(base, weights) < 2.0 ** 1000)
+            known = carried.lower(base) if carry else None
             pos, trial_cost = _first_improving(rows, order[:plain], base,
-                                               weights, bar, buf)
+                                               weights, bar, buf, known)
             if pos is None and bound is not None:
                 later = order[plain:]
-                live = np.flatnonzero(bound.lower(chosen, base)[later] < bar)
-                j, trial_cost = _first_improving(rows, later[live], base,
-                                                 weights, bar, buf)
-                pos = None if j is None else plain + int(live[j])
+                live = (len(later) if known is None else
+                        np.count_nonzero(known[later] < bar))
+                if live * n >= BOUND_PAYOFF * bound_cells:
+                    tri = bound.lower(chosen, base)
+                    known = tri if known is None else np.maximum(known, tri,
+                                                                 out=known)
+                j, trial_cost = _first_improving(rows, later, base, weights,
+                                                 bar, buf, known)
+                pos = None if j is None else plain + j
+            if carry:
+                carried.keep(base, known)
             evals += m if pos is None else min(m, (pos // step + 1) * step)
             if pos is not None:
                 chosen[slot] = int(order[pos])

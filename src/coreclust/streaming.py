@@ -39,7 +39,7 @@ from .sampling import (
     eps_approx_sample_size,
     rng_for,
 )
-from .construction import StaticCoreset
+from .construction import MAX_DRAWS, StaticCoreset
 from .solvers import finish_coreset, solve_weighted, static_coreset
 
 
@@ -52,9 +52,16 @@ def level_eps(eps_bar: float, level: int) -> float:
 
 
 def default_block_size(k: int, eps_bar: float, c: float = 1.0) -> int:
-    """Blocks are never smaller than the level-0 statistical floor."""
-    floor = eps_approx_sample_size(
-        SampleParams(eps=level_eps(eps_bar, 0), delta=DELTA, dim=max(k, 1), c=c))
+    """Blocks are never smaller than the level-0 statistical floor, nor
+    larger than construction.MAX_DRAWS points (a larger block, or one whose
+    floor overflows, is an InputError)."""
+    try:
+        floor = eps_approx_sample_size(SampleParams(
+            eps=level_eps(eps_bar, 0), delta=DELTA, dim=max(k, 1), c=c))
+    except (ZeroDivisionError, OverflowError):  # eps**2 is 0, or the floor inf
+        floor = math.inf
+    if floor > MAX_DRAWS:
+        raise InputError(f"block size {floor} exceeds {MAX_DRAWS} points")
     return max(64, floor)
 
 

@@ -381,6 +381,21 @@ class TestExitCodes:
         assert "exceeds 2147483647 draws" in err
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("eps", ["1e-9", "1e-200"])
+    def test_a_stream_block_too_large_is_refused_before_any_point(
+            self, data_file, capsys, monkeypatch, eps):
+        # 1e-9 took a block of 2.1e19 points, so the buffer kept every point;
+        # 1e-200 was a division by zero
+        import coreclust.cli as cli
+        pushed = []
+        monkeypatch.setattr(cli, "stream_push", lambda *a: pushed.append(a))
+        assert main(["stream", "--input", str(data_file), "--k", "3",
+                     "--eps", eps, "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "block size " in err, err
+        assert "exceeds 2147483647 points" in err
+        assert pushed == []
+
     def test_audit_without_queries_is_a_validation_error(self, tmp_path,
                                                          data_file, capsys):
         # C(60, 4) is above the brute-force limit, so --queries 0 leaves the

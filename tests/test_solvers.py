@@ -1,6 +1,9 @@
 import contextlib
+import itertools
 import math
 import tracemalloc
+import types
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,6 +24,7 @@ from coreclust.geometry import (
     coerce_weighted,
     cost,
     pairwise_dist,
+    weighted_sum,
 )
 from coreclust.io import gaussian_mixture
 from coreclust.sampling import rng_for
@@ -415,9 +419,17 @@ def bound_calls():
     return calls, mock.patch.object(solvers._TriangleBound, "lower", counted)
 
 
+def no_carried_bound():
+    """A patch under which the carried bound knows nothing of a scan's
+    candidates: every lower bound it gives is 0."""
+    return mock.patch.object(solvers._CarriedBound, "lower",
+                             lambda self, base: np.zeros(self.known.shape[1]))
+
+
 def plain_search(data, k, cand, **kwargs):
-    """The search with the bound never engaged."""
-    with mock.patch.object(solvers, "BOUND_PAYOFF", math.inf):
+    """The search with neither bound engaged."""
+    with mock.patch.object(solvers, "BOUND_PAYOFF", math.inf), \
+            no_carried_bound():
         return weighted_local_search(data, k, cand, **kwargs)
 
 
@@ -433,20 +445,24 @@ class TestTriangleBound:
         data, cand = clustered_instance(rng, n, m, d, offset)
         want = full_matrix_search(data, k, cand, 1.0, seed)
         calls, counting = bound_calls()
-        with mock.patch.object(geometry, "CHUNK_CELLS", step * n):
+        with mock.patch.object(geometry, "CHUNK_CELLS", step * n), \
+                mock.patch.object(solvers, "BOUND_CELLS", 1):
             plain = plain_search(data, k, cand, seed=seed)
-            with mock.patch.object(solvers, "BOUND_CELLS", 1), counting:
+            with counting, no_carried_bound():
                 got = weighted_local_search(data, k, cand, seed=seed)
                 init = candidate_index(cand, got.centers)
                 again = weighted_local_search(data, k, cand, seed=seed + 1,
                                               init=init)
+            both = weighted_local_search(data, k, cand, seed=seed)
         # the last sweep of each search scans every slot to the end
         assert len(calls) >= 2 * k
         # only the current centers are references
         assert max(calls) <= k
         assert np.array_equal(got.centers, want)
-        assert got.cost == plain.cost
-        assert got.evaluations == plain.evaluations
+        for result in (got, both):
+            assert np.array_equal(result.centers, plain.centers)
+            assert result.cost == plain.cost
+            assert result.evaluations == plain.evaluations
         assert np.array_equal(again.centers, got.centers)
         assert again.evaluations == k + k * len(cand)
 
@@ -481,32 +497,43 @@ class TestTriangleBound:
         rng = np.random.default_rng(31)
         pts = gaussian_mixture(3000, 2, 3, seed=31)
         data = (pts, rng.integers(1, 6, 3000).astype(float), Metric())
-        rows = {}
-        for name, payoff in [("plain", math.inf),
-                             ("bound", solvers.BOUND_PAYOFF)]:
+        first_improving = solvers._first_improving
+        runs = {}
+        for triangle, carried in itertools.product((False, True), repeat=2):
             read = []
-            first_improving = solvers._first_improving
 
-            def counted(rows, ids, base, weights, bar, buf):
-                pos, trial_cost = first_improving(rows, ids, base, weights,
-                                                  bar, buf)
-                # the rows of every block up to the one holding the hit
-                read.append(len(ids) if pos is None else
-                            min(len(ids), (pos // len(buf) + 1) * len(buf)))
-                return pos, trial_cost
-            with mock.patch.object(solvers, "_first_improving", counted), \
-                    mock.patch.object(solvers, "BOUND_PAYOFF", payoff):
-                rows[name] = (weighted_local_search(data, 3, pts, seed=5),
-                              sum(read))
-        (plain, plain_rows), (bounded, bounded_rows) = rows.values()
-        assert np.array_equal(bounded.centers, plain.centers)
-        assert bounded.cost == plain.cost
-        assert bounded.evaluations == plain.evaluations
-        # the plain search reads every candidate it evaluates; the bounded
-        # one read 36% of that (the bound ruled out 64-73% of the candidates
-        # left in each scan that took it)
+            def counted(rows, ids, base, weights, bar, buf, known=None):
+                # the rows the scan reads, skipped candidates not among them
+                reading = types.SimpleNamespace(
+                    fill=lambda block, out: read.append(len(block)) or
+                    rows.fill(block, out))
+                return first_improving(reading, ids, base, weights, bar, buf,
+                                       known)
+            with contextlib.ExitStack() as stack:
+                stack.enter_context(
+                    mock.patch.object(solvers, "_first_improving", counted))
+                if not triangle:
+                    stack.enter_context(
+                        mock.patch.object(solvers, "BOUND_PAYOFF", math.inf))
+                if not carried:
+                    stack.enter_context(no_carried_bound())
+                runs[triangle, carried] = (
+                    weighted_local_search(data, 3, pts, seed=5), sum(read))
+        plain, plain_rows = runs[False, False]
+        for result, _ in runs.values():
+            assert np.array_equal(result.centers, plain.centers)
+            assert result.cost == plain.cost
+            assert result.evaluations == plain.evaluations
+        # the plain search reads every candidate it evaluates; each bound
+        # alone read 36-37% of that and the two together 16.5%: they rule
+        # out different candidates
         assert plain_rows == plain.evaluations - 3
-        assert bounded_rows < 0.6 * plain_rows
+        triangle_rows, carried_rows, both_rows = (
+            runs[key][1] for key in [(True, False), (False, True),
+                                     (True, True)])
+        assert triangle_rows < 0.6 * plain_rows
+        assert carried_rows < 0.6 * plain_rows
+        assert both_rows < 0.6 * min(triangle_rows, carried_rows)
 
     @pytest.mark.parametrize("case", ["metric", "z", "negative weight", "k=1",
                                       "high d", "engaged"])
@@ -527,12 +554,76 @@ class TestTriangleBound:
         with mock.patch.object(geometry, "CHUNK_CELLS", 4 * 80):
             with mock.patch.object(solvers, "BOUND_CELLS", 1), \
                     mock.patch.object(solvers, "_TriangleBound",
-                                      wraps=solvers._TriangleBound) as made:
+                                      wraps=solvers._TriangleBound) as made, \
+                    mock.patch.object(solvers, "_CarriedBound",
+                                      wraps=solvers._CarriedBound) as carried:
                 got = weighted_local_search(data, k, cand, z=z, seed=3)
             plain = plain_search(data, k, cand, z=z, seed=3)
         assert made.called == (case == "engaged")
+        # the carried bound holds for any metric and any z
+        assert carried.called == (case not in ("negative weight", "k=1"))
         assert np.array_equal(got.centers, want)
         assert got.evaluations == plain.evaluations
+
+
+def scan_bases(rng, table, k, scans):
+    """Bases of `scans` slot scans over the (m, n) table of candidate rows:
+    the nearest of k - 1 random candidates, that scaled pointwise by a
+    random factor in [0, 1), the previous base again, or the previous base
+    shrunk by less than 1e-6, where the bound is nearly tight."""
+    base = table[rng.integers(0, len(table), k - 1)].min(axis=0)
+    for _ in range(scans):
+        yield base
+        kind = rng.integers(4)
+        if kind < 2:
+            base = table[rng.integers(0, len(table), k - 1)].min(axis=0)
+            if kind == 1:
+                base = base * rng.random(table.shape[1])
+        elif kind == 3:
+            base = base * (1 - rng.uniform(0, 1e-6, table.shape[1]))
+
+
+class TestCarriedBound:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120),
+           m=st.integers(1, 60), d=st.integers(1, 4), k=st.integers(2, 4),
+           z=st.sampled_from([1.0, 2.0]), explicit=st.booleans(),
+           offset=st.sampled_from([0.0, 7e5, -1e12]),
+           scale=st.sampled_from([1e-6, 1.0, 1e4]))
+    def test_bound_never_exceeds_a_trial_cost(self, seed, n, m, d, k, z,
+                                              explicit, offset, scale):
+        rng = np.random.default_rng(seed)
+        (pts, w, metric), cand = clustered_instance(rng, n, m, d, 0.0)
+        pts, cand = pts * scale + offset, cand * scale + offset
+        if explicit:
+            metric = geometry.metric_from_points(np.vstack([pts, cand]))
+            pts, cand = np.arange(n), np.arange(n, n + m)
+        table = solvers._CandidateRows(metric, pts, cand, z).fill(
+            np.arange(m), np.empty((m, n)))
+        carried = solvers._CarriedBound(m, n, k, w)
+        # past the scans the bound keeps, so old ones are dropped
+        for base in scan_bases(rng, table, k, 5 * k):
+            # every trial cost as a scan costs it
+            trial = weighted_sum(np.minimum(table, base), w)
+            known = carried.lower(base)
+            assert np.all(known <= trial)
+            costed = rng.random(m) < 0.5
+            known[costed] = trial[costed]
+            carried.keep(base, known)
+
+    @pytest.mark.parametrize("coords, weight", [
+        (1e150, 1e200),     # every cost overflows
+        (1e152, 1e150),     # costs near 2e304, above the bound's 2^1000
+        (1e152, 1e146),     # costs near 2e300: the bound engages
+    ])
+    def test_no_warning_where_costs_overflow(self, coords, weight):
+        pts = gaussian_mixture(200, 2, 3, seed=33) * coords
+        data = (pts, np.full(200, weight), Metric())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = weighted_local_search(data, 3, pts, seed=1)
+            plain = plain_search(data, 3, pts, seed=1)
+        assert same_result(got, plain)
 
 
 class TestSolveWeighted:

@@ -13,7 +13,7 @@ The runs:
 - 18 invocations at each of seeds 1 and 7 on `gaussian_mixture(300, 2, 3,
   11)` as points and on the explicit metric of `gaussian_mixture(40, 2, 3,
   12)`;
-- thirteen runs on bad input or with a broken guarantee;
+- fourteen runs on bad input or with a broken guarantee;
 - `solve --method local --k 3` on `gaussian_mixture(2100, 2, 3, 13)`, whose
   2,100 x 2,100 candidate rows are above the solvers' TABLE_CELLS, so the
   search computes its rows;
@@ -122,7 +122,7 @@ def seed_runs(s: int) -> list[Run]:
 
 
 def bad_runs() -> list[Run]:
-    """Thirteen runs that must fail, each with its documented exit code, or
+    """Fourteen runs that must fail, each with its documented exit code, or
     that once did.  They read the seed-1 coresets."""
     pts = ["--input", "points.csv", "--seed", "1"]
     out = ["--out", "report.json"]
@@ -151,6 +151,9 @@ def bad_runs() -> list[Run]:
                                        "constant-factor", "--z", "2", *out]),
         Run("bad/stream-stdin", ["stream", "--k", "3", "--eps", "0.3", "--seed",
                                  "1", *out], "points.csv"),
+        # a block of 2.1e19 points, refused before any point is read
+        Run("bad/stream-eps-tiny", ["stream", "--k", "3", "--eps", "1e-9",
+                                    "--seed", "1", *out], "points.csv"),
         Run("bad/jsonl-string-coordinate", ["bicriteria", "--input",
                                             "strings.jsonl", "--k", "1",
                                             "--eps", "0.3", "--seed", "1",
