@@ -272,22 +272,20 @@ class _CarriedBound:
         self.kept += 1
 
 
-def _first_improving(rows, ids, base, weights, bar, buf, known=None):
+def _first_improving(rows, ids, base, weights, bar, buf, known):
     """The position in ids of the first candidate whose trial cost against
     base is below bar, and that cost; (None, None) when there is none.
-    Candidates are costed in blocks of len(buf) rows from `rows`.  `known`,
-    when given, holds a lower bound on every candidate's trial cost: a
-    candidate whose bound is at least bar is skipped unread, and a costed
-    candidate's bound becomes its cost."""
-    live = (np.arange(len(ids)) if known is None else
-            np.flatnonzero(known[ids] < bar))
+    Candidates are costed in blocks of len(buf) rows from `rows`.  `known`
+    holds a lower bound on every candidate's trial cost (-inf where there
+    is none): a candidate whose bound is at least bar is skipped unread, and
+    a costed candidate's bound becomes its cost."""
+    live = np.flatnonzero(known[ids] < bar)
     for s in range(0, len(live), len(buf)):
         at = live[s:s + len(buf)]
         block = ids[at]
         trial = rows.fill(block, buf[:len(block)])
         costs = weighted_sum(np.minimum(trial, base, out=trial), weights)
-        if known is not None:
-            known[block] = costs
+        known[block] = costs
         hit = np.flatnonzero(costs < bar)
         if hit.size:
             return int(at[hit[0]]), float(costs[hit[0]])
@@ -427,17 +425,14 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
             # every trial cost against base is below 2^1001: no sum overflows
             carry = (carried is not None and
                      weighted_sum(base, weights) < 2.0 ** 1000)
-            known = carried.lower(base) if carry else None
+            known = carried.lower(base) if carry else np.full(m, -np.inf)
             pos, trial_cost = _first_improving(rows, order[:plain], base,
                                                weights, bar, buf, known)
             if pos is None and bound is not None:
                 later = order[plain:]
-                live = (len(later) if known is None else
-                        np.count_nonzero(known[later] < bar))
+                live = np.count_nonzero(known[later] < bar)
                 if live * n >= BOUND_PAYOFF * bound_cells:
-                    tri = bound.lower(chosen, base)
-                    known = tri if known is None else np.maximum(known, tri,
-                                                                 out=known)
+                    np.maximum(known, bound.lower(chosen, base), out=known)
                 j, trial_cost = _first_improving(rows, later, base, weights,
                                                  bar, buf, known)
                 pos = None if j is None else plain + j

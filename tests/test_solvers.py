@@ -421,15 +421,31 @@ def bound_calls():
 
 def no_carried_bound():
     """A patch under which the carried bound knows nothing of a scan's
-    candidates: every lower bound it gives is 0."""
-    return mock.patch.object(solvers._CarriedBound, "lower",
-                             lambda self, base: np.zeros(self.known.shape[1]))
+    candidates: every lower bound it gives is -inf, as in a search that
+    keeps no scans."""
+    return mock.patch.object(
+        solvers._CarriedBound, "lower",
+        lambda self, base: np.full(self.known.shape[1], -np.inf))
+
+
+def plain_first_improving(rows, ids, base, weights, bar, buf, known):
+    """solvers._first_improving without its bound: every candidate of ids
+    is costed, in order, in blocks of len(buf) rows."""
+    for s in range(0, len(ids), len(buf)):
+        block = ids[s:s + len(buf)]
+        costs = weighted_sum(np.minimum(rows.fill(block, buf[:len(block)]),
+                                        base), weights)
+        hit = np.flatnonzero(costs < bar)
+        if hit.size:
+            return s + int(hit[0]), float(costs[hit[0]])
+    return None, None
 
 
 def plain_search(data, k, cand, **kwargs):
-    """The search with neither bound engaged."""
+    """The search with neither bound engaged: every scan is the plain one."""
     with mock.patch.object(solvers, "BOUND_PAYOFF", math.inf), \
-            no_carried_bound():
+            mock.patch.object(solvers, "_first_improving",
+                              plain_first_improving):
         return weighted_local_search(data, k, cand, **kwargs)
 
 
@@ -497,18 +513,19 @@ class TestTriangleBound:
         rng = np.random.default_rng(31)
         pts = gaussian_mixture(3000, 2, 3, seed=31)
         data = (pts, rng.integers(1, 6, 3000).astype(float), Metric())
-        first_improving = solvers._first_improving
         runs = {}
         for triangle, carried in itertools.product((False, True), repeat=2):
             read = []
+            # with neither bound, the reference: the plain scan
+            scan = (solvers._first_improving if triangle or carried else
+                    plain_first_improving)
 
-            def counted(rows, ids, base, weights, bar, buf, known=None):
+            def counted(rows, ids, base, weights, bar, buf, known):
                 # the rows the scan reads, skipped candidates not among them
                 reading = types.SimpleNamespace(
                     fill=lambda block, out: read.append(len(block)) or
                     rows.fill(block, out))
-                return first_improving(reading, ids, base, weights, bar, buf,
-                                       known)
+                return scan(reading, ids, base, weights, bar, buf, known)
             with contextlib.ExitStack() as stack:
                 stack.enter_context(
                     mock.patch.object(solvers, "_first_improving", counted))
@@ -598,14 +615,22 @@ class TestCarriedBound:
         if explicit:
             metric = geometry.metric_from_points(np.vstack([pts, cand]))
             pts, cand = np.arange(n), np.arange(n, n + m)
-        table = solvers._CandidateRows(metric, pts, cand, z).fill(
-            np.arange(m), np.empty((m, n)))
+        rows = solvers._CandidateRows(metric, pts, cand, z)
+        table = rows.fill(np.arange(m), np.empty((m, n)))
         carried = solvers._CarriedBound(m, n, k, w)
+        # where the search takes the triangle bound, its bounds join the
+        # carried ones in what a scan keeps, and chain through later scans
+        triangle = (not explicit and z == 1.0
+                    and geometry.exact_form(cand.size, d)
+                    and solvers._TriangleBound(metric, cand, rows, w))
         # past the scans the bound keeps, so old ones are dropped
         for base in scan_bases(rng, table, k, 5 * k):
             # every trial cost as a scan costs it
             trial = weighted_sum(np.minimum(table, base), w)
             known = carried.lower(base)
+            if triangle:
+                chosen = [int(c) for c in rng.integers(0, m, k)]
+                np.maximum(known, triangle.lower(chosen, base), out=known)
             assert np.all(known <= trial)
             costed = rng.random(m) < 0.5
             known[costed] = trial[costed]
