@@ -396,6 +396,20 @@ class TestExitCodes:
         assert "exceeds 2147483647 points" in err
         assert pushed == []
 
+    def test_a_given_stream_block_too_large_is_refused_before_any_point(
+            self, data_file, capsys, monkeypatch):
+        # it exited 0 with every point left in the buffer
+        import coreclust.cli as cli
+        pushed = []
+        monkeypatch.setattr(cli, "stream_push", lambda *a: pushed.append(a))
+        assert main(["stream", "--input", str(data_file), "--k", "3",
+                     "--eps", "0.3", "--block-size", "3000000000",
+                     "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert "block size 3000000000 exceeds 2147483647 points" in err
+        assert pushed == []
+
     def test_audit_without_queries_is_a_validation_error(self, tmp_path,
                                                          data_file, capsys):
         # C(60, 4) is above the brute-force limit, so --queries 0 leaves the

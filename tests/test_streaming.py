@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from coreclust import solvers, streaming
 from coreclust.geometry import (
     InputError,
+    Metric,
     PointSet,
     cost,
     metric_from_points,
@@ -212,10 +213,75 @@ class TestAccuracy:
         assert ok >= 5
 
 
+class TestD1Candidates:
+    """A fresh build's candidates (streaming._d1_candidates): distinct
+    indices in index order, drawn by seeded D^1 sampling at |w|."""
+
+    draw = staticmethod(streaming._d1_candidates)
+
+    def test_same_seed_same_candidates(self):
+        pts = gaussian_mixture(300, 2, 3, seed=41)
+        w = np.ones(300)
+        a, b = (self.draw(Metric(), pts, w, 24, seed=7) for _ in range(2))
+        assert np.array_equal(a, b) and len(a) == 24
+        assert not np.array_equal(a, self.draw(Metric(), pts, w, 24, seed=8))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distinct_rows_in_index_order(self, seed):
+        # a grid of 25 points, each repeated 4 times: at most 25 candidates
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1)
+        pts = np.repeat(grid.reshape(-1, 2), 4, axis=0)
+        ids = self.draw(Metric(), pts, np.ones(100), 40, seed)
+        assert np.all(np.diff(ids) > 0)
+        assert len(ids) == len(np.unique(pts[ids], axis=0)) == 25
+
+    def test_a_zero_weight_point_is_never_drawn(self):
+        # the zero-weight points lie far from the rest, where D^1 mass
+        # would otherwise gather
+        pts = np.concatenate([gaussian_mixture(60, 2, 2, seed=42),
+                              np.full((5, 2), 100.0) + np.arange(5)[:, None]])
+        w = np.concatenate([np.ones(60), np.zeros(5)])
+        for seed in range(20):
+            ids = self.draw(Metric(), pts, w, 16, seed)
+            assert len(ids) == 16 and ids.max() < 60
+
+    def test_identical_points_give_one_candidate(self):
+        assert self.draw(Metric(), np.full((50, 2), 1.5), np.ones(50), 24,
+                         seed=3).tolist() in ([i] for i in range(50))
+
+    def test_signed_weights_are_sampled_at_their_magnitude(self):
+        pts = gaussian_mixture(200, 2, 3, seed=43)
+        w = np.random.default_rng(44).normal(size=200)
+        for seed in range(5):
+            assert np.array_equal(self.draw(Metric(), pts, w, 24, seed),
+                                  self.draw(Metric(), pts, np.abs(w), 24,
+                                            seed))
+
+    def test_later_draws_go_as_the_distance(self):
+        # a heavy point a at 0 is drawn first; then b at 1 and c at 3 (one
+        # unit of weight each) are drawn in proportion to d, 1 : 3.  Uniform
+        # draws would take c about 200 times in 400 and d^2 ones about 360
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        w = np.array([1e9, 1.0, 1.0])
+        drawn = [tuple(self.draw(Metric(), pts, w, 2, seed))
+                 for seed in range(400)]
+        assert set(drawn) == {(0, 1), (0, 2)}
+        assert 260 <= drawn.count((0, 2)) <= 340
+
+
 class TestExplicitMetric:
-    def test_ids_stream_through_carries(self):
+    def test_ids_stream_through_carries(self, monkeypatch):
         # the id path of stream_push and stream_query: 5 blocks of 40 ids
-        # make 8 builds, so 3 carries
+        # make 8 builds, so 3 carries; each block draws its candidates
+        # among its own ids
+        draws, draw = [], streaming._d1_candidates
+
+        def recorded(metric, points, weights, count, seed):
+            at = draw(metric, points, weights, count, seed)
+            draws.append(points[at])
+            return at
+
+        monkeypatch.setattr(streaming, "_d1_candidates", recorded)
         coords = gaussian_mixture(200, 2, 2, seed=21)
         metric = metric_from_points(coords)
         ids = np.random.default_rng(22).permutation(200)
@@ -223,6 +289,9 @@ class TestExplicitMetric:
                             block_size=40)
         for i in ids:
             stream_push(state, i)
+        assert [set(d) <= set(ids[40 * b:40 * b + 40])
+                for b, d in enumerate(draws)] == [True] * 5
+        assert all(d.dtype.kind == "i" and len(d) == 16 for d in draws)
         assert state.points_seen == 200 and state.builds == 8
         assert state.levels == [0, 2]
         assert state.child_anchor_carries == 3
@@ -287,13 +356,16 @@ class TestChildAnchorCarries:
             "negative_weights": sum(int((b.weights < 0).sum())
                                     for b in state.buckets.values())}
 
-    def test_identical_points_take_the_full_pipeline_and_stay_exact(
+    def test_identical_points_draw_one_candidate_and_stay_exact(
             self, monkeypatch):
         builds = self.spy(monkeypatch)
         state = StreamState(k=2, eps_bar=0.3, seed=33, block_size=16)
         feed(state, np.full((16 * 7, 2), 1.5))
         assert state.levels == [0, 1, 2] and state.builds == 11
+        # every build draws one candidate, so holds one anchor
         assert all(core.provenance.get("degenerate") for _, core in builds)
+        assert all(core.provenance["anchors"] == len(core) == 1
+                   for _, core in builds)
         assert state.child_anchor_carries == 0
         assert state.counters()["carries"] == 4
         x = np.array([[1.5, 3.5], [-2.5, 1.5]])
@@ -302,20 +374,30 @@ class TestChildAnchorCarries:
     def test_anchors_cost_near_the_full_pipelines(self, monkeypatch):
         # the full pipeline's anchors on each build's merged set, with the
         # build's own eps and seed, at the one finish (finish_coreset): a
-        # carry's anchors cost at most 5% more, and a block build's are the
-        # full pipeline's own, at ratio 1
-        ratios, rebuild = [], solvers.k_median_coreset
+        # block's anchors are rows of its own points and a carry's rows of
+        # its children's anchors, and both cost within a few percent of the
+        # full pipeline's (read: median 1.04, max 1.10 over these 45 builds)
+        builds, finished = self.spy(monkeypatch), []
+        rebuild = solvers.k_median_coreset
 
         def compare(data, B, t, eps, z=1.0, seed=None):
             pts, w, metric = data
             full = constant_factor_metric_kmedian((pts, np.abs(w), metric), 3,
                                                   eps, DELTA, seed)
-            ratios.append(cost((pts, np.abs(w), metric), B) / full.cost)
+            ratio = cost((pts, np.abs(w), metric), B) / full.cost
+            finished.append((pts, B, ratio))
             return rebuild(data, B, t, eps, z=z, seed=seed)
 
         monkeypatch.setattr(solvers, "k_median_coreset", compare)
         for seed in (1, 2, 3):
             state = StreamState(k=3, eps_bar=0.2, seed=seed, block_size=531)
             feed(state, gaussian_mixture(531 * 8, 2, 3, seed))
-        assert len(ratios) == 3 * (8 + 7) and ratios.count(1.0) >= 3 * 8
-        assert max(ratios) <= 1.05
+        assert len(builds) == len(finished) == 3 * (8 + 7)
+        for (children, _), (pts, B, _) in zip(builds, finished):
+            rows = (np.concatenate([c.points[-c.provenance["anchors"]:]
+                                    for c in children]) if children else pts)
+            assert len(B) == 3
+            assert all(np.any(np.all(rows == b, axis=1)) for b in B)
+        assert sum(not c for c, _ in builds) == 3 * 8
+        ratios = [ratio for _, _, ratio in finished]
+        assert max(ratios) <= 1.25 and np.median(ratios) <= 1.1
