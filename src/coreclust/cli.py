@@ -174,8 +174,15 @@ def cmd_verify(args):
     if recorded is not None and recorded != cio.file_sha256(source):
         raise InputError(f"verify: {source} does not match the coreset's "
                          "provenance hash")
-    if P.metric.is_euclidean and core.points.shape[1] != P.points.shape[1]:
-        raise InputError("verify: coreset and data dimensions differ")
+    if P.metric.is_euclidean:
+        # a threshold coreset holds sampled and projected points
+        held = ([core.points] if hasattr(core, "points")
+                else [core.sampled_points, core.proj_points])
+        widths = sorted({a.shape[1] for a in held})
+        if widths != [P.points.shape[1]]:
+            raise InputError(f"verify: the coreset's points are "
+                             f"{'/'.join(map(str, widths))}-D, the data's "
+                             f"{P.points.shape[1]}-D")
     k = args.k if args.k is not None else core.provenance.get("k")
     if k is None:
         raise InputError("verify: k not recorded in coreset; pass --k")

@@ -42,7 +42,6 @@ from .geometry import (
     cost,
     cost_walk,
     nearest_center,
-    nearest_own_center,
     weighted_sum,
 )
 from .sampling import rng_for
@@ -305,7 +304,7 @@ def _nearest_anchor(P, B, t: int | None, eps: float, z: float):
     check_sample_args(t, eps)
     points, weights, metric = coerce_weighted(P)
     Bc = check_centers(metric, B)
-    idx, dzB = nearest_own_center(metric, points, Bc, z)
+    idx, dzB = nearest_center(metric, points, Bc, z)
     degenerate = float(weighted_sum(dzB, np.abs(weights))) <= 0.0
     return z, points, weights, metric, Bc, idx, dzB, degenerate
 

@@ -33,6 +33,14 @@ CHUNK_CELLS = 1 << 16
 EXACT_MAX_WIDTH = 4096
 EXACT_MAX_DIM = 3
 
+# nearest_center lets a Euclidean point equal to a center skip the kernel
+# (center_index) from SKIP_CENTERS centers up.  In process on a 2-core box,
+# best of 5, plain pass against skip: at n = 6,000, d = 2, 0.28/0.61 ms with
+# 3 centers, 12.4/12.7 ms with 512, 74.8/25.9 ms with 4,330 (`build`'s B);
+# at n = 5,000, d = 16, 15.9/16.7 ms with 128, 23.0/22.2 ms with 512,
+# 43.6/35.9 ms with 873 (`verify`'s B).
+SKIP_CENTERS = 512
+
 FULL_CHECK_LIMIT = 128
 SAMPLED_PAIRS = 2000
 
@@ -407,18 +415,19 @@ def center_index(metric: Metric, points, centers) -> np.ndarray:
     """For each Euclidean point that is one of the checked centers, the first
     center equal to it; -1 for every other point.  A point with index j >= 0
     is at distance 0 from center j and from no earlier center, so
-    nearest_own_center gives it j and 0 without the kernel.
+    nearest_center gives it j and 0 without the kernel.
 
-    Explicit-metric ids are all -1: their kernel is a gather.  Every point
-    is -1 when a center could tie with another point at distance 0: when a
-    center has a coordinate of magnitude in (0, 2^-480) (the squared
-    difference of two distinct coordinates can underflow to 0) or of at
-    least 2^480 (a sum of squares can overflow).  Points match by value, so
-    -0.0 equals 0.0.  They are keyed in blocks, so memory beyond the index
-    is O(CHUNK_CELLS).
+    Every point is -1 when the set holds fewer than SKIP_CENTERS centers
+    (the kernel is cheaper than the keys), for explicit-metric ids (their
+    kernel is a gather), and when a center could tie with another point at
+    distance 0: when a center has a coordinate of magnitude in (0, 2^-480)
+    (the squared difference of two distinct coordinates can underflow to 0)
+    or of at least 2^480 (a sum of squares can overflow).  Points match by
+    value, so -0.0 equals 0.0.  They are keyed in blocks, so memory beyond
+    the index is O(CHUNK_CELLS).
     """
     idx = np.full(len(points), -1, dtype=np.intp)
-    if not metric.is_euclidean:
+    if len(centers) < SKIP_CENTERS or not metric.is_euclidean:
         return idx
     _check_dims(points, centers)
     a = np.abs(centers)
@@ -454,10 +463,10 @@ _OVERFLOW = ("distance to the nearest center overflows float64; rescale the "
 
 def _nearest_walk(metric: Metric, points, sets, z, out, idx=None, take=None,
                   scratch=None):
-    """The one walk of nearest_center, nearest_own_center and costs: row i
-    of out, (G, n), gets the d**z of each point in `take` (every point when
-    None) to its nearest center in sets[i], G checked sets of one shape
-    (G > 1 only from costs); idx, for one set, gets the center's index.
+    """The one walk of nearest_center and costs: row i of out, (G, n), gets
+    the d**z of each point in `take` (every point when None) to its nearest
+    center in sets[i], G checked sets of one shape (G > 1 only from costs);
+    idx, for one set, gets the center's index.
     The sets are stacked slot-major (center j of set i is column j*G + i)
     with one set's terms, so each entry has that set's bits; no entry is a
     negative zero, so a minimum has argmin's bits.  Blocks of about
@@ -507,31 +516,18 @@ def _rows(metric: Metric, points) -> np.ndarray:
 def nearest_center(metric: Metric, points, centers, z=1.0):
     """Nearest center of every point and its powered distance: (idx, d**z).
 
-    Ties go to the lowest center index.  Rows go through pairwise_dist in
-    the blocks of _nearest_walk, so the working set stays in cache and
-    memory beyond the outputs is O(CHUNK_CELLS); a d**z that overflows
-    raises.
-    """
-    z, c = check_power(z), check_centers(metric, centers)
-    points = _rows(metric, points)
-    idx, dz = np.empty(len(points), dtype=np.intp), np.empty(len(points))
-    _nearest_walk(metric, points, [c], z, dz[None], idx)
-    return idx, dz
-
-
-def nearest_own_center(metric: Metric, points, centers, z=1.0):
-    """nearest_center bit for bit, for centers drawn from the points
-    themselves (bicriteria's draws and B, a builder's anchors): a Euclidean
-    point equal to a center takes center_index's center and distance 0,
-    which is what the kernel gives it, and only the other points take the
-    walk.  Memory beyond the outputs is an index of those and O(CHUNK_CELLS).
+    Ties go to the lowest center index.  A Euclidean point equal to a center
+    takes center_index's center and distance 0, which is what the kernel
+    gives it; the other rows go through pairwise_dist in the blocks of
+    _nearest_walk, so the working set stays in cache and memory beyond the
+    outputs is an index of those rows and O(CHUNK_CELLS); a d**z that
+    overflows raises.
     """
     z, c = check_power(z), check_centers(metric, centers)
     points = _rows(metric, points)
     idx, dz = center_index(metric, points, c), np.zeros(len(points))
-    rest = np.flatnonzero(idx < 0)
-    _nearest_walk(metric, points, [c], z, dz[None], idx,
-                  None if len(rest) == len(points) else rest)
+    rest = np.flatnonzero(idx < 0) if (idx >= 0).any() else None
+    _nearest_walk(metric, points, [c], z, dz[None], idx, rest)
     return idx, dz
 
 

@@ -22,7 +22,6 @@ from .geometry import (
     check_power,
     coerce_weighted,
     cost,
-    distance_table,
     weighted_sum,
 )
 from .sampling import check_delta, check_sample_constant, rng_for
@@ -95,12 +94,11 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0) -> SolveResul
 
     Ties go to the earliest combination in index order.  Refuses when the
     number of combinations exceeds BRUTE_GUARD.  Combinations are costed in
-    batches of about CHUNK_CELLS gathered distances, whatever n is.  At
-    k = 1 a batch is a block of consecutive candidates' rows from the local
-    search's row source (_CandidateRows), so above TABLE_CELLS no table is
-    held.  At k >= 2 the (m, n) distance_table is filled first: the guard
-    keeps m at most 1,414 (k = 2), but the table's m n cells still grow
-    with n.
+    batches that read about CHUNK_CELLS candidate-row entries, whatever n
+    is.  Rows come from the local search's row source (_CandidateRows), so
+    above TABLE_CELLS no table is held: a batch's trial rows are its
+    combinations' first candidates' rows, lowered by an elementwise minimum
+    with each further candidate's rows, which is exact.
     """
     z = check_power(z)
     points, weights, metric = coerce_weighted(data)
@@ -113,22 +111,19 @@ def brute_force_k_median(data, k: int, candidates, z: float = 1.0) -> SolveResul
         raise InputError(f"brute force refused: C({m}, {k}) = {n_combos} "
                          f"exceeds guard {BRUTE_GUARD}")
     size = geometry.block_rows(k * max(1, len(points)))
-    if k == 1:
-        # a batch is consecutive candidates: one block of rows
-        fill = _CandidateRows(metric, points, cand, z).fill
-        buf = np.empty((min(size, m), len(points)))
-        trials = lambda ixs: fill(ixs[:, 0], buf[:len(ixs)])
-    else:
-        DT = distance_table(metric, points, cand, z)
-        trials = lambda ixs: DT[ixs].min(axis=1)
+    fill = _CandidateRows(metric, points, cand, z).fill
+    shape = (min(size, n_combos), len(points))
+    # the second buffer only for k >= 2, so k = 1 holds one block
+    buf, other = np.empty(shape), np.empty(shape) if k > 1 else None
     best_cost, best_combo = math.inf, None
     combos = combinations(range(m), k)
     evals = 0
-    while True:
-        batch = [c for _, c in zip(range(size), combos)]
-        if not batch:
-            break
-        costs = weighted_sum(trials(np.asarray(batch)), weights)  # (b,)
+    while batch := [c for _, c in zip(range(size), combos)]:
+        ixs = np.asarray(batch)
+        trial = fill(ixs[:, 0], buf[:len(ixs)])
+        for col in range(1, k):
+            np.minimum(trial, fill(ixs[:, col], other[:len(ixs)]), out=trial)
+        costs = weighted_sum(trial, weights)  # (b,)
         evals += len(batch)
         j = int(costs.argmin())
         if costs[j] < best_cost:
@@ -154,7 +149,7 @@ class _CandidateRows:
         if len(cand) * self.n > TABLE_CELLS:
             self.fill = geometry.table_rows(metric, points, cand, z)
         else:
-            table = distance_table(metric, points, cand, z)
+            table = geometry.distance_table(metric, points, cand, z)
             # mode="clip" writes straight into out; "raise" copies first
             self.fill = lambda ids, out: np.take(table, ids, axis=0, out=out,
                                                  mode="clip")
@@ -306,7 +301,7 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
 
     Candidate rows, each candidate's d**z to every point, come from one
     source (_CandidateRows).  While m n is at most TABLE_CELLS it is the
-    candidate-major (m, n) distance_table, filled once; above that each
+    candidate-major (m, n) table of d**z, filled once; above that each
     scanned block of rows is computed into the scan's buffer by
     geometry.table_rows with the whole candidate set's terms, so every entry
     has the table's bits, and only the k current centers' rows are held
@@ -510,7 +505,7 @@ def strong_coreset_sample_size(n: int, k: int, eps: float, delta: float,
 
 
 def finish_coreset(data, k, anchors: SolveResult, t, eps, delta, seed, z, c):
-    """static_coreset's and every stream carry's last step: k_median_coreset
+    """static_coreset's and every stream build's last step: k_median_coreset
     at the anchors, its provenance given k, delta, c and bicriteria_cost."""
     core = k_median_coreset(data, anchors.centers, t, eps, z=z, seed=seed)
     core.provenance.update({"k": k, "delta": delta, "c": c,
@@ -523,11 +518,12 @@ def static_coreset(data, k: int, eps: float, delta: float, seed: int,
     """The static k-median coreset pipeline: constant-factor anchors, a
     sample size t, then finish_coreset.  Returns (coreset, anchors).
 
-    The anchors are found on the absolute measure |w|: merged stream coresets
-    carry signed corrections, and anchor quality only affects the error, not
-    the estimator's validity.  t defaults to strong_coreset_sample_size at
-    n = round(sum |w|) (inf if it overflows).  z, eps, delta and t, given or
-    computed, are checked before the anchors are built.
+    The anchors are found on the absolute measure |w|: a library caller's
+    weights may be signed (a coreset's corrections are), and anchor quality
+    only affects the error, not the estimator's validity.  t defaults to
+    strong_coreset_sample_size at n = round(sum |w|) (inf if it overflows).
+    z, eps, delta and t, given or computed, are checked before the anchors
+    are built.
     """
     z = check_power(z)
     check_sample_args(t, eps)

@@ -22,7 +22,6 @@ from coreclust.geometry import (
     cost,
     metric_from_points,
     nearest_center,
-    nearest_own_center,
     weighted_sum,
 )
 from coreclust.sampling import rng_for
@@ -208,7 +207,8 @@ class TestAssignment:
     """bicriteria() keeps the nearest-center pass that gives total_cost, and
     the constant-factor step projects with it instead of a second pass.
     Points that are centers skip the kernel in both passes, with the bits of
-    the full pass."""
+    the full pass.  These sets hold fewer than SKIP_CENTERS centers, so the
+    tests that reach the skip patch the threshold down."""
 
     # the tie kinds put two sites at computed distance 0 (a zero between two
     # ids of the matrix, a coordinate that squares to 0), or write one site
@@ -238,6 +238,12 @@ class TestAssignment:
         m.setattr(geometry, "center_index",
                   lambda metric, points, centers: np.full(len(points), -1))
 
+    @staticmethod
+    def skip_all(m):
+        """Have nearest_center skip the kernel for points equal to a center
+        of any set, however small."""
+        m.setattr(geometry, "SKIP_CENTERS", 1)
+
     def full_pass(self, monkeypatch, P, z):
         """The run with every point sent through the kernel."""
         with monkeypatch.context() as m:
@@ -264,13 +270,16 @@ class TestAssignment:
             hits.append(int((lookup(metric, points, centers) >= 0).sum()))
             return lookup(metric, points, centers)
 
-        monkeypatch.setattr(geometry, "center_index", recording)
-        idx, dz = nearest_own_center(P.metric, P.points, centers, z)
+        with monkeypatch.context() as m:
+            self.skip_all(m)
+            m.setattr(geometry, "center_index", recording)
+            idx, dz = nearest_center(P.metric, P.points, centers, z)
         # the explicit metric and a center coordinate of 1e-300 keep every
         # point in the kernel; the signed-zero kind skips 1,677 of 2,100
         assert (hits[0] > 0) == (kind == "signed-zero")
-        # nearest_center sends every point through the kernel
-        full = nearest_center(P.metric, P.points, centers, z)
+        with monkeypatch.context() as m:
+            self.skip_none(m)
+            full = nearest_center(P.metric, P.points, centers, z)
         assert np.array_equal(idx, full[0])
         assert dz.tobytes() == full[1].tobytes()
 
@@ -278,8 +287,10 @@ class TestAssignment:
     @pytest.mark.parametrize("z", [1.0, 2.0])
     def test_assignment_is_the_nearest_center_pass(self, kind, z, monkeypatch):
         P = self.repeated_points(kind)
-        res = metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1, seed=2,
-                                        z=z, beta=12)
+        with monkeypatch.context() as m:
+            self.skip_all(m)
+            res = metric_kmedian_bicriteria(P, k=3, eps=1.0, delta=0.1,
+                                            seed=2, z=z, beta=12)
         assert len(res.rounds) > 1 and len(res.B) < len(P)
         idx, dz = nearest_center(P.metric, P.points, res.B, z)
         assert res.assignment.dtype == idx.dtype
@@ -330,6 +341,7 @@ class TestAssignment:
             bics.append(bicrit(*args, **kwargs))
             return bics[-1]
 
+        self.skip_all(monkeypatch)
         monkeypatch.setattr(geometry, "pairwise_dist", counting)
         monkeypatch.setattr(solvers, "metric_kmedian_bicriteria", capture)
         constant_factor_metric_kmedian(P, k=3, eps=1.0, delta=0.1, seed=2,

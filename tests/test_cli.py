@@ -66,6 +66,37 @@ class TestBuildVerify:
         vrep = read(vrep_path)
         assert vrep["results"]["max_relative_error"] <= 0.3
 
+    def threshold_files(self, tmp_path):
+        """A threshold coreset file (metric_b_coreset) and its data file."""
+        from coreclust.construction import metric_b_coreset
+        X = gaussian_mixture(300, 2, 3, 11)
+        data, core = tmp_path / "pts.csv", tmp_path / "core.json"
+        np.savetxt(data, X, delimiter=",")
+        save_coreset(core, metric_b_coreset(PointSet(X), X[::30], 50, 0.2,
+                                            seed=1))
+        return X, data, core
+
+    def test_verify_reads_a_threshold_coreset(self, tmp_path):
+        # verify read the width of core.points, which a threshold coreset
+        # does not have: an AttributeError traceback with exit 1
+        _, data, core = self.threshold_files(tmp_path)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--coreset", str(core), "--input", str(data),
+                     "--k", "3", "--seed", "1", "--queries", "5",
+                     "--out", str(out)]) == 0
+        res = read(out)["results"]
+        assert res["queries"] == 5 and res["eps"] == 0.2
+        assert 0 <= res["max_relative_error"] <= 0.2 and res["pass"]
+
+    def test_verify_names_both_widths(self, tmp_path, capsys):
+        X, _, core = self.threshold_files(tmp_path)
+        wide = tmp_path / "wide.csv"
+        np.savetxt(wide, np.hstack([X, X[:, :1]]), delimiter=",")
+        assert main(["verify", "--coreset", str(core), "--input", str(wide),
+                     "--k", "3", "--seed", "1", "--queries", "5"]) == 3
+        assert ("the coreset's points are 2-D, the data's 3-D"
+                in capsys.readouterr().err)
+
     def test_replay_identical(self, tmp_path, data_file):
         args = ["build-coreset", "--input", str(data_file), "--k", "2",
                 "--eps", "0.25", "--seed", "3"]

@@ -26,7 +26,6 @@ from coreclust.geometry import (
     distance_table,
     metric_from_points,
     nearest_center,
-    nearest_own_center,
     pairwise_dist,
     trimmed_cost,
     weighted_sum,
@@ -253,15 +252,16 @@ def test_peak_memory_is_the_outputs_plus_a_few_blocks(n, m, d):
     assert peak < 16 * n + 4 * 8 * geometry.CHUNK_CELLS
 
 
-@pytest.mark.parametrize("n, m, d", [(20_000, 2_000, 2), (20_000, 300, 16)])
+@pytest.mark.parametrize("n, m, d", [(20_000, 2_000, 2), (20_000, 512, 16)])
 def test_the_center_skip_holds_an_index_plus_a_few_blocks(n, m, d):
+    assert m >= geometry.SKIP_CENTERS
     rng = np.random.default_rng(4)
     P = rng.normal(size=(n, d))
     drawn = rng.choice(n, m, replace=False)
     C = P[drawn]
     tracemalloc.start()
     try:
-        idx, _ = nearest_own_center(Metric(), P, C)
+        idx, _ = nearest_center(Metric(), P, C)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,6 +269,25 @@ def test_the_center_skip_holds_an_index_plus_a_few_blocks(n, m, d):
     # the outputs, the index of the points that are not centers (8 bytes a
     # row; the lookup keys its points a block at a time) and a few blocks
     assert peak < 24 * n + 4 * 8 * geometry.CHUNK_CELLS
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_a_set_below_the_skip_threshold_never_keys_its_rows(d, monkeypatch):
+    row_keys, keyed = geometry._row_keys, []
+
+    def recording(rows):
+        keyed.append(len(rows))
+        return row_keys(rows)
+
+    monkeypatch.setattr(geometry, "_row_keys", recording)
+    P = np.random.default_rng(6).normal(size=(3_000, d))
+    m = geometry.SKIP_CENTERS
+    below = nearest_center(Metric(), P, P[:m - 1])
+    assert keyed == [] and np.array_equal(below[0][:m - 1], np.arange(m - 1))
+    at = nearest_center(Metric(), P, P[:m])
+    # the centers are keyed once, then the points a block at a time
+    assert keyed[0] == m and sum(keyed[1:]) == len(P)
+    assert np.array_equal(at[0][:m], np.arange(m))
 
 
 def test_every_pairwise_call_is_one_block(monkeypatch):
@@ -293,7 +312,7 @@ def test_every_pairwise_call_is_one_block(monkeypatch):
     brute_force_k_median(data, 2, P[:150])
     weighted_local_search(data, 3, P[:300], seed=1, max_iters=2)
     nearest_center(Metric(), P, P[:300])
-    nearest_own_center(Metric(), P, P[:300])
+    nearest_center(Metric(), P, P[:geometry.SKIP_CENTERS])   # with the skip
     nearest_center(Metric(), P[:3, :1], rng.normal(size=(70_000, 1)))
     # cost sets of both forms, one walk
     costs(data, [P[:300], rng.normal(size=(2_100, 2))])

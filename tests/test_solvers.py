@@ -129,6 +129,37 @@ class TestBruteForce:
             assert got.cost == want.cost
             assert got.evaluations == want.evaluations == math.comb(14, 3)
 
+    @pytest.mark.parametrize("k, m, n", [(2, 32, 20_000), (3, 20, 30_000)])
+    def test_computed_rows_are_the_tables_minimum_and_hold_no_table(self, k,
+                                                                    m, n):
+        # m n is under TABLE_CELLS, so the search reads the table; with
+        # TABLE_CELLS patched to 0 it computes every row instead
+        rng = np.random.default_rng(23 + k)
+        pts = rng.normal(size=(n, 2))
+        cand = np.vstack([pts[:m - 2], pts[[3, 7]]])   # repeated candidates
+        data = (pts, rng.uniform(0.1, 10, n), Metric())
+        table = brute_force_k_median(data, k, cand)
+        with mock.patch.object(solvers, "TABLE_CELLS", 0):
+            tracemalloc.start()
+            try:
+                rows = brute_force_k_median(data, k, cand)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert same_result(table, rows)
+        assert rows.evaluations == math.comb(m, k)
+        # the first combination of least cost over the (m, n) table
+        DT = geometry.distance_table(Metric(), pts, cand)
+        combos = list(itertools.combinations(range(m), k))
+        sums = [float(weighted_sum(DT[list(c)].min(axis=0), data[1]))
+                for c in combos]
+        best = int(np.argmin(sums))
+        assert np.array_equal(rows.centers, cand[list(combos[best])])
+        assert rows.cost.hex() == sums[best].hex()
+        # the computed rows hold a few blocks and O(n) arrays (2.7 and
+        # 3.7 MB measured), less than the (m, n) table alone (5.1 and 4.8 MB)
+        assert peak < 8 * m * n
+
 
 class TestLocalSearch:
     def test_optimal_start_stays(self):

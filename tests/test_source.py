@@ -1,11 +1,12 @@
 """Rules over the package source, checked on its syntax trees.
 
 Only geometry decides how many rows a block holds and which points skip the
-kernel: no other module names CHUNK_CELLS or calls center_index.  Each
-static coreset is finished in solvers (finish_coreset), so only construction
-and solvers name k_median_coreset; only geometry and solvers name
-distance_table, and every other module takes table rows a block at a time
-(geometry.table_rows).  No module multiplies arrays through BLAS (`@`,
+kernel: no other module names CHUNK_CELLS, SKIP_CENTERS or center_index, so
+every caller of nearest_center gets the skip where geometry finds it pays.
+Each static coreset is finished in solvers (finish_coreset), so only
+construction and solvers name k_median_coreset; only geometry and solvers
+name distance_table, and every other module takes table rows a block at a
+time (geometry.table_rows).  No module multiplies arrays through BLAS (`@`,
 np.dot and its kin, an array's .dot), so no result depends on the BLAS build
 or its thread count.
 
@@ -63,7 +64,7 @@ def test_only_geometry_sizes_blocks_and_skips_centers(path):
     if path.name == "geometry.py":
         return
     used = set(names(ast.parse(path.read_text(), str(path))))
-    assert sorted(used & {"CHUNK_CELLS", "center_index"}) == []
+    assert sorted(used & {"CHUNK_CELLS", "SKIP_CENTERS", "center_index"}) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
