@@ -220,13 +220,15 @@ def cmd_stream(args):
         sys.stdin.reconfigure(errors="surrogateescape")
     with (cio.open_points(args.input) if args.input
           else contextlib.nullcontext(sys.stdin)) as source:
-        for row in cio.csv_rows(source, args.input or "<stdin>"):
-            stream_push(state, row)
-            if state.points_seen % state.block_size == 0:
-                cp = state.checkpoint()
-                checkpoints.append(cp)
-                if not args.out:
-                    sys.stdout.write(cio.json_text(cp) + "\n")
+        for rows in cio.csv_points(source, args.input or "<stdin>",
+                                   lambda: state.block_size - len(state.buffer)):
+            for row in rows:
+                stream_push(state, row)
+                if state.points_seen % state.block_size == 0:
+                    cp = state.checkpoint()
+                    checkpoints.append(cp)
+                    if not args.out:
+                        sys.stdout.write(cio.json_text(cp) + "\n")
     results = {"checkpoints": checkpoints, "final": state.checkpoint(),
                "block_size": state.block_size, "trace": state.counters()}
     if args.query_file:

@@ -2,17 +2,19 @@
 
 Point files are CSV (one point per row, d columns) or JSON lines with a
 "coords" field; the dimension is inferred from the first row and mixed widths
-are a load error.  Explicit metrics are square CSV matrices.  Coresets
-round-trip losslessly through a single JSON document that names its metric's
-kind but not its matrix: the loader takes the metric the ids refer to.  All
-JSON is strict, written by json_text, and all writes go through a temp file
-plus atomic rename so failures never leave partial output.
+are a load error.  Explicit metrics are square CSV matrices.  One reader,
+csv_points, reads all CSV text, `stream` input too.  Coresets round-trip
+losslessly through a single JSON document that names its metric's kind but
+not its matrix: the loader takes the metric the ids refer to.  All JSON is
+strict, written by json_text, and all writes go through a temp file plus
+atomic rename so failures never leave partial output.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -38,26 +40,25 @@ def parse_row(cells, width, path, lineno, number=float) -> list[float]:
     return row
 
 
-def _as_points(path, rows) -> np.ndarray:
+def _nonempty(path, rows):
     if not rows:
         raise LoadError(f"{path}: no points found")
-    return np.asarray(rows, dtype=float)
+    return rows
 
 
-def csv_rows(lines, path):
-    """The point rows of CSV text, one float list at a time.  Only blank rows
-    are skipped; an empty cell, a non-number or a width other than the first
-    row's is a LoadError naming the row and `path`."""
+def csv_rows(lines, path, start=0, width=None):
+    """The point rows of CSV text as float lists, numbered from `start` + 1.
+    Only blank rows are skipped; an empty cell, a non-number or a width not
+    `width` (or the first row's) is a LoadError naming the row and `path`."""
     reader = csv.reader(lines)
-    width = None
     try:
-        for lineno, cells in enumerate(reader, start=1):
+        for lineno, cells in enumerate(reader, start=start + 1):
             if "".join(cells).strip():
                 row = parse_row(cells, width, path, lineno)
                 width = len(row)
                 yield row
     except csv.Error as exc:
-        raise LoadError(f"{path}: row {reader.line_num}: {exc}") from exc
+        raise LoadError(f"{path}: row {start + reader.line_num}: {exc}") from exc
 
 
 def open_points(path):
@@ -75,46 +76,43 @@ _CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 LOADTXT_CHARS = 1 << 20
 
 
-def _loadtxt_rows(fh):
-    """The rows of a CSV point file as one array, np.loadtxt parsing about
-    LOADTXT_CHARS characters of whole lines at a time; None where csv_rows
-    might read any line otherwise.  That is a chunk of non-ASCII text, one
-    holding a character of _CSV_ONLY or a line longer than csv's field
-    limit, a chunk np.loadtxt refuses, one of another width than the first,
-    and a file of no rows.  Where both parse a line they give the same bits:
-    each cell goes through PyOS_string_to_double, as float() does, and
-    np.loadtxt refuses the spellings only float() takes (1_0, non-ASCII
-    digits).  Blank lines are skipped by both; a whitespace-only chunk holds
-    no rows."""
-    limit, parts = csv.field_size_limit(), []
-    while lines := fh.readlines(LOADTXT_CHARS):
-        text = "".join(lines)
+def csv_points(fh, path, lines=None):
+    """The one reader of CSV point text: its rows in order as (r, d) arrays,
+    with csv_rows' values, skipped rows and LoadErrors.  np.loadtxt parses
+    chunks of whole lines, about LOADTXT_CHARS characters or, given `lines`,
+    lines() lines, up to one of non-ASCII text, a character of _CSV_ONLY, a
+    line over csv's field limit, a cell np.loadtxt refuses or a new width.
+    From there csv_rows reads on, a row an array, numbering rows on (earlier
+    chunks held no quote, so records were lines).  Both read cells with
+    PyOS_string_to_double; np.loadtxt refuses what only float() takes (1_0,
+    non-ASCII digits).  Each chunk is read when the rows before it are."""
+    width, start = None, 0
+    rest = (line for line in fh)    # at its end, it reads no line again
+    read = ((lambda: fh.readlines(LOADTXT_CHARS)) if lines is None else
+            (lambda: list(itertools.islice(rest, lines()))))
+    while chunk := read():      # [] at the end of the text
+        text = "".join(chunk)
         if not text.isascii() or any(c in text for c in _CSV_ONLY) or \
-                max(map(len, lines)) > limit:
-            return None
-        if text.isspace():
-            continue
-        try:
-            part = np.loadtxt(lines, delimiter=",", comments=None, dtype=float,
-                              ndmin=2)
-        except ValueError:
-            return None
-        if parts and part.shape[1] != parts[0].shape[1]:
-            return None
-        parts.append(part)
-    return np.concatenate(parts) if parts else None
+                max(map(len, chunk)) > csv.field_size_limit():
+            break
+        if not text.isspace():      # a whitespace-only chunk holds no rows
+            try:
+                part = np.loadtxt(chunk, delimiter=",", comments=None,
+                                  dtype=float, ndmin=2)
+            except ValueError:
+                break
+            if width not in (None, part.shape[1]):
+                break
+            width = part.shape[1]
+            yield part
+        start += len(chunk)
+    for row in csv_rows(itertools.chain(chunk, rest), path, start, width):
+        yield np.array([row])
 
 
 def load_points_csv(path) -> np.ndarray:
-    """The points of a CSV file: one np.loadtxt pass a chunk of lines at a
-    time (_loadtxt_rows), or csv_rows over the whole file where that pass
-    declines, so values, skipped rows and every LoadError are csv_rows'."""
     with open_points(path) as fh:
-        points = _loadtxt_rows(fh)
-        if points is None:
-            fh.seek(0)
-            points = _as_points(path, list(csv_rows(fh, path)))
-        return points
+        return np.concatenate(_nonempty(path, list(csv_points(fh, path))))
 
 
 def _json_number(v) -> float:
@@ -146,7 +144,7 @@ def load_points_jsonl(path) -> np.ndarray:
                                 "point needs at least one coordinate")
             rows.append(parse_row(cells, len(rows[0]) if rows else None,
                                   path, lineno, _json_number))
-    return _as_points(path, rows)
+    return np.asarray(_nonempty(path, rows), dtype=float)
 
 
 def load_points(path) -> np.ndarray:

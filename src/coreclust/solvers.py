@@ -297,7 +297,7 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     at every accepted swap and the search stops at a local optimum or after
     max_iters sweeps.  k must lie in [1, m], as for brute force
     (solve_weighted lowers a larger k to m).  `init`, when given, lists k
-    candidate indices in [0, m) to start from; repeats are allowed.
+    integer candidate indices in [0, m) to start from; repeats are allowed.
 
     Candidate rows, each candidate's d**z to every point, come from one
     source (_CandidateRows).  While m n is at most TABLE_CELLS it is the
@@ -386,9 +386,11 @@ def weighted_local_search(data, k: int, candidates, z: float = 1.0,
     if init is None:
         chosen = list(rng.choice(m, size=k, replace=False))
     else:
-        ids = np.asarray(init, dtype=int)
+        ids = np.asarray(init)
         if ids.shape != (k,):
             raise InputError("init must list exactly k candidate indices")
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise InputError("init must list integer candidate indices")
         bad = ids[(ids < 0) | (ids >= m)]
         if bad.size:
             raise InputError(f"init id {bad[0]} is outside [0, {m})")

@@ -46,6 +46,8 @@ import numpy as np
 from .geometry import (
     InputError,
     Metric,
+    _coordinate_major,
+    _scratch,
     as_points,
     check_power,
     cost,
@@ -160,20 +162,24 @@ def _d1_candidates(metric: Metric, points, weights, count: int,
     each later one to |w_p| d(p, drawn so far).  A point at distance 0 from
     a drawn one has no mass, so the draws stop early when none is left.
     Each draw is one uniform looked up in the running cumulative mass, and
-    one pairwise_dist pass updates every point's distance to the drawn."""
+    one pairwise_dist pass updates every point's distance to the drawn.
+    Euclidean points are laid out coordinate-major once and every pass
+    writes into one scratch, so a draw copies and allocates nothing."""
     rng = rng_for(seed, 5)
     mass = np.abs(weights)
     near = np.full(len(points), np.inf)
     cum = np.cumsum(mass)
-    drawn = []
+    drawn, scratch = [], None
+    if metric.is_euclidean:
+        points, scratch = _coordinate_major(points), _scratch(len(points))
     while len(drawn) < count and cum[-1] > 0:
         # a uniform times the total can round up to it: the last point with
         # mass is the first index of the total
         i = min(np.searchsorted(cum, rng.random() * cum[-1], side="right"),
                 np.searchsorted(cum, cum[-1]))
         drawn.append(i)
-        np.minimum(near, pairwise_dist(metric, points, points[i:i + 1])[:, 0],
-                   out=near)
+        np.minimum(near, pairwise_dist(metric, points, points[i:i + 1],
+                                       scratch=scratch)[:, 0], out=near)
         cum = np.cumsum(mass * near)
     return np.sort(drawn)
 

@@ -746,7 +746,8 @@ class TestRowRules:
             capsys.readouterr()
             code = main(argv + source)
             if expected[0] == "points":
-                assert code == 0 and pushed == expected[1]
+                assert code == 0
+                assert [row.tolist() for row in pushed] == expected[1]
             else:
                 assert code == 2
                 assert capsys.readouterr().err == (
@@ -970,6 +971,41 @@ class TestExplicitMetricCli:
         assert "provenance hash" in capsys.readouterr().err
 
 
+def first_checkpoint_on_an_open_pipe(env, inspect=lambda pid: None):
+    """The first line of a `stream` child fed one block of 16 rows on a
+    stdin pipe that stays open, and what inspect(pid) finds while it waits
+    there.  A child that waits for more lines before its checkpoint is
+    killed after 120 s, and the assertion names its stderr."""
+    import subprocess
+    import sys
+    import threading
+
+    rows = gaussian_mixture(16, 2, 2, seed=7)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coreclust", "stream", "--k", "2", "--eps",
+         "0.4", "--block-size", "16", "--seed", "3"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+        env=dict(env, PYTHONUNBUFFERED="1"))
+    timer = threading.Timer(120, proc.kill)
+    timer.start()
+    try:
+        proc.stdin.write("".join(",".join(map(str, r)) + "\n" for r in rows))
+        proc.stdin.flush()
+        line = proc.stdout.readline()
+        found = inspect(proc.pid) if line else None
+    finally:
+        proc.stdin.close()
+        proc.wait()
+        timer.cancel()
+    err = proc.stderr.read()
+    proc.stdout.close()
+    proc.stderr.close()
+    assert proc.returncode == 0 and line, err
+    assert json.loads(line)["points_seen"] == 16
+    return line, found
+
+
 class TestStdinStream:
     def test_console_script_reads_stdin(self, tmp_path, child_env):
         import subprocess
@@ -987,6 +1023,12 @@ class TestStdinStream:
         rep = read(out)
         assert rep["results"]["final"]["points_seen"] == 128
         assert rep["results"]["final"]["bucket_levels"] == [1]
+
+    def test_a_checkpoint_is_written_while_stdin_is_open(self, child_env):
+        # the stream reads no further than the line that fills its block
+        line, _ = first_checkpoint_on_an_open_pipe(child_env)
+        assert json.loads(line) == {"points_seen": 16, "stored_points": 16,
+                                    "bucket_levels": [0]}
 
 
 class TestOverflow:
@@ -1036,38 +1078,13 @@ class TestProcess:
         """The OS threads of a `stream` child that has written its first
         checkpoint and waits on an open stdin pipe."""
         import os
-        import subprocess
-        import sys
-        import threading
         from pathlib import Path
 
         if not Path("/proc/self/task").is_dir():
             pytest.skip("no /proc")
-        rows = gaussian_mixture(16, 2, 2, seed=7)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "coreclust", "stream", "--k", "2", "--eps",
-             "0.4", "--block-size", "16", "--seed", "3"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True,
-            env=dict(env, PYTHONUNBUFFERED="1"))
-        timer = threading.Timer(120, proc.kill)
-        timer.start()
-        try:
-            proc.stdin.write("".join(",".join(map(str, r)) + "\n" for r in rows))
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-            if line:
-                maps = Path(f"/proc/{proc.pid}/maps").read_text()
-                threads = len(os.listdir(f"/proc/{proc.pid}/task"))
-        finally:
-            proc.stdin.close()
-            proc.wait()
-            timer.cancel()
-        err = proc.stderr.read()
-        proc.stdout.close()
-        proc.stderr.close()
-        assert proc.returncode == 0 and line, err
-        assert json.loads(line)["points_seen"] == 16
+        maps, threads = first_checkpoint_on_an_open_pipe(
+            env, lambda pid: (Path(f"/proc/{pid}/maps").read_text(),
+                              len(os.listdir(f"/proc/{pid}/task"))))[1]
         if "openblas" not in maps.lower():
             pytest.skip("numpy does not use OpenBLAS here")
         return threads

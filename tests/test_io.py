@@ -15,9 +15,9 @@ from coreclust.construction import k_median_coreset, metric_b_coreset
 from coreclust.geometry import LoadError, Metric, PointSet, metric_from_points
 import coreclust.io as cio
 from coreclust.io import (
-    _as_points,
-    _loadtxt_rows,
+    _nonempty,
     coreset_from_dict,
+    csv_points,
     csv_rows,
     coreset_to_dict,
     json_text,
@@ -130,7 +130,7 @@ def csv_rows_outcome(path):
     its LoadError's text."""
     try:
         with open_points(path) as fh:
-            points = _as_points(path, list(csv_rows(fh, path)))
+            points = np.asarray(_nonempty(path, list(csv_rows(fh, path))))
     except LoadError as exc:
         return "error", str(exc)
     return points.shape, points.tobytes()
@@ -142,6 +142,27 @@ def outcome(load, path):
     except LoadError as exc:
         return "error", str(exc)
     return points.shape, points.tobytes()
+
+
+def read_by_lines(n):
+    """A loader that reads a point file as `stream` does, through
+    csv_points at most n lines a chunk."""
+    def load(path):
+        with open_points(path) as fh:
+            blocks = list(csv_points(fh, path, lambda: n))
+        assert all(len(b) <= n for b in blocks)
+        return np.concatenate(_nonempty(path, blocks))
+    return load
+
+
+def loadtxt_blocks():
+    """A patch of np.loadtxt that records every array it returns."""
+    real, blocks = np.loadtxt, []
+
+    def loadtxt(*args, **kwargs):
+        blocks.append(real(*args, **kwargs))
+        return blocks[-1]
+    return mock.patch.object(np, "loadtxt", loadtxt), blocks
 
 
 # cells where np.loadtxt and float() could part: spellings only float()
@@ -161,9 +182,11 @@ rows = st.one_of(st.lists(cells, min_size=1, max_size=3).map(",".join),
 
 
 class TestCsvFastPath:
-    """load_points_csv parses a file with np.loadtxt a chunk of lines at a
-    time and falls back on csv_rows over the whole file: either way the
-    array, or the LoadError text, is the one csv_rows gives."""
+    """csv_points parses CSV text with np.loadtxt a chunk of lines at a time
+    and goes on with csv_rows from the first chunk np.loadtxt might read
+    otherwise: either way the array, or the LoadError text, is the one
+    csv_rows gives, for a file and for the few lines at a time `stream`
+    reads."""
 
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(rows, min_size=0, max_size=8),
@@ -175,12 +198,11 @@ class TestCsvFastPath:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "pts.csv"
             path.write_bytes(ending.join(lines).encode() + raw + last.encode())
+            expected = csv_rows_outcome(path)
             with mock.patch.object(cio, "LOADTXT_CHARS", chunk):
-                assert outcome(load_points_csv, path) == csv_rows_outcome(path)
-                with open_points(path) as fh:
-                    fast = _loadtxt_rows(fh)
-            if fast is not None:
-                assert (fast.shape, fast.tobytes()) == csv_rows_outcome(path)
+                assert outcome(load_points_csv, path) == expected
+            for n in (1, 2, 5):
+                assert outcome(read_by_lines(n), path) == expected
 
     @pytest.mark.parametrize("text", [
         "1,2\n3,4\n",
@@ -193,12 +215,13 @@ class TestCsvFastPath:
     def test_well_formed_files_take_the_numpy_pass(self, tmp_path, text):
         path = tmp_path / "pts.csv"
         path.write_text(text, newline="")
+        expected = csv_rows_outcome(path)
+        # with a csv_rows that reads no row, np.loadtxt must read them all
         for chunk in (1, 1 << 20):
             with mock.patch.object(cio, "LOADTXT_CHARS", chunk), \
-                    open_points(path) as fh:
-                fast = _loadtxt_rows(fh)
-            assert fast is not None
-            assert (fast.shape, fast.tobytes()) == csv_rows_outcome(path)
+                    mock.patch.object(cio, "csv_rows", lambda *args: iter(())):
+                assert outcome(load_points_csv, path) == expected
+                assert outcome(read_by_lines(chunk), path) == expected
 
     @pytest.mark.parametrize("payload", [
         b'"1","2"\n3,4\n',
@@ -216,9 +239,38 @@ class TestCsvFastPath:
                                                               payload):
         path = tmp_path / "pts.csv"
         path.write_bytes(payload)
-        with open_points(path) as fh:
-            assert _loadtxt_rows(fh) is None
-        assert outcome(load_points_csv, path) == csv_rows_outcome(path)
+        patch, parsed = loadtxt_blocks()
+        with patch:
+            got = outcome(load_points_csv, path)
+        assert parsed == []
+        assert got == csv_rows_outcome(path)
+
+    @pytest.mark.parametrize("tail, bad", [
+        ("", False), ("x,1\n", True), ("1,2,3\n", True),
+        ("3" * (csv.field_size_limit() + 1) + ",4\n", True),
+        ('"4\n",6\n', False)],
+        ids=["none", "non-number", "ragged", "oversize", "quoted"])
+    @pytest.mark.parametrize("cell", ['"1"', "1_0", '"1",5'],
+                             ids=["quote", "1_0", "quote-and-width"])
+    def test_a_decline_after_numpy_chunks_counts_rows_on(self, tmp_path,
+                                                         cell, tail, bad):
+        # row 40 holds what np.loadtxt declines; csv_rows reads from its
+        # chunk on, carrying the row number and the width
+        lines = [f"{i},{-i}\n" for i in range(1, 60)]
+        lines[39] = f"{cell},40\n"
+        lines[29] = "\n"
+        path = tmp_path / "pts.csv"
+        path.write_text("".join(lines) + "7,8\n" * 10 + tail, newline="")
+        expected = csv_rows_outcome(path)
+        if cell == '"1",5':
+            assert expected[1] == f"{path}: row 40 has 3 columns, expected 2"
+        elif bad:
+            assert expected[1].startswith(f"{path}: row 70")
+        for load in (load_points_csv, read_by_lines(3), read_by_lines(16)):
+            patch, parsed = loadtxt_blocks()
+            with patch, mock.patch.object(cio, "LOADTXT_CHARS", 64):
+                assert outcome(load, path) == expected
+            assert sum(map(len, parsed)) >= 30
 
     def test_the_text_is_parsed_a_chunk_at_a_time(self, tmp_path,
                                                   monkeypatch):

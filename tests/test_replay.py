@@ -21,6 +21,8 @@ BAD_EXITS = {
     "bad/hash-mismatch": 3,
     "bad/verify-k0": 3,
     "bad/stream-eps-tiny": 3,
+    "bad/stream-nan-row": 3,
+    "bad/stream-text-row": 2,
     "bad/jsonl-string-coordinate": 2,
     "bad/verify-metric-query-id": 3,
 }
@@ -42,7 +44,7 @@ def test_quick_replay_records_every_run(tmp_path):
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     runs = load_tool().quick_runs()
     assert [r["name"] for r in lines] == [r.name for r in runs]
-    assert len(lines) == 51
+    assert len(lines) == 53
     for line, run in zip(lines, runs):
         assert line["argv"] == run.argv
         assert line["exit"] == BAD_EXITS.get(run.name, 0), line
@@ -53,3 +55,7 @@ def test_quick_replay_records_every_run(tmp_path):
             assert list(line["coreset_sha256"]) == run.writes
         else:
             assert line["stderr"] and line["coreset_sha256"] == {}
+        if run.name.endswith("-row"):
+            # the checkpoints of the blocks that filled before row 150
+            assert [json.loads(cp)["points_seen"] for cp in
+                    line["stdout"].splitlines()] == [64, 128]

@@ -199,6 +199,14 @@ class TestLocalSearch:
         with pytest.raises(InputError, match=rf"init id {bad} is outside \[0, 30\)"):
             weighted_local_search(PointSet(pts), 2, pts, init=init)
 
+    @pytest.mark.parametrize("init", [[0.5, 1.7], ["3", "4"]],
+                             ids=["floats", "strings"])
+    def test_init_ids_that_are_not_integers_are_input_errors(self, init):
+        # these were read as candidates 0 and 1, and 3 and 4
+        pts = np.random.default_rng(3).normal(size=(30, 2))
+        with pytest.raises(InputError, match="init must list integer"):
+            weighted_local_search(PointSet(pts), 2, pts, init=init)
+
     @pytest.mark.parametrize("k", [0, 31, 400])
     def test_k_outside_the_candidates_is_an_input_error(self, k):
         # k above m used to be lowered to m in silence; brute force refuses it

@@ -13,7 +13,9 @@ The runs:
 - 18 invocations at each of seeds 1 and 7 on `gaussian_mixture(300, 2, 3,
   11)` as points and on the explicit metric of `gaussian_mixture(40, 2, 3,
   12)`;
-- fourteen runs on bad input or with a broken guarantee;
+- sixteen runs on bad input or with a broken guarantee, two of them
+  `stream` runs whose standard input turns bad at row 150, after two
+  checkpoints went to stdout;
 - `solve --method local --k 3` on `gaussian_mixture(2100, 2, 3, 13)`, whose
   2,100 x 2,100 candidate rows are above the solvers' TABLE_CELLS, so the
   search computes its rows;
@@ -65,6 +67,9 @@ def write_small_inputs(work: Path) -> None:
     other = X.copy()
     other[0, 0] += 1.0
     workloads.write_csv(work / "other.csv", other)
+    lines = (work / "points.csv").read_text().splitlines(keepends=True)
+    for name, row in (("nan-row.csv", "nan,1\n"), ("text-row.csv", "x,1\n")):
+        (work / name).write_text("".join(lines[:149] + [row] + lines[150:]))
     Y = workloads.gaussian_mixture(40, 2, 3, 12)
     workloads.write_csv(work / "metric.csv", workloads.distance_matrix(Y))
     (work / "strings.jsonl").write_text('{"coords": [1, 2]}\n'
@@ -122,7 +127,7 @@ def seed_runs(s: int) -> list[Run]:
 
 
 def bad_runs() -> list[Run]:
-    """Fourteen runs that must fail, each with its documented exit code, or
+    """Sixteen runs that must fail, each with its documented exit code, or
     that once did.  They read the seed-1 coresets."""
     pts = ["--input", "points.csv", "--seed", "1"]
     out = ["--out", "report.json"]
@@ -154,6 +159,10 @@ def bad_runs() -> list[Run]:
         # a block of 2.1e19 points, refused before any point is read
         Run("bad/stream-eps-tiny", ["stream", "--k", "3", "--eps", "1e-9",
                                     "--seed", "1", *out], "points.csv"),
+        # rows 1-149 parse, so blocks 1 and 2 print their checkpoints first
+        *(Run(f"bad/stream-{tag}-row", ["stream", "--k", "3", "--eps", "0.3",
+                                        "--block-size", "64", "--seed", "1"],
+              f"{tag}-row.csv") for tag in ("nan", "text")),
         Run("bad/jsonl-string-coordinate", ["bicriteria", "--input",
                                             "strings.jsonl", "--k", "1",
                                             "--eps", "0.3", "--seed", "1",
